@@ -193,18 +193,12 @@ class AlgebraPresentation:
         exps = self._exps_from_named(_freeze_monomial(mono))
         return Element(self, self._normalize([(exps, coeff)]))
 
-    def normal_form(self, mono, coeff: int = 1) -> "Element":
-        return self.monomial(mono, coeff)
-
     def element(self, pairs) -> "Element":
         """Build a normalized element from (coeff, name-monomial) pairs."""
         raw = []
         for coeff, mono in pairs:
             raw.append((self._exps_from_named(_freeze_monomial(mono)), int(coeff)))
         return Element(self, self._normalize(raw))
-
-    def multiply(self, x: "Element", y: "Element") -> "Element":
-        return x * y
 
     # -- bases and counting ----------------------------------------------------
 

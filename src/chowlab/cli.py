@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import grassmann, motives, suites
 from .algebra import F2, Z
@@ -192,13 +193,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    options = suites.SuiteOptions(
-        max_n=args.max_n,
-        max_p=args.max_p,
-        max_degree=args.max_degree,
-        max_r=args.max_r,
-        parity=args.parity,
-    )
+    names = [f.name for f in fields(suites.SuiteOptions)]
+    options = suites.SuiteOptions(**{name: getattr(args, name) for name in names})
     result = suites.run_suite(args.suite, options)
     _emit(result.to_json())
     failed = [c for c in result.cases if not c.passed]
@@ -259,11 +255,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("suite", choices=suites.SUITE_NAMES + ("all",))
-    p.add_argument("--max-n", dest="max_n", type=int, default=4)
-    p.add_argument("--max-p", dest="max_p", type=int, default=3)
-    p.add_argument("--max-degree", dest="max_degree", type=int, default=6)
-    p.add_argument("--max-r", dest="max_r", type=int, default=3)
-    p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
+    for f in fields(suites.SuiteOptions):
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "parity":
+            p.add_argument(flag, choices=suites.SuiteOptions.PARITIES, default=f.default)
+        else:
+            p.add_argument(flag, dest=f.name, type=int, default=f.default)
     p.set_defaults(func=_cmd_verify)
 
     return parser

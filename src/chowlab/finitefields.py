@@ -43,18 +43,6 @@ class PrimeField:
     def elements(self):
         return range(self.p)
 
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
-
-    def inv(self, x: int) -> int:
-        return pow(x, -1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -120,7 +108,8 @@ class QuadExtField:
 
     def norm(self, x: int) -> int:
         value = self.mul(x, self.conj(x))
-        assert self.in_base(value)
+        if not self.in_base(value):
+            raise ChowlabError(f"norm of {x} left the base field")
         return value
 
     def frobenius(self, x: int) -> int:

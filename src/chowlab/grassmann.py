@@ -258,10 +258,6 @@ class OddCaseReport:
     matches: dict
     rank_matches: dict
 
-    @property
-    def completed(self) -> bool:
-        return True
-
     def to_json(self) -> dict:
         return {
             "r": self.r,
@@ -286,42 +282,29 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
     prev = prev_max_orth_ring(r)
     ring = prev.ring
 
-    # (i) the norm image coincides per degree with e * <e, e_2, ..., e_2r>
     sub = SubringClosure(
         ring, [ring.gen("e")] + [ring.gen(f"e{i}") for i in range(2, 2 * r + 1)]
     )
     e = ring.gen("e")
-    norm_equals_ideal = True
+    model = odd_quotient_ring(r)
+    norm_equals_ideal = model_consistent = True
     for d in range(ring.max_degree + 1):
-        norms = [prev.norm(x) for x in ring.basis_elements(d)]
-        norms = [x for x in norms if not x.is_zero]
-        ideal = [e * x for x in sub.basis(d - 1)] if d >= 1 else []
-        ideal = [x for x in ideal if not x.is_zero]
+        norms = [x for x in map(prev.norm, ring.basis_elements(d)) if not x.is_zero]
         nvecs = ring.vectorize(norms, d)
-        ivecs = ring.vectorize(ideal, d)
         rank_n = F2Span(nvecs).rank
-        rank_i = F2Span(ivecs).rank
-        rank_union = F2Span(nvecs + ivecs).rank
-        if not rank_n == rank_i == rank_union:
+
+        # (i) the norm image coincides with e * <e, e_2, ..., e_2r>
+        ideal = [e * x for x in sub.basis(d - 1)] if d >= 1 else []
+        ivecs = ring.vectorize([x for x in ideal if not x.is_zero], d)
+        if not rank_n == F2Span(ivecs).rank == F2Span(nvecs + ivecs).rank:
             norm_equals_ideal = False
 
-    # (ii) the subring modulo norms matches the model ring degreewise
-    model = odd_quotient_ring(r)
-    model_consistent = True
-    for d in range(ring.max_degree + 1):
+        # (ii) the subring modulo norms matches the model ring
         sub_basis = sub.basis(d)
-        norms = [prev.norm(x) for x in ring.basis_elements(d)]
-        norms = [x for x in norms if not x.is_zero]
-        nvecs = ring.vectorize(norms, d)
-        model_dim = len(model.degree_basis(d)) if d <= model.max_degree else 0
-        efree = [
-            ring.element([(1, model.monomial_named(m))])
-            for m in (model.degree_basis(d) if d <= model.max_degree else [])
-        ]
-        evecs = ring.vectorize(efree, d)
-        rank_n = F2Span(nvecs).rank
-        rank_total = F2Span(nvecs + evecs).rank
-        if len(sub_basis) != rank_n + model_dim or rank_total != len(sub_basis):
+        model_basis = model.degree_basis(d) if d <= model.max_degree else []
+        efree = [ring.element([(1, model.monomial_named(m))]) for m in model_basis]
+        rank_total = F2Span(nvecs + ring.vectorize(efree, d)).rank
+        if len(sub_basis) != rank_n + len(model_basis) or rank_total != len(sub_basis):
             model_consistent = False
 
     # (iii) the canonical class, its annihilator and the quotient

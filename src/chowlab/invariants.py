@@ -126,21 +126,6 @@ def norm_image_basis(sigma: SwapInvolution, A: AlgebraPresentation, d: int) -> l
     return out
 
 
-def norm_image_spanners(A: AlgebraPresentation, apply_sigma, d: int) -> list[Element]:
-    """Norm spanning set for an arbitrary involution given by its action on elements."""
-    out = []
-    seen = set()
-    for x in A.basis_elements(d):
-        nu = x + apply_sigma(x)
-        if nu.is_zero:
-            continue
-        key = tuple(sorted(nu.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(nu)
-    return out
-
-
 def generator_products(A: AlgebraPresentation, generators, d: int) -> list[Element]:
     """All products of the given homogeneous elements with total degree d."""
     degrees = []
@@ -169,6 +154,27 @@ def generator_products(A: AlgebraPresentation, generators, d: int) -> list[Eleme
 
     rec(0, d, A.one())
     return out
+
+
+def uncovered_invariant(
+    sigma: SwapInvolution,
+    A: AlgebraPresentation,
+    products: list[Element],
+    d: int,
+    norms: list[Element] | None = None,
+) -> Element | None:
+    """First degree-d invariant basis element outside span(products + norms), or None.
+
+    ``norms`` defaults to the norm spanning set ``norm_image_basis(sigma, A, d)``;
+    callers that need it again in the same degree pass it in.
+    """
+    if norms is None:
+        norms = norm_image_basis(sigma, A, d)
+    solver = A.span_solver(products + norms, d)
+    for v in invariant_basis(sigma, A, d):
+        if not solver.contains(A.vectorize([v], d)[0]):
+            return v
+    return None
 
 
 @dataclass(frozen=True)
@@ -219,13 +225,7 @@ def quotient_generation_check(
     """
     results = []
     for d in range(max_degree + 1):
-        spanners = generator_products(A, generators, d) + norm_image_basis(sigma, A, d)
-        solver = A.span_solver(spanners, d)
-        witness = None
-        for v in invariant_basis(sigma, A, d):
-            if not solver.contains(A.vectorize([v], d)[0]):
-                witness = v
-                break
+        witness = uncovered_invariant(sigma, A, generator_products(A, generators, d), d)
         results.append(DegreeCheck(d=d, passed=witness is None, witness=witness))
     return GenerationReport(
         check=check_name, params=params or {}, degrees=tuple(results)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import UsageError
+from .errors import ChowlabError, UsageError
 from .polynomials import PoincarePolynomial, poly_mul, poly_sub
 
 
@@ -35,9 +35,7 @@ def dim_orthogonal(n: int, m: int) -> int:
     """Dimension of the totally singular m-grassmannian of a 2n-dimensional form."""
     if not 0 <= m <= n:
         raise UsageError(f"m={m} out of range for n={n}")
-    prod = m * (4 * n - 3 * m - 1)
-    assert prod % 2 == 0
-    return prod // 2
+    return m * (4 * n - 3 * m - 1) // 2
 
 
 # -- atoms and motives -------------------------------------------------------
@@ -122,10 +120,10 @@ class Motive:
 def _step_shifts(n: int, r: int) -> tuple[int, int]:
     # closed forms of (dim X_r - dim X'_r)/2 and dim X_r - dim X'_{r-1}
     i, j = 2 * r, 2 * n - 2 * r - 1
-    if r <= (n - 2) // 2:
-        assert i == (dim_unitary(n, r) - dim_unitary(n - 2, r)) // 2
-    if 0 <= r - 1 <= (n - 2) // 2:
-        assert j == dim_unitary(n, r) - dim_unitary(n - 2, r - 1)
+    if r <= (n - 2) // 2 and i != (dim_unitary(n, r) - dim_unitary(n - 2, r)) // 2:
+        raise ChowlabError(f"shift {i} disagrees with the dimensions at n={n}, r={r}")
+    if 0 <= r - 1 <= (n - 2) // 2 and j != dim_unitary(n, r) - dim_unitary(n - 2, r - 1):
+        raise ChowlabError(f"shift {j} disagrees with the dimensions at n={n}, r={r}")
     return i, j
 
 

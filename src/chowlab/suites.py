@@ -1,24 +1,25 @@
 """Named verification suites with machine-readable results.
 
-A suite is a list of independent cases; each case is a pure thunk returning
-a (passed, details) pair.  Informational cases record their outcome but
-never fail the run unless they raise.  Cases may be executed concurrently
-(capped by the CHOWLAB_THREADS environment variable); results are always
-aggregated in case-id order.
+``SUITES`` is the whole catalogue: each entry maps ``SuiteOptions`` to rows
+``(id, params, check, informational)``.  A check is a thunk returning a
+(passed, details) pair; it looks domain functions up through module globals
+when it is called, never at import time.  Informational rows record their
+outcome but never fail the run unless they raise.  Rows run serially and
+the results are reported in case-id order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import grassmann, invariants, motives, weil
 from .algebra import F2, Z
 from .errors import UsageError
 from .finitefields import (
+    _WITT_QUADRATIC_BUDGET,
     count_isotropic,
     hermitian_space,
     trace_quadratic,
@@ -27,19 +28,6 @@ from .finitefields import (
 )
 from .polynomials import PoincarePolynomial
 
-SUITE_NAMES = (
-    "lemmaS",
-    "codim2",
-    "weil",
-    "primerchik",
-    "odd911",
-    "motives",
-    "kvadrika",
-    "dvamr",
-    "i2i",
-    "counts",
-)
-
 
 @dataclass(frozen=True)
 class SuiteOptions:
@@ -47,10 +35,27 @@ class SuiteOptions:
     max_p: int = 3
     max_degree: int = 6
     max_r: int = 3
-    parity: str = "both"  # kvadrika filter: even | odd | both
+    parity: str = "both"  # kvadrika filter, one of PARITIES
+
+    PARITIES = ("even", "odd", "both")
+
+    def __post_init__(self):
+        supported = _WITT_QUADRATIC_BUDGET["p"]
+        for name, low, high in (
+            ("max_n", 1, None),
+            ("max_p", min(supported), max(supported)),
+            ("max_degree", 0, None),
+            ("max_r", 1, None),
+        ):
+            value = getattr(self, name)
+            if value < low or (high is not None and value > high):
+                bound = f"{low} <= {name} <= {high}" if high is not None else f"{name} >= {low}"
+                raise UsageError(f"{name}={value} is out of range; need {bound}")
+        if self.parity not in self.PARITIES:
+            raise UsageError(f"parity must be one of {self.PARITIES}, got {self.parity!r}")
 
     def primes(self):
-        return [p for p in (2, 3) if p <= self.max_p]
+        return [p for p in _WITT_QUADRATIC_BUDGET["p"] if p <= self.max_p]
 
 
 @dataclass(frozen=True)
@@ -92,332 +97,215 @@ class SuiteResult:
         }
 
 
-class _Case:
-    def __init__(self, case_id: str, params: dict, thunk, informational: bool = False):
-        self.id = case_id
-        self.params = params
-        self.thunk = thunk
-        self.informational = informational
-
-    def run(self) -> CaseResult:
-        try:
-            passed, details = self.thunk()
-        except Exception as exc:  # a raising case always fails, informational or not
-            return CaseResult(
-                id=self.id,
-                params=self.params,
-                passed=False,
-                details={"error": f"{type(exc).__name__}: {exc}"},
-                informational=self.informational,
-            )
-        if self.informational:
-            details = dict(details)
-            details.setdefault("outcome", passed)
-            passed = True
-        return CaseResult(
-            id=self.id,
-            params=self.params,
-            passed=bool(passed),
-            details=details,
-            informational=self.informational,
-        )
+def _case(case_id: str, params: dict, check, informational: bool) -> CaseResult:
+    """Run one row; a raising check always fails, informational or not."""
+    try:
+        passed, details = check()
+    except Exception as exc:
+        details = {"error": f"{type(exc).__name__}: {exc}"}
+        return CaseResult(case_id, params, False, details, informational)
+    if informational:
+        passed, details = True, {"outcome": passed, **details}
+    return CaseResult(case_id, params, bool(passed), details, informational)
 
 
-# -- suite definitions ----------------------------------------------------------
+# -- checks ------------------------------------------------------------------------
 
 
-def _lemma_s_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    for coeff in (Z, F2):
-        for r in range(1, opts.max_r + 1):
-            def thunk(coeff=coeff, r=r):
-                ring, sigma = invariants.swap_polynomial_ring(r, 0, coeff, opts.max_degree)
-                gens = [
-                    ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, r + 1)
-                ]
-                report = invariants.quotient_generation_check(
-                    sigma, ring, gens, opts.max_degree
-                )
-                return report.passed, {"degrees_checked": opts.max_degree}
-
-            cases.append(
-                _Case(f"lemmaS/{coeff}/r{r}", {"coefficients": coeff, "r": r}, thunk)
-            )
-
-    def witness_thunk():
-        report = invariants.non_generation_witness()
-        return report.passed, report.to_json()
-
-    cases.append(_Case("lemmaS/witness", {"r": 3, "coefficients": Z}, witness_thunk))
-    return cases
+def _full(report):
+    """A report's verdict with its whole JSON as the details."""
+    return report.passed, report.to_json()
 
 
-def _codim2_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    for coeff in (Z, F2):
-        for k in (0, 1):
-            for r in range(1, opts.max_r + 1):
-                def thunk(coeff=coeff, k=k, r=r):
-                    report = invariants.codim_le2_generation_check(
-                        k, r, opts.max_degree, coefficients=coeff
-                    )
-                    return report.passed, {"degrees_checked": opts.max_degree}
-
-                cases.append(
-                    _Case(
-                        f"codim2/{coeff}/k{k}/r{r}",
-                        {"coefficients": coeff, "k_fixed": k, "r": r},
-                        thunk,
-                    )
-                )
-    return cases
+def _generation(coeff: str, k: int, r: int, max_degree: int):
+    report = invariants.codim_le2_generation_check(k, r, max_degree, coefficients=coeff)
+    return report.passed, {"degrees_checked": max_degree}
 
 
-def _weil_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    for coeff in (Z, F2):
-        for r in range(1, opts.max_r + 1):
-            D = 2 * r + 4
-
-            def freeness_thunk(coeff=coeff, r=r, D=D):
-                report = weil.freeness_check(weil.build(r, coeff, D))
-                return report.passed, report.to_json()
-
-            cases.append(
-                _Case(
-                    f"weil/{coeff}/r{r}",
-                    {"coefficients": coeff, "r": r, "D": D},
-                    freeness_thunk,
-                )
-            )
-
-            def base_thunk(coeff=coeff, r=r, D=D):
-                report = weil.base_generation_check(weil.build(r, coeff, D))
-                return report.passed, {"max_degree": D - 2 * r}
-
-            cases.append(
-                _Case(
-                    f"weil/{coeff}/r{r}/base",
-                    {"coefficients": coeff, "r": r, "D": D},
-                    base_thunk,
-                )
-            )
-    return cases
+def _witness():
+    return _full(invariants.non_generation_witness())
 
 
-def _primerchik_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    for r in range(1, opts.max_r + 1):
-        def quotient_thunk(r=r):
-            quotient = grassmann.isochow_quotient(2 * r, r)
-            expected = PoincarePolynomial.exterior(2 * i - 1 for i in range(1, r + 1))
-            return quotient == expected, {"quotient": quotient.to_list()}
-
-        cases.append(_Case(f"primerchik/r{r}/quotient", {"r": r}, quotient_thunk))
-
-        def squares_thunk(r=r):
-            return grassmann.odd_squares_vanish(r), {}
-
-        cases.append(_Case(f"primerchik/r{r}/squares", {"r": r}, squares_thunk))
-
-        def unique_thunk(r=r):
-            return grassmann.uniqueness_in_codim(2 * r, r), {"codim": r * (r - 1)}
-
-        cases.append(_Case(f"primerchik/r{r}/unique", {"r": r}, unique_thunk))
-
-        def cross_thunk(r=r):
-            quotient = grassmann.isochow_quotient(2 * r, r)
-            ess = motives.essential_poincare(2 * r, r)
-            return quotient == ess, {
-                "quotient": quotient.to_list(),
-                "essential": ess.to_list(),
-            }
-
-        cases.append(_Case(f"primerchik/r{r}/motive", {"r": r}, cross_thunk))
-    return cases
+def _weil_freeness(coeff: str, r: int, D: int):
+    return _full(weil.freeness_check(weil.build(r, coeff, D)))
 
 
-def _odd911_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    for r in range(1, min(opts.max_r, 2) + 1):
-        def thunk(r=r):
-            report = grassmann.odd_case_pipeline(r)
-            ok = (
-                report.norm_equals_ideal
-                and report.model_consistent
-                and report.class_nonzero
-            )
-            return ok, report.to_json()
-
-        cases.append(_Case(f"odd911/r{r}", {"r": r}, thunk, informational=True))
-    return cases
+def _weil_base(coeff: str, r: int, D: int):
+    report = weil.base_generation_check(weil.build(r, coeff, D))
+    return report.passed, {"max_degree": D - 2 * r}
 
 
-def _motives_cases(opts: SuiteOptions) -> list[_Case]:
-    def poincare_thunk():
-        for n in range(13):
-            for r in range(n // 2 + 1):
-                p = motives.essential_poincare(n, r)
-                if p[0] != 1 or p.degree != motives.dim_unitary(n, r) or not p.is_palindromic():
-                    return False, {"n": n, "r": r, "poincare": p.to_list()}
-        return True, {"max_n": 12}
-
-    def closed_thunk():
-        for r in range(1, 5):
-            even = motives.essential_poincare(2 * r, r)
-            odd = motives.essential_poincare(2 * r + 1, r)
-            if even != PoincarePolynomial.exterior(2 * i - 1 for i in range(1, r + 1)):
-                return False, {"r": r, "parity": "even"}
-            if odd != PoincarePolynomial.exterior(2 * i + 1 for i in range(1, r + 1)):
-                return False, {"r": r, "parity": "odd"}
-        return True, {"max_r": 4}
-
-    def jmin_thunk():
-        for n in range(2, 21, 2):
-            if motives.j_min(n) != tuple(range(0, n - 1, 2)):
-                return False, {"n": n}
-            if not motives.cd2_identity_check(n):
-                return False, {"n": n}
-        return True, {"max_n": 20}
-
-    return [
-        _Case("motives/poincare", {"max_n": 12}, poincare_thunk),
-        _Case("motives/closed_forms", {"max_r": 4}, closed_thunk),
-        _Case("motives/jmin", {"max_n": 20}, jmin_thunk),
-    ]
+def _primerchik_quotient(r: int):
+    quotient = grassmann.isochow_quotient(2 * r, r)
+    expected = PoincarePolynomial.exterior(range(1, 2 * r, 2))
+    return quotient == expected, {"quotient": quotient.to_list()}
 
 
-def _kvadrika_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    if opts.parity in ("even", "both"):
-        for n in range(2, 11, 2):
-            def thunk(n=n):
-                report = motives.kvadrika_check(n)
-                return report.passed and not report.delta, report.to_json()
-
-            cases.append(_Case(f"kvadrika/even/n{n:02d}", {"n": n}, thunk))
-    if opts.parity in ("odd", "both"):
-        for n in range(3, 10, 2):
-            def thunk(n=n):
-                report = motives.kvadrika_check(n)
-                expected = tuple([0] * (n - 1) + [2])
-                return report.delta == expected, report.to_json()
-
-            cases.append(
-                _Case(f"kvadrika/odd/n{n:02d}", {"n": n}, thunk, informational=True)
-            )
-    return cases
+def _primerchik_squares(r: int):
+    return grassmann.odd_squares_vanish(r), {}
 
 
-def _dvamr_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    for n in range(2, 13):
-        for r in range(1, n // 2 + 1):
-            dominance = n <= opts.max_n
+def _primerchik_unique(r: int):
+    return grassmann.uniqueness_in_codim(2 * r, r), {"codim": r * (r - 1)}
 
-            def thunk(n=n, r=r, dominance=dominance):
-                report = motives.dvamr_check(n, r, with_dominance=dominance)
-                return report.passed, report.to_json()
 
-            cases.append(
-                _Case(
-                    f"dvamr/n{n:02d}/r{r}",
-                    {"n": n, "r": r, "dominance": dominance},
-                    thunk,
-                )
-            )
-    return cases
+def _primerchik_motive(r: int):
+    quotient = grassmann.isochow_quotient(2 * r, r)
+    ess = motives.essential_poincare(2 * r, r)
+    return quotient == ess, {"quotient": quotient.to_list(), "essential": ess.to_list()}
+
+
+def _odd911(r: int):
+    report = grassmann.odd_case_pipeline(r)
+    ok = report.norm_equals_ideal and report.model_consistent and report.class_nonzero
+    return ok, report.to_json()
+
+
+def _motives_poincare():
+    for n in range(13):
+        for r in range(n // 2 + 1):
+            p = motives.essential_poincare(n, r)
+            if p[0] != 1 or p.degree != motives.dim_unitary(n, r) or not p.is_palindromic():
+                return False, {"n": n, "r": r, "poincare": p.to_list()}
+    return True, {"max_n": 12}
+
+
+def _motives_closed_forms():
+    for r in range(1, 5):
+        for parity, n, degrees in (
+            ("even", 2 * r, range(1, 2 * r, 2)),
+            ("odd", 2 * r + 1, range(3, 2 * r + 2, 2)),
+        ):
+            if motives.essential_poincare(n, r) != PoincarePolynomial.exterior(degrees):
+                return False, {"r": r, "parity": parity}
+    return True, {"max_r": 4}
+
+
+def _motives_jmin():
+    for n in range(2, 21, 2):
+        if motives.j_min(n) != tuple(range(0, n - 1, 2)) or not motives.cd2_identity_check(n):
+            return False, {"n": n}
+    return True, {"max_n": 20}
+
+
+def _kvadrika_even(n: int):
+    report = motives.kvadrika_check(n)
+    return report.passed and not report.delta, report.to_json()
+
+
+def _kvadrika_odd(n: int):
+    report = motives.kvadrika_check(n)
+    return report.delta == tuple([0] * (n - 1) + [2]), report.to_json()
+
+
+def _dvamr(n: int, r: int, dominance: bool):
+    return _full(motives.dvamr_check(n, r, with_dominance=dominance))
 
 
 def _diagonals(p: int, n: int):
     return itertools.product(range(1, p), repeat=n)
 
 
-def _i2i_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    for p in opts.primes():
-        for n in range(1, opts.max_n + 1):
-            def thunk(p=p, n=n):
-                checked = 0
-                for diag in _diagonals(p, n):
-                    H = hermitian_space(p, diag)
-                    ih = witt_index_hermitian(H)
-                    iq = witt_index_quadratic(trace_quadratic(H))
-                    if iq != 2 * ih:
-                        return False, {"diag": list(diag), "i_h": ih, "i_q": iq}
-                    checked += 1
-                return True, {"forms_checked": checked}
-
-            cases.append(_Case(f"i2i/p{p}/n{n}", {"p": p, "n": n}, thunk))
-    return cases
+def _i2i(p: int, n: int):
+    checked = 0
+    for diag in _diagonals(p, n):
+        H = hermitian_space(p, diag)
+        ih = witt_index_hermitian(H)
+        iq = witt_index_quadratic(trace_quadratic(H))
+        if iq != 2 * ih:
+            return False, {"diag": list(diag), "i_h": ih, "i_q": iq}
+        checked += 1
+    return True, {"forms_checked": checked}
 
 
-def _counts_cases(opts: SuiteOptions) -> list[_Case]:
-    cases = []
-    for p in opts.primes():
-        for n in range(1, opts.max_n + 1):
-            def thunk(p=p, n=n):
-                results = {}
-                for diag in _diagonals(p, n):
-                    H = hermitian_space(p, diag)
-                    for r in range(n // 2 + 1):
-                        count = count_isotropic(H, r)
-                        predicted = motives.essential_poincare(n, r)(p)
-                        if count != predicted:
-                            return False, {
-                                "diag": list(diag),
-                                "r": r,
-                                "count": count,
-                                "predicted": predicted,
-                            }
-                        results[f"r{r}"] = count
-                return True, {"counts": results}
-
-            cases.append(_Case(f"counts/p{p}/n{n}", {"p": p, "n": n}, thunk))
-    return cases
+def _counts(p: int, n: int):
+    results = {}
+    for diag in _diagonals(p, n):
+        H = hermitian_space(p, diag)
+        for r in range(n // 2 + 1):
+            count = count_isotropic(H, r)
+            predicted = motives.essential_poincare(n, r)(p)
+            if count != predicted:
+                details = {"diag": list(diag), "r": r, "count": count, "predicted": predicted}
+                return False, details
+            results[f"r{r}"] = count
+    return True, {"counts": results}
 
 
-_SUITE_BUILDERS = {
-    "lemmaS": _lemma_s_cases,
-    "codim2": _codim2_cases,
-    "weil": _weil_cases,
-    "primerchik": _primerchik_cases,
-    "odd911": _odd911_cases,
-    "motives": _motives_cases,
-    "kvadrika": _kvadrika_cases,
-    "dvamr": _dvamr_cases,
-    "i2i": _i2i_cases,
-    "counts": _counts_cases,
+# -- the suite table ------------------------------------------------------------------
+
+
+SUITES = {
+    "lemmaS": lambda o: [
+        (f"lemmaS/{c}/r{r}", {"coefficients": c, "r": r},
+         partial(_generation, c, 0, r, o.max_degree), False)
+        for c in (Z, F2) for r in range(1, o.max_r + 1)
+    ] + [("lemmaS/witness", {"r": 3, "coefficients": Z}, _witness, False)],
+    "codim2": lambda o: [
+        (f"codim2/{c}/k{k}/r{r}", {"coefficients": c, "k_fixed": k, "r": r},
+         partial(_generation, c, k, r, o.max_degree), False)
+        for c in (Z, F2) for k in (0, 1) for r in range(1, o.max_r + 1)
+    ],
+    "weil": lambda o: [
+        (f"weil/{c}/r{r}{suffix}", {"coefficients": c, "r": r, "D": 2 * r + 4},
+         partial(check, c, r, 2 * r + 4), False)
+        for c in (Z, F2) for r in range(1, o.max_r + 1)
+        for suffix, check in (("", _weil_freeness), ("/base", _weil_base))
+    ],
+    "primerchik": lambda o: [
+        (f"primerchik/r{r}/{name}", {"r": r}, partial(check, r), False)
+        for r in range(1, o.max_r + 1)
+        for name, check in (
+            ("quotient", _primerchik_quotient),
+            ("squares", _primerchik_squares),
+            ("unique", _primerchik_unique),
+            ("motive", _primerchik_motive),
+        )
+    ],
+    "odd911": lambda o: [
+        (f"odd911/r{r}", {"r": r}, partial(_odd911, r), True)
+        for r in range(1, min(o.max_r, 2) + 1)
+    ],
+    "motives": lambda o: [
+        ("motives/poincare", {"max_n": 12}, _motives_poincare, False),
+        ("motives/closed_forms", {"max_r": 4}, _motives_closed_forms, False),
+        ("motives/jmin", {"max_n": 20}, _motives_jmin, False),
+    ],
+    "kvadrika": lambda o: [
+        (f"kvadrika/{parity}/n{n:02d}", {"n": n}, partial(check, n), parity == "odd")
+        for parity, ns, check in (
+            ("even", range(2, 11, 2), _kvadrika_even),
+            ("odd", range(3, 10, 2), _kvadrika_odd),
+        )
+        if o.parity in (parity, "both")
+        for n in ns
+    ],
+    "dvamr": lambda o: [
+        (f"dvamr/n{n:02d}/r{r}", {"n": n, "r": r, "dominance": n <= o.max_n},
+         partial(_dvamr, n, r, n <= o.max_n), False)
+        for n in range(2, 13) for r in range(1, n // 2 + 1)
+    ],
+    "i2i": lambda o: [
+        (f"i2i/p{p}/n{n}", {"p": p, "n": n}, partial(_i2i, p, n), False)
+        for p in o.primes() for n in range(1, o.max_n + 1)
+    ],
+    "counts": lambda o: [
+        (f"counts/p{p}/n{n}", {"p": p, "n": n}, partial(_counts, p, n), False)
+        for p in o.primes() for n in range(1, o.max_n + 1)
+    ],
 }
 
-
-def _worker_count() -> int:
-    raw = os.environ.get("CHOWLAB_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, options: SuiteOptions | None = None) -> SuiteResult:
-    """Run one named suite (or 'all') and aggregate deterministically."""
+    """Run one named suite (or 'all') and report the cases in id order."""
     options = options or SuiteOptions()
-    if name == "all":
-        names = list(SUITE_NAMES)
-    elif name in _SUITE_BUILDERS:
-        names = [name]
-    else:
+    if name != "all" and name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    cases: list[_Case] = []
-    for n in names:
-        cases.extend(_SUITE_BUILDERS[n](options))
+    rows = [row for n in (SUITE_NAMES if name == "all" else (name,)) for row in SUITES[n](options)]
     start = time.perf_counter()
-    workers = _worker_count()
-    if workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: c.run(), cases))
-    else:
-        results = [c.run() for c in cases]
+    results = [_case(*row) for row in rows]
     elapsed = time.perf_counter() - start
     results.sort(key=lambda c: c.id)
     return SuiteResult(suite=name, cases=tuple(results), elapsed=elapsed)

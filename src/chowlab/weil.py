@@ -19,6 +19,7 @@ from .invariants import (
     invariant_basis,
     norm_image_basis,
     quotient_generation_check,
+    uncovered_invariant,
 )
 from .linalg import f2_kernel, z_kernel
 
@@ -172,30 +173,13 @@ class FreenessReport:
 
 def _power_monomials(R: DoubleBundleRing, d: int) -> list[Element]:
     """Products (c_1 c'_1)^m1 ... (c_r c'_r)^mr * c^k with k < r and total degree d."""
-    pair_degrees = [2 * i for i in range(1, R.r + 1)]
-    out = []
+    pairs = [R.chern_pair(i) for i in range(1, R.r + 1)]
     c = R.c()
-    for k in range(R.r):
-        remaining_total = d - 2 * k
-        if remaining_total < 0:
-            continue
-        exps = [0] * R.r
-
-        def rec(i: int, remaining: int) -> None:
-            if i == R.r:
-                if remaining == 0:
-                    acc = c ** k
-                    for j, e in enumerate(exps):
-                        acc = acc * R.chern_pair(j + 1) ** e
-                    out.append(acc)
-                return
-            for e in range(remaining // pair_degrees[i] + 1):
-                exps[i] = e
-                rec(i + 1, remaining - e * pair_degrees[i])
-            exps[i] = 0
-
-        rec(0, remaining_total)
-    return out
+    return [
+        c ** k * x
+        for k in range(min(R.r, d // 2 + 1))
+        for x in generator_products(R.ring, pairs, d - 2 * k)
+    ]
 
 
 def freeness_check(R: DoubleBundleRing) -> FreenessReport:
@@ -206,21 +190,13 @@ def freeness_check(R: DoubleBundleRing) -> FreenessReport:
     of such combinations into invariants-mod-norms is exactly the tuple of
     base norm modules, verified by both inclusions on kernel bases.
     """
-    ring, base = R.ring, R.base
-    c = R.c()
     spanning: dict[int, bool] = {}
     freeness: dict[int, bool] = {}
     for d in range(R.D - 2 * R.r + 1):
         norms = R.norm_spanners(d)
-        spanners = _power_monomials(R, d) + norms
-        solver = ring.span_solver(spanners, d)
-        ok = True
-        for v in invariant_basis(R.sigma, ring, d):
-            if not solver.contains(ring.vectorize([v], d)[0]):
-                ok = False
-                break
-        spanning[d] = ok
-        freeness[d] = _kernel_matches_base_norms(R, d)
+        products = _power_monomials(R, d)
+        spanning[d] = uncovered_invariant(R.sigma, R.ring, products, d, norms) is None
+        freeness[d] = _kernel_matches_base_norms(R, d, norms)
     relation_ok = product_relation_check(R)
     mutated = _mutated(R)
     mutated_relation = relation_element(mutated)
@@ -238,32 +214,27 @@ def freeness_check(R: DoubleBundleRing) -> FreenessReport:
     )
 
 
-def _kernel_matches_base_norms(R: DoubleBundleRing, d: int) -> bool:
+def _kernel_matches_base_norms(R: DoubleBundleRing, d: int, norms: list[Element]) -> bool:
+    """Both inclusions between the evaluation kernel and the base norm modules in degree d.
+
+    ``norms`` is the full norm spanning set in degree d.
+    """
     ring, base = R.ring, R.base
     c = R.c()
-    labels: list[tuple[int, int]] = []  # (k, index into base invariant basis)
-    vectors: list[Element] = []
-    base_inv: dict[int, list[Element]] = {}
-    for k in range(R.r):
-        bd = d - 2 * k
-        if bd < 0:
-            continue
-        base_inv[k] = invariant_basis(R.base_sigma, base, bd)
-        for idx, beta in enumerate(base_inv[k]):
-            labels.append((k, idx))
-            vectors.append(R.base_in_full(beta) * c ** k)
-    norms = R.norm_spanners(d)
+    ks = range(min(R.r, d // 2 + 1))
+    powers = {k: c ** k for k in ks}
+    base_inv = {k: invariant_basis(R.base_sigma, base, d - 2 * k) for k in ks}
+    base_norms = {k: norm_image_basis(R.base_sigma, base, d - 2 * k) for k in ks}
+    labels = [(k, idx) for k in ks for idx in range(len(base_inv[k]))]
+    vectors = [R.base_in_full(base_inv[k][idx]) * powers[k] for k, idx in labels]
     all_vecs = ring.vectorize(vectors + norms, d)
-    base_norm_solvers = {
-        k: base.span_solver(norm_image_basis(R.base_sigma, base, d - 2 * k), d - 2 * k)
-        for k in base_inv
-    }
+    base_norm_solvers = {k: base.span_solver(base_norms[k], d - 2 * k) for k in ks}
 
     # inclusion 1: base norms times c^k land in the full norm module
     full_solver = ring.span_solver(norms, d)
-    for k in base_inv:
-        for nu in norm_image_basis(R.base_sigma, base, d - 2 * k):
-            vec = ring.vectorize([R.base_in_full(nu) * c ** k], d)[0]
+    for k in ks:
+        for nu in base_norms[k]:
+            vec = ring.vectorize([R.base_in_full(nu) * powers[k]], d)[0]
             if not full_solver.contains(vec):
                 return False
 

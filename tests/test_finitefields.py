@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from chowlab.errors import BudgetError, UsageError
+from chowlab.errors import BudgetError, ChowlabError, UsageError
 from chowlab.finitefields import (
     PrimeField,
     QuadExtField,
@@ -30,6 +30,14 @@ def test_quadratic_extension_structure():
             assert K.conj(x) == K.frobenius(x)
         fixed = [x for x in K.elements() if K.conj(x) == x]
         assert fixed == list(range(p))
+
+
+def test_norm_raises_when_conjugation_is_wrong(monkeypatch):
+    monkeypatch.setattr(QuadExtField, "conj", lambda self, x: x)
+    K = QuadExtField(PrimeField(3))
+    with pytest.raises(ChowlabError):
+        for x in K.elements():
+            K.norm(x)
 
 
 def test_first_irreducible_is_lexicographic():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from chowlab.errors import UsageError
+from chowlab import motives
+from chowlab.errors import ChowlabError, UsageError
 from chowlab.motives import (
     Motive,
     TATE,
@@ -50,6 +51,13 @@ def test_decompose_step_examples():
     assert decompose_step(4, 1) == Motive(
         ((essential(2, 0), 0), (essential(2, 1), 2), (essential(2, 0), 5))
     )
+
+
+def test_step_shifts_raise_on_inconsistent_dimensions(monkeypatch):
+    real = motives.dim_unitary
+    monkeypatch.setattr(motives, "dim_unitary", lambda n, r: real(n, r) + n)
+    with pytest.raises(ChowlabError):
+        decompose_step(4, 1)
 
 
 def test_decompose_step_matches_poincare():

@@ -1,6 +1,7 @@
-"""Harness behaviour: exit codes, determinism, JSON round-trips, worker capping."""
+"""Harness behaviour: exit codes, determinism, JSON round-trips, option validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,13 +98,6 @@ def test_case_ids_stable_and_sorted():
     assert ids1 == ids2 == sorted(ids1)
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    serial = run_suite("primerchik")
-    monkeypatch.setenv("CHOWLAB_THREADS", "4")
-    threaded = run_suite("primerchik")
-    assert [c.to_json() for c in serial.cases] == [c.to_json() for c in threaded.cases]
-
-
 def test_verify_all_passes(capsys):
     code, out, err = _run(capsys, ["verify", "all", "--max-n", "3", "--max-r", "2", "--max-degree", "5"])
     assert code == 0
@@ -111,6 +105,20 @@ def test_verify_all_passes(capsys):
     assert data["pass"] is True
     informational = [c for c in data["cases"] if c.get("informational")]
     assert any(c["id"].startswith("odd911/") for c in informational)
+
+
+def test_verify_all_matches_golden_report(capsys):
+    """Every case of a small `verify all`, details included, against a recorded report."""
+    argv = ["verify", "all", "--max-n", "3", "--max-r", "2", "--max-degree", "5"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    data.pop("elapsed")
+    golden = json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text())
+    assert [c["id"] for c in data["cases"]] == [c["id"] for c in golden["cases"]]
+    for got, want in zip(data["cases"], golden["cases"]):
+        assert got == want, got["id"]
+    assert data == golden
 
 
 def test_decompose_cli(capsys):
@@ -149,13 +157,13 @@ def test_suite_options_default_ranges():
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from chowlab import suites as suites_mod
 
-    def broken_cases(opts):
+    def broken_rows(opts):
         return [
-            suites_mod._Case("broken/fails", {}, lambda: (False, {"why": "injected"})),
-            suites_mod._Case("broken/raises", {}, lambda: 1 / 0),
+            ("broken/fails", {}, lambda: (False, {"why": "injected"}), False),
+            ("broken/raises", {}, lambda: 1 / 0, False),
         ]
 
-    monkeypatch.setitem(suites_mod._SUITE_BUILDERS, "motives", broken_cases)
+    monkeypatch.setitem(suites_mod.SUITES, "motives", broken_rows)
     code = main(["verify", "motives"])
     out = capsys.readouterr()
     assert code == 1
@@ -170,12 +178,26 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 def test_informational_case_records_outcome(monkeypatch):
     from chowlab import suites as suites_mod
 
-    def info_cases(opts):
-        return [
-            suites_mod._Case("info/negative", {}, lambda: (False, {}), informational=True)
-        ]
+    def info_rows(opts):
+        return [("info/negative", {}, lambda: (False, {}), True)]
 
-    monkeypatch.setitem(suites_mod._SUITE_BUILDERS, "motives", info_cases)
+    monkeypatch.setitem(suites_mod.SUITES, "motives", info_rows)
     result = run_suite("motives")
     assert result.passed  # informational outcomes never fail the run
     assert result.cases[0].details["outcome"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "weil", "--max-r", "0"],
+        ["verify", "counts", "--max-n", "0"],
+        ["verify", "i2i", "--max-p", "1"],
+        ["verify", "lemmaS", "--max-degree", "-1"],
+        ["verify", "i2i", "--max-p", "5"],
+    ],
+)
+def test_verify_out_of_range_options_exit_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "usage error" in err and argv[2].lstrip("-").replace("-", "_") in err
