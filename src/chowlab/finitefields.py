@@ -3,13 +3,19 @@
 Hermitian forms live over the quadratic extension of a prime field (the
 lexicographically first monic irreducible quadratic is used as modulus);
 the associated quadratic form is h(v, v) read over the prime field.
-Subspace enumeration walks reduced-echelon representatives with isotropy
-pruning at every added row, so counts are exact and Witt indices are found
-by exhaustion.  Budgets are hard caps raising :class:`BudgetError`.
+Totally isotropic (singular) subspaces are found by a depth-first search
+over reduced-echelon bases that propagates constraints: each accepted row
+adds one linear orthogonality constraint, so the next row is enumerated
+only over the affine solution space of the constraints and then tested for
+its own isotropy.  Counts are exact and Witt indices are found by
+exhaustion.  Budgets are hard caps raising :class:`BudgetError`: on the
+dimension and prime, and on the number of candidate rows (search nodes) one
+call may examine.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,6 +25,7 @@ from .polynomials import PoincarePolynomial, poly_divexact, poly_mul
 
 _WITT_HERMITIAN_BUDGET = {"n": 5, "p": (2, 3, 5)}
 _WITT_QUADRATIC_BUDGET = {"dim": 10, "p": (2, 3)}
+_NODE_BUDGET = 1 << 22  # candidate rows one public call may examine
 
 
 def _is_prime(p: int) -> bool:
@@ -167,6 +174,9 @@ class QuadraticSpace:
         for i, row in enumerate(self.upper):
             if len(row) != self.dim or any(row[j] for j in range(i)):
                 raise UsageError("coefficient matrix must be square upper-triangular")
+        self._terms = [
+            (i, j, c) for i, row in enumerate(self.upper) for j, c in enumerate(row) if c
+        ]
         if not self._nondegenerate():
             raise ChowlabError("degenerate quadratic space")
 
@@ -180,14 +190,7 @@ class QuadraticSpace:
         return cls(base, upper)
 
     def value(self, v) -> int:
-        p = self.base.p
-        acc = 0
-        for i in range(self.dim):
-            if v[i] == 0:
-                continue
-            for j in range(i, self.dim):
-                acc += self.upper[i][j] * v[i] * v[j]
-        return acc % p
+        return sum(c * v[i] * v[j] for i, j, c in self._terms) % self.base.p
 
     def polar(self, v, w) -> int:
         # b(v, w) = q(v+w) - q(v) - q(w), evaluated via B = Q + Q^T
@@ -258,78 +261,170 @@ def trace_quadratic(H: HermitianSpace) -> QuadraticSpace:
     return QuadraticSpace(K.base, upper)
 
 
-# -- echelon subspace enumeration ---------------------------------------------
+# -- constraint-propagating subspace search ------------------------------------
 
 
-def _echelon_subspaces(dim, scalars, one, self_ok, pair_ok, r, first_only=False) -> int:
-    """Count r-dimensional subspaces through reduced-echelon representatives.
+@functools.lru_cache(maxsize=None)  # one entry per field; the budgets admit five
+def _tables(field) -> tuple:
+    """Add, mul, neg and inv lookup tables of a field with elements 0..size-1."""
+    if isinstance(field, QuadExtField):
+        size, add, mul = field.size, field.add, field.mul
+    else:
+        p = size = field.p
 
-    ``self_ok`` filters candidate rows, ``pair_ok`` prunes pairs; both must
-    hold on a basis exactly when the subspace-wide condition holds.
+        def add(x, y):
+            return (x + y) % p
+
+        def mul(x, y):
+            return x * y % p
+
+    add_t = tuple(tuple(add(x, y) for y in range(size)) for x in range(size))
+    mul_t = tuple(tuple(mul(x, y) for y in range(size)) for x in range(size))
+    neg = tuple(row.index(0) for row in add_t)
+    inv = (0,) + tuple(row.index(1) for row in mul_t[1:])
+    return add_t, mul_t, neg, inv
+
+
+class _SubspaceSearch:
+    """Depth-first search for the totally isotropic subspaces of one form.
+
+    Every subspace is visited once, as its reduced-echelon basis.  Rows are
+    picked from the last pivot backwards, so a new row's zero pattern is
+    already fixed: zeros left of its pivot and at the pivots taken.  Each
+    accepted row u adds the linear constraint ``functional(u)`` (coefficients
+    a with sum a_j v_j = 0 exactly when v is orthogonal to u) on every later
+    row v, which is therefore enumerated only over the affine solution space
+    of those constraints in its free coordinates; ``null(v)`` tests the row's
+    own isotropy.  Every candidate row examined is one node, counted against
+    ``_NODE_BUDGET`` over the life of the search.
     """
-    if r == 0:
-        return 1
-    if r > dim:
-        return 0
-    total = 0
-    zero_vec = [0] * dim
-    for pivots in itertools.combinations(range(dim), r):
-        pivot_set = set(pivots)
-        candidates = []
-        for p in pivots:
-            free = [j for j in range(p + 1, dim) if j not in pivot_set]
-            rows = []
-            for assignment in itertools.product(scalars, repeat=len(free)):
-                v = list(zero_vec)
-                v[p] = one
-                for j, s in zip(free, assignment):
-                    v[j] = s
-                v = tuple(v)
-                if self_ok(v):
-                    rows.append(v)
-            candidates.append(rows)
 
-        chosen: list = []
+    def __init__(self, op: str, field, dim: int, functional, null):
+        self.add, self.mul, self.neg, self.inv = _tables(field)
+        self.op, self.dim, self.functional, self.null = op, dim, functional, null
+        self.limit = _NODE_BUDGET
+        self.visited = 0
 
-        def dfs(i: int) -> bool:
-            nonlocal total
-            if i == r:
-                total += 1
-                return first_only
-            for v in candidates[i]:
-                if all(pair_ok(u, v) for u in chosen):
-                    chosen.append(v)
-                    done = dfs(i + 1)
-                    chosen.pop()
-                    if done:
-                        return True
-            return False
+    def count(self, r: int, first_only: bool = False) -> int:
+        """Number of isotropic r-subspaces; with first_only, stop at the first."""
+        return self._extend(r, self.dim, (), (), first_only)
 
-        if dfs(0) and first_only:
-            return total
-    return total
+    def _extend(self, k, top, pivots, constraints, first_only) -> int:
+        # subspaces completing the chosen rows with k more rows, pivots below top
+        if k == 0:
+            return 1
+        total = 0
+        for c in range(k - 1, top):
+            space = self._solve(c, pivots, constraints)
+            if space is None:
+                continue
+            for v in self._points(*space):
+                self.visited += 1
+                if self.visited > self.limit:
+                    raise BudgetError(
+                        f"{self.op} budget exceeded: visited {self.visited} nodes, "
+                        f"limit {self.limit}"
+                    )
+                if not self.null(v):
+                    continue
+                if k == 1:
+                    total += 1
+                else:
+                    total += self._extend(
+                        k - 1, c, pivots + (c,), constraints + (self.functional(v),), first_only
+                    )
+                if first_only and total:
+                    return total
+        return total
+
+    def _solve(self, c, pivots, constraints):
+        """Rows e_c + sum x_j e_j over the free j > c that meet every constraint.
+
+        Gauss-Jordan elimination on the constraints restricted to the free
+        coordinates; returns (base, directions) as full-length vectors, or
+        None when no row qualifies.
+        """
+        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
+        free = [j for j in range(c + 1, self.dim) if j not in pivots]
+        n = len(free)
+        rows = [[a[j] for j in free] + [neg[a[c]]] for a in constraints]
+        pivot_cols = []
+        for col in range(n):
+            rank = len(pivot_cols)
+            hit = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+            if hit is None:
+                continue
+            scale = mul[inv[rows[hit][col]]]
+            prow = [scale[x] for x in rows[hit]]
+            rows[hit] = rows[rank]
+            rows[rank] = prow
+            for i, row in enumerate(rows):
+                if i != rank and row[col]:
+                    f = mul[neg[row[col]]]
+                    rows[i] = [add[x][f[y]] for x, y in zip(row, prow)]
+            pivot_cols.append(col)
+        if any(row[n] for row in rows[len(pivot_cols):]):
+            return None
+        base = [0] * self.dim
+        base[c] = 1
+        for row, col in zip(rows, pivot_cols):
+            base[free[col]] = row[n]
+        directions = []
+        for col in range(n):
+            if col in pivot_cols:
+                continue
+            w = [0] * self.dim
+            w[free[col]] = 1
+            for row, pc in zip(rows, pivot_cols):
+                w[free[pc]] = neg[row[col]]
+            directions.append(w)
+        return base, directions
+
+    def _points(self, v, directions):
+        # every v + sum t_i w_i, depth first
+        if not directions:
+            yield v
+            return
+        w, rest = directions[0], directions[1:]
+        add, mul = self.add, self.mul
+        for t in range(len(mul)):
+            tw = mul[t]
+            yield from self._points([add[a][tw[b]] for a, b in zip(v, w)], rest)
 
 
-def _hermitian_predicates(H: HermitianSpace):
-    zero = 0
+def _hermitian_search(H: HermitianSpace, op: str) -> _SubspaceSearch:
+    # v -> h(v, u) = sum d_j v_j conj(u_j) is F_{p^2}-linear, and h(v, u) = 0
+    # exactly when h(u, v) = 0; h(v, v) = sum d_j N(v_j) lies in the base field.
+    K = H.field
+    p = K.base.p
+    _, mul, _, _ = _tables(K)
+    conj = [K.conj(x) for x in K.elements()]
+    norm = [K.norm(x) for x in K.elements()]
+    diag = H.diag
 
-    def self_ok(v):
-        return H.value(v, v) == zero
+    def functional(u):
+        return [mul[d][conj[x]] for d, x in zip(diag, u)]
 
-    def pair_ok(u, v):
-        return H.value(u, v) == zero
+    def null(v):
+        return sum(d * norm[x] for d, x in zip(diag, v)) % p == 0
 
-    return self_ok, pair_ok
+    return _SubspaceSearch(op, K, H.n, functional, null)
 
 
-def _quadratic_predicates(Q: QuadraticSpace):
-    def self_ok(v):
+def _quadratic_search(Q: QuadraticSpace, op: str) -> _SubspaceSearch:
+    # the constraint of u is the polar form b(u, .)
+    p, dim = Q.base.p, Q.dim
+    polar = [
+        [(j, Q.polar_entry(i, j)) for j in range(dim) if Q.polar_entry(i, j)] for i in range(dim)
+    ]
+
+    def functional(u):
+        return [sum(c * u[j] for j, c in row) % p for row in polar]
+
+    def null(v):
         return Q.value(v) == 0
 
-    def pair_ok(u, v):
-        return Q.polar(u, v) == 0
-
-    return self_ok, pair_ok
+    return _SubspaceSearch(op, Q.base, dim, functional, null)
 
 
 def _check_hermitian_budget(H: HermitianSpace, op: str) -> None:
@@ -353,14 +448,10 @@ def _check_quadratic_budget(Q: QuadraticSpace, op: str) -> None:
 def witt_index_hermitian(H: HermitianSpace) -> int:
     """Largest r with a totally isotropic r-dimensional subspace."""
     _check_hermitian_budget(H, "witt_index_hermitian")
-    self_ok, pair_ok = _hermitian_predicates(H)
-    scalars = list(H.field.elements())
+    search = _hermitian_search(H, "witt_index_hermitian")
     witt = 0
     for r in range(1, H.n // 2 + 1):
-        found = _echelon_subspaces(
-            H.n, scalars, 1, self_ok, pair_ok, r, first_only=True
-        )
-        if not found:
+        if not search.count(r, first_only=True):
             break
         witt = r
     return witt
@@ -369,14 +460,10 @@ def witt_index_hermitian(H: HermitianSpace) -> int:
 def witt_index_quadratic(Q: QuadraticSpace) -> int:
     """Largest m with a totally singular m-dimensional subspace."""
     _check_quadratic_budget(Q, "witt_index_quadratic")
-    self_ok, pair_ok = _quadratic_predicates(Q)
-    scalars = list(range(Q.base.p))
+    search = _quadratic_search(Q, "witt_index_quadratic")
     witt = 0
     for m in range(1, Q.dim // 2 + 1):
-        found = _echelon_subspaces(
-            Q.dim, scalars, 1, self_ok, pair_ok, m, first_only=True
-        )
-        if not found:
+        if not search.count(m, first_only=True):
             break
         witt = m
     return witt
@@ -387,8 +474,7 @@ def count_isotropic(H: HermitianSpace, r: int) -> int:
     if r < 0:
         raise UsageError("r must be nonnegative")
     _check_hermitian_budget(H, "count_isotropic")
-    self_ok, pair_ok = _hermitian_predicates(H)
-    return _echelon_subspaces(H.n, list(H.field.elements()), 1, self_ok, pair_ok, r)
+    return _hermitian_search(H, "count_isotropic").count(r)
 
 
 def count_singular(Q: QuadraticSpace, m: int) -> int:
@@ -396,8 +482,7 @@ def count_singular(Q: QuadraticSpace, m: int) -> int:
     if m < 0:
         raise UsageError("m must be nonnegative")
     _check_quadratic_budget(Q, "count_singular")
-    self_ok, pair_ok = _quadratic_predicates(Q)
-    return _echelon_subspaces(Q.dim, list(range(Q.base.p)), 1, self_ok, pair_ok, m)
+    return _quadratic_search(Q, "count_singular").count(m)
 
 
 def orth_count_polynomial(N: int, m: int) -> PoincarePolynomial:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from chowlab import finitefields
 from chowlab.errors import BudgetError, ChowlabError, UsageError
 from chowlab.finitefields import (
     PrimeField,
@@ -41,7 +42,7 @@ def test_norm_raises_when_conjugation_is_wrong(monkeypatch):
 
 
 def test_first_irreducible_is_lexicographic():
-    assert QuadExtField(PrimeField(2)).b, QuadExtField(PrimeField(2)).c == (1, 1)
+    assert (QuadExtField(PrimeField(2)).b, QuadExtField(PrimeField(2)).c) == (1, 1)
     assert (QuadExtField(PrimeField(3)).b, QuadExtField(PrimeField(3)).c) == (0, 1)
     assert (QuadExtField(PrimeField(5)).b, QuadExtField(PrimeField(5)).c) == (0, 2)
 
@@ -208,3 +209,104 @@ def test_polar_form_is_trace_of_hermitian_pairing():
         assert Q.polar(flatten(v), flatten(w)) == (
             Q.value(flatten(s)) - Q.value(flatten(v)) - Q.value(flatten(w))
         ) % 3
+
+
+def _naive_null_subspaces(elements, add, mul, n, null, r):
+    """Every r-dimensional subspace of F^n on which ``null`` holds at each vector.
+
+    Independent of the search: the spans of all r-tuples of null vectors,
+    built one vector at a time as sets of vectors, keeping those that are
+    null throughout.  ``add`` and ``mul`` are the field operations.
+    """
+    add_t = {(a, b): add(a, b) for a in elements for b in elements}
+    mul_t = {(a, b): mul(a, b) for a in elements for b in elements}
+    null_vectors = {v for v in itertools.product(elements, repeat=n) if null(v)}
+    multiples = {v: {tuple(mul_t[t, a] for a in v) for t in elements} for v in null_vectors}
+    spans = {frozenset([(0,) * n])}
+    for _ in range(r):
+        grown = set()
+        for S in spans:
+            covered = set(S)  # vectors of the spans S + <v> already built
+            for v in null_vectors - covered:
+                if v in covered:
+                    continue
+                T = frozenset(
+                    tuple(add_t[a, b] for a, b in zip(x, y)) for x in S for y in multiples[v]
+                )
+                covered |= T
+                grown.add(T)
+        spans = {S for S in grown if S <= null_vectors}
+    return spans
+
+
+def test_count_isotropic_matches_naive_lister():
+    for p in (2, 3):
+        for n in range(1, 4):
+            for diag in itertools.product(range(1, p), repeat=n):
+                H = hermitian_space(p, diag)
+                K = H.field
+                for r in range(n + 2):
+                    naive = _naive_null_subspaces(
+                        K.elements(), K.add, K.mul, n, lambda v: H.value(v, v) == 0, r
+                    )
+                    assert count_isotropic(H, r) == len(naive), (p, diag, r)
+
+
+def test_count_singular_matches_naive_lister():
+    forms = [
+        trace_quadratic(hermitian_space(p, diag))
+        for p in (2, 3)
+        for n in (1, 2)
+        for diag in itertools.product(range(1, p), repeat=n)
+    ]
+    # not diagonal and not split: the polar form couples a row's pivot to
+    # the pivots of the rows already taken
+    upper = [[0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 2]]
+    forms.append(QuadraticSpace(PrimeField(3), upper))
+    for Q in forms:
+        p = Q.base.p
+        for m in range(Q.dim + 2):
+            naive = _naive_null_subspaces(
+                range(p),
+                lambda a, b: (a + b) % p,
+                lambda a, b: a * b % p,
+                Q.dim,
+                lambda v: Q.value(v) == 0,
+                m,
+            )
+            assert count_singular(Q, m) == len(naive), (Q.upper, m)
+
+
+def test_no_isotropic_subspace_beyond_witt_index():
+    # three rows, so the last one meets two constraints
+    assert count_isotropic(hermitian_space(3, [1] * 5), 3) == 0
+
+
+def test_count_isotropic_p5_matches_essential_poincare():
+    H = hermitian_space(5, [1] * 4)
+    for r in range(3):
+        assert count_isotropic(H, r) == essential_poincare(4, r)(5)
+
+
+# nodes the search visits for witt_index_quadratic on the 10-dimensional F2
+# trace form: finding a singular 4-space and exhausting the 5-spaces
+WITT_F2_N5_NODES = 16641
+
+
+def test_node_budget_bounds_search_work(monkeypatch):
+    Q = trace_quadratic(hermitian_space(2, [1] * 5))
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", WITT_F2_N5_NODES)
+    assert witt_index_quadratic(Q) == 4
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", WITT_F2_N5_NODES - 1)
+    message = f"visited {WITT_F2_N5_NODES} nodes, limit {WITT_F2_N5_NODES - 1}"
+    with pytest.raises(BudgetError, match=message):
+        witt_index_quadratic(Q)
+
+
+def test_node_budget_is_per_call(monkeypatch):
+    H = hermitian_space(3, [1] * 4)
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", 400)
+    for _ in range(3):
+        assert count_isotropic(H, 2) == 112
+    with pytest.raises(BudgetError, match="count_isotropic budget exceeded"):
+        count_isotropic(hermitian_space(3, [1] * 5), 2)

@@ -34,6 +34,35 @@ def test_max_orth_ring_counts():
         assert p.is_palindromic()
 
 
+def _shifted_staircase_tableaux(N: int) -> int:
+    """Standard shifted tableaux of shape (N-1, ..., 1), counted by corner removal."""
+    counts = {(): 1}
+
+    def count(shape):
+        if shape not in counts:
+            total = 0
+            for i, row in enumerate(shape):
+                later = shape[i + 1] if i + 1 < len(shape) else 0
+                if row - 1 > later or row == 1:
+                    smaller = shape[:i] + ((row - 1,) if row > 1 else ()) + shape[i + 1:]
+                    total += count(smaller)
+            counts[shape] = total
+        return counts[shape]
+
+    return count(tuple(range(N - 1, 0, -1)))
+
+
+def test_top_power_of_e1_sees_spinor_degree_parity():
+    # deg of the spinor variety = number of standard shifted staircase
+    # tableaux, and e1^top is that degree times the point class mod 2
+    degrees = [_shifted_staircase_tableaux(N) for N in range(2, 8)]
+    assert degrees == [1, 1, 2, 12, 286, 33592]
+    for N, degree in zip(range(2, 8), degrees):
+        model = max_orth_ring(N)
+        top_power = model.ring.gen("e1") ** model.top_degree
+        assert (not top_power.is_zero) == (degree % 2 == 1), N
+
+
 def test_subring_basis_examples():
     model = max_orth_ring(4)
     ring = model.ring
