@@ -7,7 +7,6 @@ from .errors import (
     ConfigurationError,
     ExactDivisionError,
     PresentationError,
-    RewriteLimitError,
     UsageError,
 )
 from .finitefields import (

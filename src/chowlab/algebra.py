@@ -5,7 +5,8 @@ generator may carry a rule ``g^k -> replacement`` (possibly zero); monomials
 are kept in normal form, i.e. with every exponent below its generator's
 power bound and total degree at most the truncation bound.  Degrees above
 the truncation are projected to zero, which models working "up to degree D"
-in an infinite polynomial ring.
+in an infinite polynomial ring.  Termination of rewriting is proved when a
+presentation is built (:meth:`AlgebraPresentation._check_termination`).
 
 Coefficients are either ``"F2"`` or ``"Z"``; linear algebra in fixed degree
 is delegated to :mod:`chowlab.linalg`.
@@ -16,19 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import (
-    ConfigurationError,
-    PresentationError,
-    RewriteLimitError,
-    UsageError,
-)
+from .errors import ConfigurationError, PresentationError, UsageError
 from .linalg import F2Span, ZSpan
 from .polynomials import PoincarePolynomial
 
 F2 = "F2"
 Z = "Z"
-
-_REWRITE_FUEL = 1_000_000
 
 
 def _freeze_monomial(mono) -> tuple[tuple[str, int], ...]:
@@ -98,6 +92,7 @@ class AlgebraPresentation:
                 self._validate_replacement(g, exps)
                 terms.append((coeff, exps))
             self._replacements[i] = tuple(terms)
+        self._check_termination()
         self._basis_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -119,11 +114,25 @@ class AlgebraPresentation:
             raise PresentationError(
                 f"replacement monomial for {g.name!r} is not homogeneous of degree {target_degree}"
             )
-        factors = sum(exps)
-        if exps[i] >= g.power_bound or factors > g.power_bound:
+        if exps[i] >= g.power_bound:
             raise PresentationError(
-                f"replacement for {g.name!r} violates the termination shape"
+                f"replacement for {g.name!r} must keep its exponent below {g.power_bound}"
             )
+
+    def _check_termination(self) -> None:
+        # Edge g -> h: g's rule introduces h != g.  Without a cycle, a rewrite lowers g's
+        # exponent and raises only later generators in a topological order, so it terminates.
+        edges = {
+            i: {j for _, exps in terms for j, e in enumerate(exps) if e and j != i}
+            for i, terms in self._replacements.items()
+        }
+        while ends := [i for i in edges if not edges[i] & edges.keys()
+                       or not any(i in edges[j] for j in edges)]:
+            for i in ends:
+                del edges[i]
+        if edges:
+            names = ", ".join(sorted(self.generators[i].name for i in edges))
+            raise PresentationError(f"rewrite rules cycle through generators {names}")
 
     def monomial_degree(self, exps) -> int:
         return sum(e * d for e, d in zip(exps, self._degrees))
@@ -145,7 +154,6 @@ class AlgebraPresentation:
         for mono, coeff in raw_terms:
             pending[mono] = pending.get(mono, 0) + coeff
         out: dict[tuple[int, ...], int] = {}
-        fuel = _REWRITE_FUEL
         while pending:
             mono, coeff = pending.popitem()
             coeff = self._reduce_coeff(coeff)
@@ -167,9 +175,6 @@ class AlgebraPresentation:
                 else:
                     out.pop(mono, None)
                 continue
-            fuel -= 1
-            if fuel <= 0:
-                raise RewriteLimitError("rewrite fuel exhausted; presentation may not terminate")
             rest = list(mono)
             rest[hot] -= self._bounds[hot]
             for rc, rmono in self._replacements[hot]:

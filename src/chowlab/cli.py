@@ -38,13 +38,11 @@ def _parse_element(ring, expr: str):
     if expr in ("1", ""):
         return elt
     for factor in expr.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            name, _, power = factor.partition("^")
-            e = int(power)
-        else:
-            name, e = factor, 1
-        elt = elt * ring.monomial({name.strip(): e})
+        name, caret, power = factor.partition("^")
+        try:
+            elt = elt * ring.monomial({name.strip(): int(power) if caret else 1})
+        except ValueError as exc:  # a bad exponent or an unknown generator name
+            raise UsageError(f"cannot parse element {expr!r}: {exc}") from None
     return elt
 
 
@@ -56,10 +54,8 @@ def _cmd_poincare(args) -> int:
         poly = grassmann.max_orth_ring(args.a).ring.poincare()
     elif kind == "quadric":
         poly = motives.split_quadric_poincare(args.a)
-    elif kind == "orthcount":
+    else:  # orthcount
         poly = orth_count_polynomial(args.a, args.b)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown polynomial kind {kind!r}")
     _emit(poly.to_list())
     return 0
 
@@ -72,12 +68,8 @@ def _cmd_presentation(args) -> int:
         ring = grassmann.prev_max_orth_ring(args.a).ring
     elif kind == "oddquot":
         ring = grassmann.odd_quotient_ring(args.a)
-    elif kind == "weil":
-        if args.b is None:
-            raise UsageError("weil presentation needs rank and truncation: weil R D")
+    else:  # weil
         ring = build_weil(args.a, args.coefficients, args.b).ring
-    else:  # pragma: no cover
-        raise UsageError(f"unknown presentation kind {kind!r}")
     _emit(ring.to_json())
     return 0
 
@@ -129,18 +121,26 @@ def _cmd_annihilate(args) -> int:
 def _load_form(args):
     if args.form is not None:
         raw = args.form
-        if os.path.exists(raw):
-            with open(raw, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        else:
-            spec = json.loads(raw)
+        try:
+            if os.path.exists(raw):
+                with open(raw, "r", encoding="utf-8") as fh:
+                    spec = json.load(fh)
+            else:
+                spec = json.loads(raw)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read form spec: {exc}") from None
+        if not (isinstance(spec, dict) and "p" in spec and isinstance(spec.get("diag"), list)):
+            raise UsageError('form spec must be a JSON object {"p": P, "diag": [...]}')
         p, diag = spec["p"], spec["diag"]
         if "n" in spec and spec["n"] != len(diag):
             raise UsageError("form spec n does not match the diagonal length")
         return p, diag
     if args.p is None or args.diag is None:
         raise UsageError("either --form or both --p and --diag are required")
-    diag = [int(x) for x in args.diag.split(",") if x.strip() != ""]
+    try:
+        diag = [int(x) for x in args.diag.split(",") if x.strip() != ""]
+    except ValueError:
+        raise UsageError(f"--diag must be comma-separated integers, got {args.diag!r}") from None
     if args.n is not None and args.n != len(diag):
         raise UsageError("--n does not match the diagonal length")
     return args.p, diag
@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int, help="N (maxorth) or r (prevmax/oddquot/weil)")
     p.add_argument("b", type=int, nargs="?", help="truncation D (weil only)")
     p.add_argument("--coefficients", choices=(F2, Z), default=F2)
-    p.set_defaults(func=_cmd_presentation)
+    p.set_defaults(func=_cmd_presentation, needs_b=("weil",))
 
     p = sub.add_parser("decompose", help="motive decomposition data for (n, r)")
     p.add_argument("n", type=int)
@@ -269,8 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "poincare" and args.kind in ("essential", "orthcount") and args.b is None:
-        parser.error(f"poincare {args.kind} needs two integer arguments")
+    needs_b = getattr(args, "needs_b", ())
+    if needs_b and args.kind in needs_b and args.b is None:
+        parser.error(f"{args.command} {args.kind} needs two integer arguments")
     try:
         return args.func(args)
     except BudgetError as exc:

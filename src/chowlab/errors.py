@@ -21,9 +21,5 @@ class BudgetError(ChowlabError, RuntimeError):
     """An enumeration exceeded its hard resource cap."""
 
 
-class RewriteLimitError(ChowlabError, RuntimeError):
-    """Normal-form rewriting exhausted its fuel counter."""
-
-
 class ExactDivisionError(ChowlabError, ArithmeticError):
     """A division that must be exact left a remainder."""

@@ -43,6 +43,8 @@ class PrimeField:
     """The field Z/p with elements represented as residues 0..p-1."""
 
     def __init__(self, p: int):
+        if type(p) is not int:
+            raise UsageError(f"p must be an integer, got {p!r}")
         if not _is_prime(p):
             raise UsageError(f"{p} is not prime")
         self.p = p
@@ -144,6 +146,8 @@ class HermitianSpace:
 
     def __post_init__(self):
         p = self.field.base.p
+        if any(type(d) is not int for d in self.diag):
+            raise UsageError(f"diagonal entries must be integers, got {list(self.diag)!r}")
         if any(d % p == 0 for d in self.diag):
             raise UsageError("diagonal entries must be nonzero in the base field")
         object.__setattr__(self, "diag", tuple(d % p for d in self.diag))

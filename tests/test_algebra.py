@@ -1,6 +1,7 @@
 """Presented graded algebras: normal forms, bases, counting, span membership."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -162,19 +163,25 @@ def test_replacement_validation():
             Z,
             truncation=6,
         )
-    with pytest.raises(PresentationError):
-        # termination shape violated: g^2 -> h^4 with deg h = deg g / 2
+    # g^2 -> h^4 has more factors than g^2, but the rule graph g -> h is acyclic
+    ring = AlgebraPresentation(
+        [
+            GeneratorSpec("g", 2, power_bound=2, replacement=((1, (("h", 4),)),)),
+            GeneratorSpec("h", 1, power_bound=5),
+        ],
+        F2,
+    )
+    assert ring.monomial({"g": 2}) == ring.monomial({"h": 4})
+    assert not ring.monomial({"h": 4}).is_zero
+    with pytest.raises(PresentationError, match="exponent below 2"):
+        # g^2 -> g^2 does not lower g's own exponent
         AlgebraPresentation(
-            [
-                GeneratorSpec("g", 2, power_bound=2, replacement=((1, (("h", 4),)),)),
-                GeneratorSpec("h", 1, power_bound=5),
-            ],
-            F2,
+            [GeneratorSpec("g", 1, power_bound=2, replacement=((1, (("g", 2),)),))], F2
         )
 
 
 def test_rewrite_termination_on_random_inputs():
-    # fuel must never exhaust on the shipped presentation shapes
+    # rewriting reaches a homogeneous normal form on a shipped presentation
     rng = random.Random(3)
     ring = _maxorth(6)
     for _ in range(50):
@@ -203,20 +210,49 @@ def test_element_canonical_pairs():
     assert all(c == 1 for c, _ in pairs)
 
 
-def test_rewrite_fuel_guard_on_cyclic_rules():
-    # these replacement shapes pass the static check but cycle dynamically;
-    # the fuel counter must turn the loop into an explicit error
-    from chowlab.errors import RewriteLimitError
+def _cyclic_pair():
+    # g^2 -> gh and h^2 -> gh: each rule is homogeneous and lowers its own
+    # exponent, yet g^2 h^2 -> g h^3 -> g^2 h^2 loops forever
+    return [
+        GeneratorSpec("g", 1, power_bound=2, replacement=((1, (("g", 1), ("h", 1))),)),
+        GeneratorSpec("h", 1, power_bound=2, replacement=((1, (("g", 1), ("h", 1))),)),
+    ]
 
-    ring = AlgebraPresentation(
-        [
-            GeneratorSpec("g", 1, power_bound=2, replacement=((1, (("g", 1), ("h", 1))),)),
-            GeneratorSpec("h", 1, power_bound=2, replacement=((1, (("g", 1), ("h", 1))),)),
+
+def test_cyclic_rules_rejected_at_construction():
+    with pytest.raises(PresentationError, match="cycle through generators g, h"):
+        AlgebraPresentation(_cyclic_pair(), F2)
+
+
+def test_cyclic_rules_rejected_from_json():
+    data = {
+        "coefficients": "F2",
+        "truncation": None,
+        "generators": [
+            {"name": g.name, "degree": g.degree, "power_bound": g.power_bound,
+             "replacement": [[c, dict(m)] for c, m in g.replacement]}
+            for g in _cyclic_pair()
         ],
-        F2,
-    )
-    with pytest.raises(RewriteLimitError):
-        ring.monomial({"g": 2, "h": 2})
+    }
+    with pytest.raises(PresentationError, match="cycle"):
+        AlgebraPresentation.from_json(json.dumps(data))
+
+
+def test_three_generator_cycle_rejected():
+    # a -> b -> c -> a, plus d feeding into the cycle without lying on it
+    gens = [
+        GeneratorSpec("a", 1, power_bound=2, replacement=((1, (("b", 2),)),)),
+        GeneratorSpec("b", 1, power_bound=2, replacement=((1, (("c", 2),)),)),
+        GeneratorSpec("c", 1, power_bound=2, replacement=((1, (("a", 2),)),)),
+        GeneratorSpec("d", 2, power_bound=2, replacement=((1, (("a", 1), ("b", 3))),)),
+    ]
+    with pytest.raises(PresentationError, match="cycle through generators a, b, c$"):
+        AlgebraPresentation(gens, F2)
+    # breaking the cycle at c makes the same rules acceptable
+    gens[2] = GeneratorSpec("c", 1, power_bound=2)
+    ring = AlgebraPresentation(gens, F2)
+    assert ring.monomial({"a": 2}) == ring.monomial({"c": 2})
+    assert ring.monomial({"a": 2}).is_zero
 
 
 def test_degree_basis_oracle_all_shipped_presentations():

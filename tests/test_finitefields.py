@@ -53,6 +53,14 @@ def test_witt_index_hermitian_examples():
     assert witt_index_hermitian(hermitian_space(3, [1, 1, 1])) == 1
 
 
+@pytest.mark.parametrize(
+    "p, diag", [(2, [1.5, 1]), (2, [True, 1]), ("2", [1, 1]), (3.0, [1, 1]), (True, [1])]
+)
+def test_non_integer_form_data_rejected(p, diag):
+    with pytest.raises(UsageError, match="integer"):
+        hermitian_space(p, diag)
+
+
 def test_witt_index_budget():
     with pytest.raises(BudgetError):
         witt_index_hermitian(hermitian_space(7, [1, 1]))

@@ -28,6 +28,9 @@ def test_poincare_cli_missing_arg_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["poincare", "essential", "4"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["presentation", "weil", "2"])
+    assert exc.value.code == 2
 
 
 def test_unknown_suite_exits_2(capsys):
@@ -201,3 +204,28 @@ def test_verify_out_of_range_options_exit_2(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert "usage error" in err and argv[2].lstrip("-").replace("-", "_") in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--form", "{bad", "--r", "1"],
+        ["count", "--form", '{"p":2}', "--r", "1"],
+        ["count", "--form", "[1,2]", "--r", "1"],
+        ["count", "--form", '{"p":2,"diag":5}', "--r", "1"],
+        ["count", "--form", "{tmp_path}", "--r", "1"],
+        ["count", "--form", '{"p":2,"diag":[1.5,1]}', "--r", "1"],
+        ["count", "--form", '{"p":"2","diag":[1,1]}', "--r", "1"],
+        ["count", "--form", '{"p":3.0,"diag":[1,1]}', "--r", "1"],
+        ["count", "--form", '{"p":2,"diag":[true,1]}', "--r", "1"],
+        ["count", "--p", "2", "--diag", "1,x", "--r", "1"],
+        ["annihilate", "maxorth", "4", "--element", "e2^x"],
+        ["annihilate", "maxorth", "4", "--element", "e2^"],
+        ["annihilate", "maxorth", "4", "--element", "e9"],
+    ],
+)
+def test_malformed_cli_input_exits_2(capsys, tmp_path, argv):
+    argv = [str(tmp_path) if a == "{tmp_path}" else a for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "usage error" in err
