@@ -8,8 +8,9 @@ the truncation are projected to zero, which models working "up to degree D"
 in an infinite polynomial ring.  Termination of rewriting is proved when a
 presentation is built (:meth:`AlgebraPresentation._check_termination`).
 
-Coefficients are either ``"F2"`` or ``"Z"``; linear algebra in fixed degree
-is delegated to :mod:`chowlab.linalg`.
+Coefficients are either ``"F2"`` or ``"Z"``.  Linear algebra in one degree goes
+through :class:`Span` (``span_solver``), which takes elements and answers with
+integer coefficient lists; only it and :mod:`chowlab.linalg` see rows.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class AlgebraPresentation:
                 terms.append((coeff, exps))
             self._replacements[i] = tuple(terms)
         self._check_termination()
-        self._basis_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._basis_cache: dict[int, dict[tuple[int, ...], int]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -209,6 +210,10 @@ class AlgebraPresentation:
 
     def degree_basis(self, d: int) -> list[tuple[int, ...]]:
         """All normal-form monomials of degree ``d`` in canonical order."""
+        return list(self._basis_index(d))
+
+    def _basis_index(self, d: int) -> dict[tuple[int, ...], int]:
+        """Position of each degree-d normal-form monomial in canonical order, built once."""
         if d < 0:
             raise UsageError("degree must be nonnegative")
         if self.truncation is not None and d > self.truncation:
@@ -232,9 +237,8 @@ class AlgebraPresentation:
                 exps[i] = 0
 
             rec(0, d)
-            out.sort()
-            self._basis_cache[d] = tuple(out)
-        return list(self._basis_cache[d])
+            self._basis_cache[d] = {m: i for i, m in enumerate(sorted(out))}
+        return self._basis_cache[d]
 
     def poincare(self, up_to: int | None = None) -> PoincarePolynomial:
         """Poincare polynomial with coefficient |degree basis| at each degree."""
@@ -251,7 +255,7 @@ class AlgebraPresentation:
 
     def vectorize(self, elements, d: int):
         """Coordinate vectors of homogeneous degree-d elements on the degree basis."""
-        index = {m: i for i, m in enumerate(self.degree_basis(d))}
+        index = self._basis_index(d)
         if self.coefficients == F2:
             out = []
             for x in elements:
@@ -269,12 +273,9 @@ class AlgebraPresentation:
             vecs.append(row)
         return vecs
 
-    def span_solver(self, spanners, d: int):
-        """A prepared membership solver for the span of homogeneous elements."""
-        vecs = self.vectorize(spanners, d)
-        if self.coefficients == F2:
-            return F2Span(vecs)
-        return ZSpan(vecs, width=len(self.degree_basis(d)))
+    def span_solver(self, elements, d: int) -> "Span":
+        """The span of homogeneous degree-d elements, queried with elements."""
+        return Span(self, d, elements)
 
     def span_membership(self, target: "Element", spanners) -> tuple[bool, list[int] | None]:
         """Decide membership of ``target`` in the span of ``spanners``; witness on success."""
@@ -289,26 +290,19 @@ class AlgebraPresentation:
             raise UsageError("target must be homogeneous")
         if degrees and degrees != {d}:
             raise UsageError("target and spanners have mixed degrees")
-        solver = self.span_solver(spanners, d)
-        vec = self.vectorize([target], d)[0]
-        wit = solver.witness(vec)
-        if wit is None:
-            return False, None
-        if self.coefficients == F2:
-            return True, [(wit >> i) & 1 for i in range(len(spanners))]
-        return True, wit
+        wit = self.span_solver(spanners, d).witness(target)
+        return wit is not None, wit
 
     # -- ring maps ---------------------------------------------------------------
 
-    def substitute(self, x: "Element", images: dict[str, "Element"], codomain=None):
-        """Apply the map sending each generator to its image, extended over terms."""
-        target = codomain if codomain is not None else self
+    def substitute(self, x: "Element", images: dict[str, "Element"]):
+        """Apply the endomorphism sending each generator to its image, extended over terms."""
         missing = [g.name for g in self.generators if g.name not in images]
         if missing:
             raise ConfigurationError(f"missing images for generators: {missing}")
-        acc = target.zero()
+        acc = self.zero()
         for mono, coeff in x.terms.items():
-            term = target.one() * coeff
+            term = self.one() * coeff
             for i, e in enumerate(mono):
                 if e:
                     term = term * (images[self.generators[i].name] ** e)
@@ -357,6 +351,53 @@ class AlgebraPresentation:
         return f"AlgebraPresentation([{names}], {self.coefficients}, truncation={self.truncation})"
 
 
+class Span:
+    """The span of homogeneous degree-d elements of one presentation.
+
+    Elements go in; ranks, membership and integer coefficient lists over the
+    elements added (in insertion order) come out, over F2 and Z alike.
+    """
+
+    def __init__(self, algebra: AlgebraPresentation, d: int, elements):
+        self._algebra = algebra
+        self._d = d
+        self._f2 = algebra.coefficients == F2
+        self._rows = F2Span() if self._f2 else ZSpan()
+        for x in elements:  # one row at a time: a whole dense Z matrix would set peak memory
+            self.add(x)
+
+    def _row(self, x: "Element"):
+        return self._algebra.vectorize([x], self._d)[0]
+
+    def _coefficients(self, mask: int) -> list[int]:
+        added = self._rows.rank + len(self._rows.kernel)
+        return [(mask >> i) & 1 for i in range(added)]
+
+    def add(self, x: "Element") -> bool:
+        """Add ``x``; True when the rank rose."""
+        rank = self._rows.rank
+        self._rows.add(self._row(x))
+        return self._rows.rank > rank
+
+    @property
+    def rank(self) -> int:
+        return self._rows.rank
+
+    def contains(self, x: "Element") -> bool:
+        return self._rows.contains(self._row(x))
+
+    def witness(self, x: "Element") -> list[int] | None:
+        """Coefficients on the added elements combining to ``x``, or None."""
+        wit = self._rows.witness(self._row(x))
+        return self._coefficients(wit) if self._f2 and wit is not None else wit
+
+    def kernel(self) -> list[list[int]]:
+        """A basis of the relations among the added elements, as coefficient lists."""
+        if self._f2:
+            return [self._coefficients(mask) for mask in self._rows.kernel]
+        return self._rows.kernel_vectors()
+
+
 class Element:
     """A normalized element: map from normal-form monomials to nonzero coefficients."""
 
@@ -379,10 +420,6 @@ class Element:
 
     def is_homogeneous(self) -> bool:
         return len({self.algebra.monomial_degree(m) for m in self.terms}) <= 1
-
-    def coefficient(self, mono) -> int:
-        exps = self.algebra._exps_from_named(_freeze_monomial(mono))
-        return self.terms.get(exps, 0)
 
     def _check_compatible(self, other: "Element") -> None:
         if self.algebra is not other.algebra:

@@ -177,7 +177,7 @@ def _cmd_count(args) -> int:
         count = count_singular(Q, args.m)
         predicted = None
         if witt_index_hermitian(H) == n // 2 and n % 2 == 0:
-            predicted = orth_count_polynomial(n, args.m)(p)
+            predicted = orth_count_polynomial(n, args.m)(p) if args.m <= n else 0
         _emit(
             {
                 "p": p,

@@ -14,7 +14,6 @@ from functools import reduce
 
 from .algebra import F2, AlgebraPresentation, Element, GeneratorSpec
 from .errors import UsageError
-from .linalg import F2Span, f2_kernel
 from .motives import essential_poincare
 from .polynomials import PoincarePolynomial
 
@@ -114,18 +113,9 @@ class SubringClosure:
                     y = g * x
                     if not y.is_zero:
                         spanners.append(y)
-            self._cache[d] = _independent_subset(self.ambient, spanners, d)
+            span = self.ambient.span_solver([], d)
+            self._cache[d] = [y for y in spanners if span.add(y)]
         return list(self._cache[d])
-
-
-def _independent_subset(ambient: AlgebraPresentation, elements, d: int) -> list[Element]:
-    out: list[Element] = []
-    span = F2Span()
-    for x, vec in zip(elements, ambient.vectorize(elements, d)):
-        if not span.contains(vec):
-            span.add(vec)
-            out.append(x)
-    return out
 
 
 def subring_basis(ambient: AlgebraPresentation, gens, d: int) -> list[Element]:
@@ -169,12 +159,8 @@ def uniqueness_in_codim(N: int, r: int) -> bool:
     return len(basis) == 1 and basis[0] == cls
 
 
-def annihilator(
-    x: Element,
-    ambient: AlgebraPresentation,
-    restrict_to: SubringClosure | None = None,
-) -> dict[int, list[Element]]:
-    """Per-degree bases of {a : a*x = 0}, optionally inside a subring closure."""
+def annihilator(x: Element, ambient: AlgebraPresentation) -> dict[int, list[Element]]:
+    """Per-degree bases of {a : a*x = 0}."""
     if x.is_zero:
         raise UsageError("annihilator of zero is everything; rejected")
     codim = x.homogeneous_degree()
@@ -182,27 +168,15 @@ def annihilator(
         raise UsageError("annihilator requires a homogeneous element")
     out: dict[int, list[Element]] = {}
     for d in range(ambient.max_degree + 1):
-        basis = (
-            restrict_to.basis(d)
-            if restrict_to is not None
-            else ambient.basis_elements(d)
-        )
-        if not basis:
-            out[d] = []
+        basis = ambient.basis_elements(d)
+        if d + codim > ambient.max_degree:
+            out[d] = basis
             continue
-        target_degree = d + codim
-        if target_degree > ambient.max_degree:
-            out[d] = list(basis)
-            continue
-        images = ambient.vectorize([b * x for b in basis], target_degree)
-        kernel = []
-        for mask in f2_kernel(images):
-            combo = ambient.zero()
-            for i in range(len(basis)):
-                if (mask >> i) & 1:
-                    combo = combo + basis[i]
-            kernel.append(combo)
-        out[d] = kernel
+        span = ambient.span_solver([b * x for b in basis], d + codim)
+        out[d] = [
+            sum((b * c for c, b in zip(combo, basis) if c), ambient.zero())
+            for combo in span.kernel()
+        ]
     return out
 
 
@@ -214,9 +188,8 @@ def _quotient_poincare(ambient: AlgebraPresentation, x: Element) -> PoincarePoly
         if d + codim > ambient.max_degree:
             coeffs.append(0)
             continue
-        basis = ambient.basis_elements(d)
-        vecs = ambient.vectorize([b * x for b in basis], d + codim)
-        coeffs.append(F2Span(vecs).rank)
+        images = [b * x for b in ambient.basis_elements(d)]
+        coeffs.append(ambient.span_solver(images, d + codim).rank)
     return PoincarePolynomial(coeffs)
 
 
@@ -289,21 +262,19 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
     model = odd_quotient_ring(r)
     norm_equals_ideal = model_consistent = True
     for d in range(ring.max_degree + 1):
-        norms = [x for x in map(prev.norm, ring.basis_elements(d)) if not x.is_zero]
-        nvecs = ring.vectorize(norms, d)
-        rank_n = F2Span(nvecs).rank
+        norms = [prev.norm(x) for x in ring.basis_elements(d)]
+        rank_n = ring.span_solver(norms, d).rank
 
         # (i) the norm image coincides with e * <e, e_2, ..., e_2r>
-        ideal = [e * x for x in sub.basis(d - 1)] if d >= 1 else []
-        ivecs = ring.vectorize([x for x in ideal if not x.is_zero], d)
-        if not rank_n == F2Span(ivecs).rank == F2Span(nvecs + ivecs).rank:
+        ideal = [e * x for x in sub.basis(d - 1)]
+        if not rank_n == ring.span_solver(ideal, d).rank == ring.span_solver(norms + ideal, d).rank:
             norm_equals_ideal = False
 
         # (ii) the subring modulo norms matches the model ring
         sub_basis = sub.basis(d)
         model_basis = model.degree_basis(d) if d <= model.max_degree else []
         efree = [ring.element([(1, model.monomial_named(m))]) for m in model_basis]
-        rank_total = F2Span(nvecs + ring.vectorize(efree, d)).rank
+        rank_total = ring.span_solver(norms + efree, d).rank
         if len(sub_basis) != rank_n + len(model_basis) or rank_total != len(sub_basis):
             model_consistent = False
 

@@ -170,9 +170,9 @@ def uncovered_invariant(
     """
     if norms is None:
         norms = norm_image_basis(sigma, A, d)
-    solver = A.span_solver(products + norms, d)
+    span = A.span_solver(products + norms, d)
     for v in invariant_basis(sigma, A, d):
-        if not solver.contains(A.vectorize([v], d)[0]):
+        if not span.contains(v):
             return v
     return None
 

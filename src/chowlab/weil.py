@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraPresentation, Element, GeneratorSpec
-from .errors import ConfigurationError
+from .errors import UsageError
 from .invariants import (
     SwapInvolution,
     generator_products,
@@ -21,7 +21,6 @@ from .invariants import (
     quotient_generation_check,
     uncovered_invariant,
 )
-from .linalg import f2_kernel, z_kernel
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,10 @@ def _fiber_rule(r: int, chern_prefix: str, fiber_name: str):
 
 def build(r: int, coefficients: str, D: int) -> DoubleBundleRing:
     """Construct the rank-r double-bundle ring truncated above degree D."""
+    if r < 1:
+        raise UsageError(f"rank r={r} must be at least 1")
     if D < 2 * r:
-        raise ConfigurationError(f"truncation D={D} must be at least 2r={2 * r}")
+        raise UsageError(f"truncation D={D} must be at least 2r={2 * r}")
     gens = []
     for prefix in ("c", "cp"):
         gens += [GeneratorSpec(f"{prefix}{i}", degree=i) for i in range(1, r + 1)]
@@ -227,37 +228,23 @@ def _kernel_matches_base_norms(R: DoubleBundleRing, d: int, norms: list[Element]
     base_norms = {k: norm_image_basis(R.base_sigma, base, d - 2 * k) for k in ks}
     labels = [(k, idx) for k in ks for idx in range(len(base_inv[k]))]
     vectors = [R.base_in_full(base_inv[k][idx]) * powers[k] for k, idx in labels]
-    all_vecs = ring.vectorize(vectors + norms, d)
     base_norm_solvers = {k: base.span_solver(base_norms[k], d - 2 * k) for k in ks}
 
     # inclusion 1: base norms times c^k land in the full norm module
     full_solver = ring.span_solver(norms, d)
     for k in ks:
         for nu in base_norms[k]:
-            vec = ring.vectorize([R.base_in_full(nu) * powers[k]], d)[0]
-            if not full_solver.contains(vec):
+            if not full_solver.contains(R.base_in_full(nu) * powers[k]):
                 return False
 
     # inclusion 2: kernel combinations have all coefficients in the base norms
-    if ring.coefficients == "F2":
-        kernel = f2_kernel(all_vecs)
-        coeff_of = lambda mask, i: (mask >> i) & 1
-    else:
-        kernel = z_kernel(all_vecs)
-        coeff_of = lambda vec, i: vec[i]
-    for combo in kernel:
+    for combo in ring.span_solver(vectors + norms, d).kernel():
         for k, betas in base_inv.items():
             acc = base.zero()
-            for i, (kk, idx) in enumerate(labels):
-                if kk != k:
-                    continue
-                coeff = coeff_of(combo, i)
-                if coeff:
+            for coeff, (kk, idx) in zip(combo, labels):
+                if kk == k and coeff:
                     acc = acc + betas[idx] * coeff
-            if acc.is_zero:
-                continue
-            vec = base.vectorize([acc], d - 2 * k)[0]
-            if not base_norm_solvers[k].contains(vec):
+            if not base_norm_solvers[k].contains(acc):
                 return False
     return True
 

@@ -140,6 +140,47 @@ def test_span_membership_mixed_degree_rejected():
         ring.span_membership(ring.gen("a"), [ring.gen("a") * ring.gen("b")])
 
 
+def _combination(ring, coeffs, elements):
+    return sum((x * c for c, x in zip(coeffs, elements)), ring.zero())
+
+
+@pytest.mark.parametrize("coefficients", [F2, Z])
+def test_span_answers_in_elements(coefficients):
+    from chowlab.invariants import swap_polynomial_ring
+
+    if coefficients == F2:
+        ring, d, coeffs, seed = _maxorth(4), 3, [0, 1], 20
+    else:
+        ring, d, coeffs, seed = swap_polynomial_ring(1, 1, Z, 3)[0], 2, [-2, -1, 0, 1, 2], 21
+    rng = random.Random(seed)
+    basis = ring.basis_elements(d)
+    pool = [_combination(ring, [rng.choice(coeffs) for _ in basis], basis) for _ in range(6)]
+    pool += [pool[0] + pool[1], 2 * pool[2], ring.zero(), basis[-1]]
+    span = ring.span_solver(pool[:2], d)
+    added = pool[:2]
+    rose = []
+    for x in pool[2:]:
+        before = span.rank
+        rose.append(span.add(x))
+        added.append(x)
+        assert rose[-1] == (span.rank == before + 1)
+    assert True in rose and False in rose
+    kernel = span.kernel()
+    assert len(kernel) == len(added) - span.rank
+    for combo in kernel:
+        assert len(combo) == len(added) and any(combo)
+        assert _combination(ring, combo, added).is_zero
+    probes = basis + [_combination(ring, [rng.choice(coeffs) for _ in added], added)
+                      for _ in range(4)]
+    for target in probes:
+        ok, witness = ring.span_membership(target, added)
+        assert span.contains(target) == ok
+        assert span.witness(target) == witness
+        if ok:
+            assert _combination(ring, witness, added) == target
+    assert all(span.contains(x) for x in added)
+
+
 def test_truncation_projects_high_degrees():
     ring = free_polynomial_ring([("a", 1)], Z, truncation=3)
     a = ring.gen("a")

@@ -61,6 +61,13 @@ def test_count_cli_form_spec(capsys, tmp_path):
     assert code == 0 and data["count"] == 9 and data["predicted"] == 9
 
 
+@pytest.mark.parametrize("flag,dim", [("--r", 5), ("--m", 9)])
+def test_count_cli_predicts_zero_beyond_the_form(capsys, flag, dim):
+    code, out, _ = _run(capsys, ["count", "--p", "2", "--diag", "1,1", flag, str(dim)])
+    data = json.loads(out)
+    assert code == 0 and data["count"] == 0 and data["predicted"] == 0
+
+
 def test_count_budget_exceeded_exits_1(capsys):
     code, _, err = _run(capsys, ["count", "--p", "7", "--diag", "1,1", "--r", "1"])
     assert code == 1
@@ -222,6 +229,9 @@ def test_verify_out_of_range_options_exit_2(capsys, argv):
         ["annihilate", "maxorth", "4", "--element", "e2^x"],
         ["annihilate", "maxorth", "4", "--element", "e2^"],
         ["annihilate", "maxorth", "4", "--element", "e9"],
+        ["presentation", "weil", "2", "-1"],
+        ["presentation", "weil", "2", "3"],
+        ["presentation", "weil", "0", "4"],
     ],
 )
 def test_malformed_cli_input_exits_2(capsys, tmp_path, argv):

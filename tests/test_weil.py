@@ -5,7 +5,7 @@ import random
 import pytest
 
 from chowlab.algebra import F2, Z
-from chowlab.errors import ConfigurationError
+from chowlab.errors import UsageError
 from chowlab.weil import (
     base_generation_check,
     build,
@@ -16,8 +16,10 @@ from chowlab.weil import (
 
 
 def test_build_requires_room():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         build(2, Z, 3)
+    with pytest.raises(UsageError):
+        build(0, Z, 4)
 
 
 def test_rank_one_degenerates():
