@@ -95,6 +95,20 @@ class AlgebraPresentation:
             self._replacements[i] = tuple(terms)
         self._check_termination()
         self._basis_cache: dict[int, dict[tuple[int, ...], int]] = {}
+        self._mod2: AlgebraPresentation | None = None
+
+    def mod2(self) -> "AlgebraPresentation":
+        """The same presentation over F2 (``self`` when already over F2), built once.
+
+        It shares this presentation's normal bases, which depend only on the
+        degrees, power bounds and truncation.
+        """
+        if self.coefficients == F2:
+            return self
+        if self._mod2 is None:
+            self._mod2 = AlgebraPresentation(self.generators, F2, self.truncation)
+            self._mod2._basis_cache = self._basis_cache
+        return self._mod2
 
     # -- construction helpers ------------------------------------------------
 

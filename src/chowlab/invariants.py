@@ -1,12 +1,16 @@
 """Invariants of a variable-swap involution and generation checks modulo norms.
 
 The ambient ring is a polynomial ring with swapped variable pairs (a_i, b_i)
-and optional fixed variables.  The invariant module in each degree has the
-fixed monomials and the orbit sums m + sigma(m) as a basis; the norm module
-is spanned by all m + sigma(m) (fixed monomials contributing 2m over Z and
-nothing mod 2).  Every "generated modulo norms" statement is tested
-degreewise as a lattice-spanning problem, never by materializing the
-quotient.
+and optional fixed variables.  Where the swap permutes the degree-d normal
+basis (``BoundSwap.orbit_pairs`` checks that), the invariant module has the
+fixed monomials and the orbit sums m + sigma(m) as a basis, and the norm module
+is spanned by all m + sigma(m): the orbit sums, and 2m for a fixed monomial m
+(nothing mod 2).  Invariants modulo norms is therefore F2 on the fixed
+monomials, the Tate cohomology H^0(Z/2, A_d), and an invariant's class keeps
+its fixed monomials with odd coefficients (``BoundSwap.norm_class``).  Every
+"generated modulo norms" statement is tested degreewise as an F2 rank question
+on those classes; the integer lattice of products and norms, which answers the
+same questions, is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class BoundSwap:
         for a, b in sigma.pairs:
             perm[index[a]], perm[index[b]] = index[b], index[a]
         self._perm = tuple(perm)
+        self._orbits: dict[int, tuple[list, list]] = {}
 
     def permute(self, mono: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(mono[self._perm[i]] for i in range(len(mono)))
@@ -70,20 +75,37 @@ class BoundSwap:
         Requires the normal basis to be stable under the swap (true for free
         rings and for presentations whose bounds and rules are symmetric).
         """
-        basis = self.algebra.degree_basis(d)
-        basis_set = set(basis)
-        fixed, orbits = [], []
-        for mono in basis:
-            image = self.permute(mono)
-            if image not in basis_set:
-                raise ConfigurationError(
-                    "normal basis is not stable under the swap involution"
-                )
-            if image == mono:
-                fixed.append(mono)
-            elif mono < image:
-                orbits.append((mono, image))
-        return fixed, orbits
+        if d not in self._orbits:
+            basis = self.algebra.degree_basis(d)
+            basis_set = set(basis)
+            fixed, orbits = [], []
+            for mono in basis:
+                image = self.permute(mono)
+                if image not in basis_set:
+                    raise ConfigurationError(
+                        "normal basis is not stable under the swap involution"
+                    )
+                if image == mono:
+                    fixed.append(mono)
+                elif mono < image:
+                    orbits.append((mono, image))
+            self._orbits[d] = fixed, orbits
+        return self._orbits[d]
+
+    def norm_class(self, x: Element) -> Element:
+        """The class of the invariant ``x`` modulo norms, as an element of ``A.mod2()``.
+
+        The class keeps x's fixed monomials with odd coefficients.  Raises
+        ConfigurationError when x is not invariant or a degree of x has a basis
+        the swap does not permute.
+        """
+        A = self.algebra
+        fixed = set()
+        for d in {A.monomial_degree(m) for m in x.terms}:
+            fixed.update(self.orbit_pairs(d)[0])
+        if any(x.terms.get(self.permute(m)) != c for m, c in x.terms.items()):
+            raise ConfigurationError(f"{x!r} is not invariant under the swap involution")
+        return Element(A.mod2(), {m: 1 for m, c in x.terms.items() if c % 2 and m in fixed})
 
 
 def swap_polynomial_ring(
@@ -157,23 +179,19 @@ def generator_products(A: AlgebraPresentation, generators, d: int) -> list[Eleme
 
 
 def uncovered_invariant(
-    sigma: SwapInvolution,
-    A: AlgebraPresentation,
-    products: list[Element],
-    d: int,
-    norms: list[Element] | None = None,
+    sigma: SwapInvolution, A: AlgebraPresentation, products: list[Element], d: int
 ) -> Element | None:
     """First degree-d invariant basis element outside span(products + norms), or None.
 
-    ``norms`` defaults to the norm spanning set ``norm_image_basis(sigma, A, d)``;
-    callers that need it again in the same degree pass it in.
+    Every product must be invariant.  Orbit sums are norms, so the answer is the
+    first fixed monomial whose class is outside the F2 span of the products' classes.
     """
-    if norms is None:
-        norms = norm_image_basis(sigma, A, d)
-    span = A.span_solver(products + norms, d)
-    for v in invariant_basis(sigma, A, d):
-        if not span.contains(v):
-            return v
+    swap = sigma.bind(A)
+    F = A.mod2()
+    span = F.span_solver([swap.norm_class(x) for x in products], d)
+    for mono in swap.orbit_pairs(d)[0]:
+        if not span.contains(Element(F, {mono: 1})):
+            return Element(A, {mono: 1})
     return None
 
 
@@ -218,10 +236,11 @@ def quotient_generation_check(
     check_name: str = "quotient_generation",
     params: dict | None = None,
 ) -> GenerationReport:
-    """Degreewise test that the invariant lattice modulo norms is generated as stated.
+    """Degreewise test that the invariants modulo norms are generated as stated.
 
     In each degree every invariant basis element must lie in the span of the
     degree-d products of the given generators together with the norm module.
+    The generators must be invariant; otherwise ConfigurationError is raised.
     """
     results = []
     for d in range(max_degree + 1):

@@ -82,6 +82,13 @@ def test_quotient_generation_failure_witness():
     assert failing[0].witness == ring.gen("a1") * ring.gen("b1")
 
 
+def test_non_invariant_generator_rejected():
+    for coeff in (Z, F2):
+        ring, sigma = swap_polynomial_ring(1, 0, coeff, truncation=3)
+        with pytest.raises(ConfigurationError, match="not invariant"):
+            quotient_generation_check(sigma, ring, [ring.gen("a1")], 3)
+
+
 def test_quotient_generation_r0_trivial():
     ring, sigma = swap_polynomial_ring(0, 0, Z, truncation=4)
     report = quotient_generation_check(sigma, ring, [], 4)

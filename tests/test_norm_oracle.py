@@ -1,0 +1,199 @@
+"""The lattice of products and norms as the reference for invariants modulo norms.
+
+The checks decide "modulo norms" on classes in F2 on the fixed monomials
+(``BoundSwap.norm_class``).  The reference decides the same questions in the
+Z or F2 lattice spanned by the products together with the whole norm module,
+and Weil freeness by the kernel of that lattice.  Both must agree degree by
+degree, witnesses included.
+"""
+
+import dataclasses
+
+import pytest
+
+from chowlab.algebra import F2, AlgebraPresentation, GeneratorSpec, Z
+from chowlab.errors import ConfigurationError
+from chowlab.invariants import (
+    SwapInvolution,
+    codim_le2_generation_check,
+    generator_products,
+    invariant_basis,
+    norm_image_basis,
+    quotient_generation_check,
+    swap_polynomial_ring,
+)
+from chowlab.weil import (
+    _mutated,
+    _power_monomials,
+    base_generation_check,
+    build,
+    freeness_check,
+    relation_element,
+)
+
+
+def lattice_uncovered(sigma, A, products, d):
+    """First invariant basis element outside the lattice span(products + norms), or None."""
+    span = A.span_solver(products + norm_image_basis(sigma, A, d), d)
+    return next((v for v in invariant_basis(sigma, A, d) if not span.contains(v)), None)
+
+
+def lattice_generation(sigma, A, generators, max_degree):
+    """Per-degree JSON of the lattice answer, in the form ``DegreeCheck.to_json`` takes."""
+    out = []
+    for d in range(max_degree + 1):
+        witness = lattice_uncovered(sigma, A, generator_products(A, generators, d), d)
+        pairs = witness.to_pairs() if witness is not None else None
+        out.append({"d": d, "pass": witness is None, "witness": pairs})
+    return out
+
+
+def assert_matches_lattice(report, sigma, A, generators, max_degree):
+    got = [dc.to_json() for dc in report.degrees]
+    assert got == lattice_generation(sigma, A, generators, max_degree)
+
+
+def lattice_kernel_matches_base_norms(R, d):
+    """Both inclusions, on the kernel of the lattice of base invariants times c^k and norms."""
+    ring, base = R.ring, R.base
+    c = R.c()
+    ks = range(min(R.r, d // 2 + 1))
+    base_inv = {k: invariant_basis(R.base_sigma, base, d - 2 * k) for k in ks}
+    base_norms = {k: norm_image_basis(R.base_sigma, base, d - 2 * k) for k in ks}
+    labels = [(k, idx) for k in ks for idx in range(len(base_inv[k]))]
+    vectors = [R.base_in_full(base_inv[k][idx]) * c ** k for k, idx in labels]
+    norms = norm_image_basis(R.sigma, ring, d)
+    full_solver = ring.span_solver(norms, d)
+    for k in ks:
+        for nu in base_norms[k]:
+            if not full_solver.contains(R.base_in_full(nu) * c ** k):
+                return False
+    base_norm_solvers = {k: base.span_solver(base_norms[k], d - 2 * k) for k in ks}
+    for combo in ring.span_solver(vectors + norms, d).kernel():
+        for k, betas in base_inv.items():
+            acc = base.zero()
+            for coeff, (kk, idx) in zip(combo, labels):
+                if kk == k and coeff:
+                    acc = acc + betas[idx] * coeff
+            if not base_norm_solvers[k].contains(acc):
+                return False
+    return True
+
+
+def lattice_relation_in_norms(R):
+    ok, _ = R.ring.span_membership(relation_element(R), norm_image_basis(R.sigma, R.ring, 2 * R.r))
+    return ok
+
+
+SUITE_CASES = [
+    (coeff, k, r, max_degree)
+    for max_degree, max_r in ((5, 2), (6, 3))  # the golden report's options, the defaults
+    for coeff in (Z, F2)
+    for k in (0, 1)
+    for r in range(1, max_r + 1)
+]
+
+
+@pytest.mark.parametrize("coeff,k,r,max_degree", SUITE_CASES)
+def test_suite_generation_matches_lattice(coeff, k, r, max_degree):
+    report = codim_le2_generation_check(k, r, max_degree, coefficients=coeff)
+    ring, sigma = swap_polynomial_ring(r, k, coeff, max_degree)
+    gens = [ring.gen(f"t{j}") for j in range(1, k + 1)]
+    gens += [ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, r + 1)]
+    assert report.passed
+    assert_matches_lattice(report, sigma, ring, gens, max_degree)
+
+
+def _pair(ring, i):
+    return ring.gen(f"a{i}") * ring.gen(f"b{i}")
+
+
+def _sum(ring, i):
+    return ring.gen(f"a{i}") + ring.gen(f"b{i}")
+
+
+FAILING_SETS = {
+    "last_pair_dropped": lambda ring, r: [_pair(ring, i) for i in range(1, r)],
+    "sums": lambda ring, r: [_sum(ring, i) for i in range(1, r + 1)],
+    "sums_and_pairs_from_2": lambda ring, r: (
+        [_sum(ring, i) for i in range(1, r + 1)] + [_pair(ring, i) for i in range(2, r + 1)]
+    ),
+    "doubled_pairs": lambda ring, r: [2 * _pair(ring, i) for i in range(1, r + 1)],
+}
+
+FAILING_CASES = [
+    (name, coeff, k, r)
+    for name in FAILING_SETS
+    for coeff in (Z, F2)
+    if name != "doubled_pairs" or coeff == Z  # 2 a_i b_i vanishes mod 2
+    for k in (0, 1)
+    for r in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("name,coeff,k,r", FAILING_CASES)
+def test_failing_generators_match_lattice(name, coeff, k, r):
+    ring, sigma = swap_polynomial_ring(r, k, coeff, 7)
+    gens = [ring.gen(f"t{j}") for j in range(1, k + 1)] + FAILING_SETS[name](ring, r)
+    report = quotient_generation_check(sigma, ring, gens, 7)
+    assert not report.passed
+    assert_matches_lattice(report, sigma, ring, gens, 7)
+
+
+def _collapsed(R):
+    """The fiber generators a and b set to zero, so c = 0 and freeness fails for r >= 2."""
+    gens = [
+        GeneratorSpec(g.name, degree=1, power_bound=1) if g.name in ("a", "b") else g
+        for g in R.ring.generators
+    ]
+    return dataclasses.replace(R, ring=AlgebraPresentation(gens, R.coefficients, R.D))
+
+
+def _misglued(R):
+    """An involution of the ring fixing every Chern class, unlike the base involution.
+
+    For r = 1 base norms such as c_1 + c'_1 are then invariant non-norms of the
+    ring, so the first inclusion fails.  For r >= 2 the fiber rules are not
+    symmetric under it, so c^2 is not invariant and the checks must refuse.
+    """
+    chern = tuple(g.name for g in R.base.generators)
+    return dataclasses.replace(R, sigma=SwapInvolution(pairs=(("a", "b"),), fixed=chern))
+
+
+WEIL_VARIANTS = {
+    "built": lambda R: R,
+    "mutated": _mutated,
+    "collapsed": _collapsed,
+    "misglued": _misglued,
+}
+
+
+@pytest.mark.parametrize("coeff", [Z, F2])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("variant", list(WEIL_VARIANTS))
+def test_weil_freeness_matches_lattice(coeff, r, variant):
+    R = WEIL_VARIANTS[variant](build(r, coeff, 2 * r + 4))
+    if variant == "misglued" and r > 1:
+        with pytest.raises(ConfigurationError, match="not invariant"):
+            freeness_check(R)
+        return
+    report = freeness_check(R)
+    degrees = range(R.D - 2 * R.r + 1)
+    assert report.spanning == {
+        d: lattice_uncovered(R.sigma, R.ring, _power_monomials(R, d), d) is None for d in degrees
+    }
+    assert report.freeness == {d: lattice_kernel_matches_base_norms(R, d) for d in degrees}
+    assert report.relation_in_norms == lattice_relation_in_norms(R)
+    assert report.mutation_rejected == (not lattice_relation_in_norms(_mutated(R)))
+    free = variant in ("built", "mutated") or (variant == "collapsed" and r == 1)
+    assert all(report.freeness.values()) == free
+    assert report.passed == (variant == "built")
+
+
+@pytest.mark.parametrize("coeff", [Z, F2])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_weil_base_generation_matches_lattice(coeff, r):
+    R = build(r, coeff, 2 * r + 4)
+    gens = [R.base.gen(f"c{i}") * R.base.gen(f"cp{i}") for i in range(1, r + 1)]
+    report = base_generation_check(R)
+    assert_matches_lattice(report, R.base_sigma, R.base, gens, R.D - 2 * R.r)

@@ -1,10 +1,13 @@
 """Source-level rules.
 
-No correctness check may live in a statement that ``python -O`` strips, and the
-row format of degree-wise linear algebra stays behind ``algebra.Span``.
+No correctness check may live in a statement that ``python -O`` strips, the
+row format of degree-wise linear algebra stays behind ``algebra.Span``, and
+every name the benchmark's tracer wraps stays bound.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import chowlab
@@ -40,3 +43,15 @@ def test_rows_stay_behind_span():
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ROW_NAMES]
     assert not found, f"row-level linear algebra outside algebra.Span: {found}"
+
+
+def test_tracer_sites_resolve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = tracer.SPANS + tracer.COUNTS
+    assert len(sites) > 50
+    for module_name, attr, _ in sites:
+        module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        assert callable(tracer._lookup(module, attr)), f"{module_name}.{attr}"
