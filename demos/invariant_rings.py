@@ -20,13 +20,13 @@ ring, sigma = swap_polynomial_ring(r_pairs=2, k_fixed=0, coefficients="Z", trunc
 
 print("invariant basis in low degrees (r = 2):")
 for d in range(1, 4):
-    print(f"  degree {d}: {invariant_basis(sigma, ring, d)}")
+    print(f"  degree {d}: {invariant_basis(sigma, d)}")
 
 print("\nnorm module spanning set in degree 2:")
-print(f"  {norm_image_basis(sigma, ring, 2)}")
+print(f"  {norm_image_basis(sigma, 2)}")
 
 gens = [ring.gen("a1") * ring.gen("b1"), ring.gen("a2") * ring.gen("b2")]
-report = quotient_generation_check(sigma, ring, gens, max_degree=6)
+report = quotient_generation_check(sigma, gens, max_degree=6)
 print(f"\ngenerated modulo norms by a_i*b_i up to degree 6: {report.passed}")
 
 for k_fixed in (0, 1):

@@ -32,4 +32,4 @@ for r in (1, 2, 3):
 R = build(2, "Z", 8)
 ring = R.ring
 print("normal form of a^2 over Z:", ring.monomial({"a": 2}))
-print("its involution image:      ", R.apply_sigma(ring.monomial({"a": 2})))
+print("its involution image:      ", R.sigma.apply(ring.monomial({"a": 2})))

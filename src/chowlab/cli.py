@@ -24,6 +24,7 @@ from .finitefields import (
     trace_quadratic,
     witt_index_hermitian,
 )
+from .polynomials import PoincarePolynomial
 from .weil import build as build_weil
 
 
@@ -106,12 +107,14 @@ def _cmd_annihilate(args) -> int:
     else:
         elt = _parse_element(ring, "*".join(f"e{i}" for i in range(2, 2 * args.param + 1, 2)))
     ann = grassmann.annihilator(elt, ring)
-    quotient = grassmann._quotient_poincare(ring, elt)
+    degrees = range(ring.max_degree + 1)
+    # rank-nullity: dim (ring/Ann(x))_d = dim ring_d - dim Ann(x)_d
+    quotient = PoincarePolynomial([len(ring.degree_basis(d)) - len(ann[d]) for d in degrees])
     _emit(
         {
             "ring": {"kind": args.ring, "param": args.param},
             "element": elt.to_pairs(),
-            "annihilator_dims": [len(ann[d]) for d in range(ring.max_degree + 1)],
+            "annihilator_dims": [len(ann[d]) for d in degrees],
             "quotient_poincare": quotient.to_list(),
         }
     )

@@ -431,53 +431,41 @@ def _quadratic_search(Q: QuadraticSpace, op: str) -> _SubspaceSearch:
     return _SubspaceSearch(op, Q.base, dim, functional, null)
 
 
-def _check_hermitian_budget(H: HermitianSpace, op: str) -> None:
-    p = H.field.base.p
-    if H.n > _WITT_HERMITIAN_BUDGET["n"] or p not in _WITT_HERMITIAN_BUDGET["p"]:
+def _check_budget(op: str, budget: dict, key: str, size: int, p: int) -> None:
+    if size > budget[key] or p not in budget["p"]:
         raise BudgetError(
-            f"{op} budget exceeded: need n <= {_WITT_HERMITIAN_BUDGET['n']} and "
-            f"p in {_WITT_HERMITIAN_BUDGET['p']}, got n={H.n}, p={p}"
+            f"{op} budget exceeded: need {key} <= {budget[key]} and "
+            f"p in {budget['p']}, got {key}={size}, p={p}"
         )
 
 
-def _check_quadratic_budget(Q: QuadraticSpace, op: str) -> None:
-    p = Q.base.p
-    if Q.dim > _WITT_QUADRATIC_BUDGET["dim"] or p not in _WITT_QUADRATIC_BUDGET["p"]:
-        raise BudgetError(
-            f"{op} budget exceeded: need dim <= {_WITT_QUADRATIC_BUDGET['dim']} and "
-            f"p in {_WITT_QUADRATIC_BUDGET['p']}, got dim={Q.dim}, p={p}"
-        )
-
-
-def witt_index_hermitian(H: HermitianSpace) -> int:
-    """Largest r with a totally isotropic r-dimensional subspace."""
-    _check_hermitian_budget(H, "witt_index_hermitian")
-    search = _hermitian_search(H, "witt_index_hermitian")
+def _witt_index(search: _SubspaceSearch, top: int) -> int:
+    """Largest m <= top for which the search finds an m-dimensional subspace."""
     witt = 0
-    for r in range(1, H.n // 2 + 1):
-        if not search.count(r, first_only=True):
-            break
-        witt = r
-    return witt
-
-
-def witt_index_quadratic(Q: QuadraticSpace) -> int:
-    """Largest m with a totally singular m-dimensional subspace."""
-    _check_quadratic_budget(Q, "witt_index_quadratic")
-    search = _quadratic_search(Q, "witt_index_quadratic")
-    witt = 0
-    for m in range(1, Q.dim // 2 + 1):
+    for m in range(1, top + 1):
         if not search.count(m, first_only=True):
             break
         witt = m
     return witt
 
 
+def witt_index_hermitian(H: HermitianSpace) -> int:
+    """Largest r with a totally isotropic r-dimensional subspace."""
+    _check_budget("witt_index_hermitian", _WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
+    return _witt_index(_hermitian_search(H, "witt_index_hermitian"), H.n // 2)
+
+
+def witt_index_quadratic(Q: QuadraticSpace) -> int:
+    """Largest m with a totally singular m-dimensional subspace."""
+    _check_budget("witt_index_quadratic", _WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
+    return _witt_index(_quadratic_search(Q, "witt_index_quadratic"), Q.dim // 2)
+
+
 def count_isotropic(H: HermitianSpace, r: int) -> int:
     """Exact number of totally isotropic r-dimensional subspaces."""
     if r < 0:
         raise UsageError("r must be nonnegative")
-    _check_hermitian_budget(H, "count_isotropic")
+    _check_budget("count_isotropic", _WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
     return _hermitian_search(H, "count_isotropic").count(r)
 
 
@@ -485,7 +473,7 @@ def count_singular(Q: QuadraticSpace, m: int) -> int:
     """Exact number of totally singular m-dimensional subspaces."""
     if m < 0:
         raise UsageError("m must be nonnegative")
-    _check_quadratic_budget(Q, "count_singular")
+    _check_budget("count_singular", _WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
     return _quadratic_search(Q, "count_singular").count(m)
 
 
@@ -519,7 +507,7 @@ def jacobson_check(H1: HermitianSpace, H2: HermitianSpace) -> bool:
         raise UsageError("spaces must have equal dimension")
     if H1.field != H2.field:
         raise UsageError("spaces must live over the same field")
-    _check_hermitian_budget(H1, "jacobson_check")
+    _check_budget("jacobson_check", _WITT_HERMITIAN_BUDGET, "n", H1.n, H1.field.base.p)
     q_iso = witt_index_quadratic(trace_quadratic(H1)) == witt_index_quadratic(
         trace_quadratic(H2)
     )

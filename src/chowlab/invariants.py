@@ -1,16 +1,18 @@
 """Invariants of a variable-swap involution and generation checks modulo norms.
 
 The ambient ring is a polynomial ring with swapped variable pairs (a_i, b_i)
-and optional fixed variables.  Where the swap permutes the degree-d normal
-basis (``BoundSwap.orbit_pairs`` checks that), the invariant module has the
-fixed monomials and the orbit sums m + sigma(m) as a basis, and the norm module
-is spanned by all m + sigma(m): the orbit sums, and 2m for a fixed monomial m
-(nothing mod 2).  Invariants modulo norms is therefore F2 on the fixed
-monomials, the Tate cohomology H^0(Z/2, A_d), and an invariant's class keeps
-its fixed monomials with odd coefficients (``BoundSwap.norm_class``).  Every
-"generated modulo norms" statement is tested degreewise as an F2 rank question
-on those classes; the integer lattice of products and norms, which answers the
-same questions, is the reference the tests compare against.
+and optional fixed variables; ``SwapInvolution(ring, pairs, fixed)`` is the
+swap on that one ring.  Equal degrees and power bounds on each swapped pair,
+checked when it is built, make the swap permute every degree-d normal basis.
+So the invariant module has the fixed monomials and the orbit sums
+m + sigma(m) as a basis, and the norm module is spanned by all m + sigma(m):
+the orbit sums, and 2m for a fixed monomial m (nothing mod 2).  Invariants
+modulo norms is therefore F2 on the fixed monomials, the Tate cohomology
+H^0(Z/2, A_d), and an invariant's class keeps its fixed monomials with odd
+coefficients (``SwapInvolution.norm_class``).  Every "generated modulo norms"
+statement is tested degreewise as an F2 rank question on those classes; the
+integer lattice of products and norms, which answers the same questions, is
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,41 +23,30 @@ from .algebra import AlgebraPresentation, Element, free_polynomial_ring
 from .errors import ConfigurationError, UsageError
 
 
-@dataclass(frozen=True)
 class SwapInvolution:
-    """A degree-preserving involution swapping variable pairs and fixing the rest."""
+    """A degree-preserving involution of one presentation, swapping generator pairs.
 
-    pairs: tuple[tuple[str, str], ...]
-    fixed: tuple[str, ...] = ()
+    The pairs and the fixed names must partition the generators, and each
+    swapped pair must share its degree and its power bound.  Then the swap
+    permutes every degree's normal basis, so each degree splits into fixed
+    monomials and orbit pairs.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((a, b) for a, b in self.pairs))
-        object.__setattr__(self, "fixed", tuple(self.fixed))
-
-    def validate_against(self, A: AlgebraPresentation) -> None:
-        names = [g.name for g in A.generators]
-        touched = [n for pair in self.pairs for n in pair] + list(self.fixed)
-        if sorted(touched) != sorted(names):
-            raise ConfigurationError("involution does not partition the generator set")
-        degree = {g.name: g.degree for g in A.generators}
-        for a, b in self.pairs:
-            if degree[a] != degree[b]:
-                raise ConfigurationError(f"swapped pair ({a}, {b}) mixes degrees")
-
-    def bind(self, A: AlgebraPresentation) -> "BoundSwap":
-        self.validate_against(A)
-        return BoundSwap(self, A)
-
-
-class BoundSwap:
-    """A swap involution bound to one presentation, acting on exponent tuples."""
-
-    def __init__(self, sigma: SwapInvolution, A: AlgebraPresentation):
-        self.sigma = sigma
+    def __init__(self, A: AlgebraPresentation, pairs, fixed=()):
         self.algebra = A
+        self.pairs = tuple((a, b) for a, b in pairs)
+        self.fixed = tuple(fixed)
         index = {g.name: i for i, g in enumerate(A.generators)}
+        touched = [n for pair in self.pairs for n in pair] + list(self.fixed)
+        if sorted(touched) != sorted(index):
+            raise ConfigurationError("involution does not partition the generator set")
         perm = list(range(len(A.generators)))
-        for a, b in sigma.pairs:
+        for a, b in self.pairs:
+            ga, gb = A.generators[index[a]], A.generators[index[b]]
+            if ga.degree != gb.degree:
+                raise ConfigurationError(f"swapped pair ({a}, {b}) mixes degrees")
+            if ga.power_bound != gb.power_bound:
+                raise ConfigurationError(f"swapped pair ({a}, {b}) has unequal power bounds")
             perm[index[a]], perm[index[b]] = index[b], index[a]
         self._perm = tuple(perm)
         self._orbits: dict[int, tuple[list, list]] = {}
@@ -64,27 +55,15 @@ class BoundSwap:
         return tuple(mono[self._perm[i]] for i in range(len(mono)))
 
     def apply(self, x: Element) -> Element:
-        terms = {}
-        for mono, c in x.terms.items():
-            terms[self.permute(mono)] = c
-        return Element(self.algebra, self.algebra._normalize(list(terms.items())))
+        terms = [(self.permute(mono), c) for mono, c in x.terms.items()]
+        return Element(self.algebra, self.algebra._normalize(terms))
 
     def orbit_pairs(self, d: int):
-        """Fixed monomials and canonical orbit pairs of the degree-d basis.
-
-        Requires the normal basis to be stable under the swap (true for free
-        rings and for presentations whose bounds and rules are symmetric).
-        """
+        """Fixed monomials and canonical orbit pairs of the degree-d basis."""
         if d not in self._orbits:
-            basis = self.algebra.degree_basis(d)
-            basis_set = set(basis)
             fixed, orbits = [], []
-            for mono in basis:
+            for mono in self.algebra.degree_basis(d):
                 image = self.permute(mono)
-                if image not in basis_set:
-                    raise ConfigurationError(
-                        "normal basis is not stable under the swap involution"
-                    )
                 if image == mono:
                     fixed.append(mono)
                 elif mono < image:
@@ -96,16 +75,15 @@ class BoundSwap:
         """The class of the invariant ``x`` modulo norms, as an element of ``A.mod2()``.
 
         The class keeps x's fixed monomials with odd coefficients.  Raises
-        ConfigurationError when x is not invariant or a degree of x has a basis
-        the swap does not permute.
+        ConfigurationError when x is not invariant or not in this swap's ring.
         """
-        A = self.algebra
-        fixed = set()
-        for d in {A.monomial_degree(m) for m in x.terms}:
-            fixed.update(self.orbit_pairs(d)[0])
-        if any(x.terms.get(self.permute(m)) != c for m, c in x.terms.items()):
+        if x.algebra is not self.algebra:
+            raise ConfigurationError("element is not in the swap involution's presentation")
+        images = {m: self.permute(m) for m in x.terms}
+        if any(x.terms.get(images[m]) != c for m, c in x.terms.items()):
             raise ConfigurationError(f"{x!r} is not invariant under the swap involution")
-        return Element(A.mod2(), {m: 1 for m, c in x.terms.items() if c % 2 and m in fixed})
+        fixed = {m: 1 for m, c in x.terms.items() if c % 2 and images[m] == m}
+        return Element(self.algebra.mod2(), fixed)
 
 
 def swap_polynomial_ring(
@@ -118,27 +96,28 @@ def swap_polynomial_ring(
         names += [(f"a{i}", 1), (f"b{i}", 1)]
         pairs.append((f"a{i}", f"b{i}"))
     ring = free_polynomial_ring(names, coefficients, truncation)
-    sigma = SwapInvolution(pairs=tuple(pairs), fixed=tuple(f"t{j}" for j in range(1, k_fixed + 1)))
+    sigma = SwapInvolution(ring, pairs, fixed=[f"t{j}" for j in range(1, k_fixed + 1)])
     return ring, sigma
 
 
-def invariant_basis(sigma: SwapInvolution, A: AlgebraPresentation, d: int) -> list[Element]:
+def invariant_basis(sigma: SwapInvolution, d: int) -> list[Element]:
     """Basis of the invariant module in degree d: fixed monomials and orbit sums."""
-    fixed, orbits = sigma.bind(A).orbit_pairs(d)
+    A = sigma.algebra
+    fixed, orbits = sigma.orbit_pairs(d)
     out = [Element(A, {mono: 1}) for mono in fixed]
     out += [Element(A, {mono: 1, image: 1}) for mono, image in orbits]
     return out
 
 
-def antisymmetric_rank(sigma: SwapInvolution, A: AlgebraPresentation, d: int) -> int:
+def antisymmetric_rank(sigma: SwapInvolution, d: int) -> int:
     """Rank of the span of all m - sigma(m) in degree d (the orbit count)."""
-    _, orbits = sigma.bind(A).orbit_pairs(d)
-    return len(orbits)
+    return len(sigma.orbit_pairs(d)[1])
 
 
-def norm_image_basis(sigma: SwapInvolution, A: AlgebraPresentation, d: int) -> list[Element]:
+def norm_image_basis(sigma: SwapInvolution, d: int) -> list[Element]:
     """Spanning set of the norm module in degree d: all m + sigma(m)."""
-    fixed, orbits = sigma.bind(A).orbit_pairs(d)
+    A = sigma.algebra
+    fixed, orbits = sigma.orbit_pairs(d)
     out = []
     for mono in fixed:
         nu = Element(A, A._normalize([(mono, 2)]))
@@ -178,20 +157,17 @@ def generator_products(A: AlgebraPresentation, generators, d: int) -> list[Eleme
     return out
 
 
-def uncovered_invariant(
-    sigma: SwapInvolution, A: AlgebraPresentation, products: list[Element], d: int
-) -> Element | None:
+def uncovered_invariant(sigma: SwapInvolution, products: list[Element], d: int) -> Element | None:
     """First degree-d invariant basis element outside span(products + norms), or None.
 
     Every product must be invariant.  Orbit sums are norms, so the answer is the
     first fixed monomial whose class is outside the F2 span of the products' classes.
     """
-    swap = sigma.bind(A)
-    F = A.mod2()
-    span = F.span_solver([swap.norm_class(x) for x in products], d)
-    for mono in swap.orbit_pairs(d)[0]:
+    F = sigma.algebra.mod2()
+    span = F.span_solver([sigma.norm_class(x) for x in products], d)
+    for mono in sigma.orbit_pairs(d)[0]:
         if not span.contains(Element(F, {mono: 1})):
-            return Element(A, {mono: 1})
+            return Element(sigma.algebra, {mono: 1})
     return None
 
 
@@ -230,7 +206,6 @@ class GenerationReport:
 
 def quotient_generation_check(
     sigma: SwapInvolution,
-    A: AlgebraPresentation,
     generators,
     max_degree: int,
     check_name: str = "quotient_generation",
@@ -244,7 +219,7 @@ def quotient_generation_check(
     """
     results = []
     for d in range(max_degree + 1):
-        witness = uncovered_invariant(sigma, A, generator_products(A, generators, d), d)
+        witness = uncovered_invariant(sigma, generator_products(sigma.algebra, generators, d), d)
         results.append(DegreeCheck(d=d, passed=witness is None, witness=witness))
     return GenerationReport(
         check=check_name, params=params or {}, degrees=tuple(results)
@@ -262,7 +237,6 @@ def codim_le2_generation_check(
     gens += [ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, r_pairs + 1)]
     return quotient_generation_check(
         sigma,
-        ring,
         gens,
         max_degree,
         check_name="codim_le2_generation",
@@ -307,8 +281,8 @@ def non_generation_witness() -> ObstructionReport:
     p = ring.monomial({"a1": 1, "a2": 1, "a3": 1}) + ring.monomial(
         {"b1": 1, "b2": 1, "b3": 1}
     )
-    deg1 = invariant_basis(sigma, ring, 1)
-    deg2 = invariant_basis(sigma, ring, 2)
+    deg1 = invariant_basis(sigma, 1)
+    deg2 = invariant_basis(sigma, 2)
     spanners: list[Element] = []
     for i in range(len(deg1)):
         for j in range(i, len(deg1)):
@@ -319,7 +293,7 @@ def non_generation_witness() -> ObstructionReport:
             spanners.append(x * y)
     in_span, _ = ring.span_membership(p, spanners)
     doubled, _ = ring.span_membership(2 * p, spanners)
-    is_norm, _ = ring.span_membership(p, norm_image_basis(sigma, ring, 3))
+    is_norm, _ = ring.span_membership(p, norm_image_basis(sigma, 3))
     return ObstructionReport(
         witness=p,
         witness_in_low_degree_span=in_span,

@@ -43,9 +43,6 @@ class DoubleBundleRing:
             return self.ring.one()
         return self.ring.gen(f"c{i}") * self.ring.gen(f"cp{i}")
 
-    def apply_sigma(self, x: Element) -> Element:
-        return self.sigma.bind(self.ring).apply(x)
-
     def base_in_full(self, x: Element) -> Element:
         """Reinterpret a base-ring element inside the full ring (names agree)."""
         return self.ring.element([(c, named) for c, named in x.to_pairs()])
@@ -81,8 +78,8 @@ def build(r: int, coefficients: str, D: int) -> DoubleBundleRing:
         truncation=D,
     )
     pairs = tuple((f"c{i}", f"cp{i}") for i in range(1, r + 1))
-    sigma = SwapInvolution(pairs=pairs + (("a", "b"),))
-    base_sigma = SwapInvolution(pairs=pairs)
+    sigma = SwapInvolution(ring, pairs + (("a", "b"),))
+    base_sigma = SwapInvolution(base, pairs)
     return DoubleBundleRing(
         r=r,
         coefficients=coefficients,
@@ -109,7 +106,7 @@ def _mutated(R: DoubleBundleRing) -> DoubleBundleRing:
         D=R.D,
         ring=ring,
         base=R.base,
-        sigma=R.sigma,
+        sigma=SwapInvolution(ring, R.sigma.pairs, R.sigma.fixed),
         base_sigma=R.base_sigma,
     )
 
@@ -125,7 +122,7 @@ def relation_element(R: DoubleBundleRing) -> Element:
 
 def product_relation_check(R: DoubleBundleRing) -> bool:
     """Does the product relation land in the norm module in degree 2r?"""
-    return R.sigma.bind(R.ring).norm_class(relation_element(R)).is_zero
+    return R.sigma.norm_class(relation_element(R)).is_zero
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ def freeness_check(R: DoubleBundleRing) -> FreenessReport:
     """Module spanning and freeness of 1, c, ..., c^(r-1) modulo norms, per degree.
 
     Both are questions about classes in invariants modulo norms, which is F2 on
-    the fixed monomials (``BoundSwap.norm_class``).  Spanning: the classes of
+    the fixed monomials (``SwapInvolution.norm_class``).  Spanning: the classes of
     base-pair monomials times powers of c span it.  Freeness: the kernel of the
     evaluation (beta_k) -> sum_k beta_k c^k of base invariants is exactly the
     tuple of base norm modules, checked by both inclusions.
@@ -187,7 +184,7 @@ def freeness_check(R: DoubleBundleRing) -> FreenessReport:
     spanning: dict[int, bool] = {}
     freeness: dict[int, bool] = {}
     for d in range(R.D - 2 * R.r + 1):
-        spanning[d] = uncovered_invariant(R.sigma, R.ring, _power_monomials(R, d), d) is None
+        spanning[d] = uncovered_invariant(R.sigma, _power_monomials(R, d), d) is None
         freeness[d] = _kernel_matches_base_norms(R, d)
     relation_ok = product_relation_check(R)
     mutated = _mutated(R)
@@ -214,19 +211,17 @@ def _kernel_matches_base_norms(R: DoubleBundleRing, d: int) -> bool:
     when the classes of the base fixed monomials times c^k are F2-independent.
     """
     c = R.c()
-    swap = R.sigma.bind(R.ring)
-    base_swap = R.base_sigma.bind(R.base)
     ks = range(min(R.r, d // 2 + 1))
     # inclusion 1: base norms times c^k land in the full norm module
     for k in ks:
-        for nu in norm_image_basis(R.base_sigma, R.base, d - 2 * k):
-            if not swap.norm_class(R.base_in_full(nu) * c ** k).is_zero:
+        for nu in norm_image_basis(R.base_sigma, d - 2 * k):
+            if not R.sigma.norm_class(R.base_in_full(nu) * c ** k).is_zero:
                 return False
     # inclusion 2: the evaluation is injective on base invariants modulo base norms
     images = [
-        swap.norm_class(R.base_in_full(Element(R.base, {m: 1})) * c ** k)
+        R.sigma.norm_class(R.base_in_full(Element(R.base, {m: 1})) * c ** k)
         for k in ks
-        for m in base_swap.orbit_pairs(d - 2 * k)[0]
+        for m in R.base_sigma.orbit_pairs(d - 2 * k)[0]
     ]
     return R.ring.mod2().span_solver(images, d).rank == len(images)
 
@@ -238,7 +233,6 @@ def base_generation_check(R: DoubleBundleRing, max_degree: int | None = None):
     gens = [R.base.gen(f"c{i}") * R.base.gen(f"cp{i}") for i in range(1, R.r + 1)]
     return quotient_generation_check(
         R.base_sigma,
-        R.base,
         gens,
         max_degree,
         check_name="weil_base_generation",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chowlab.algebra import F2, Z
+from chowlab.algebra import F2, AlgebraPresentation, GeneratorSpec, Z, free_polynomial_ring
 from chowlab.errors import ConfigurationError, UsageError
 from chowlab.invariants import (
     SwapInvolution,
@@ -22,31 +22,31 @@ from chowlab.invariants import (
 def test_invariant_basis_examples():
     ring, sigma = swap_polynomial_ring(1, 0, Z, truncation=4)
     a, b = ring.gen("a1"), ring.gen("b1")
-    assert invariant_basis(sigma, ring, 1) == [a + b]
-    basis2 = invariant_basis(sigma, ring, 2)
+    assert invariant_basis(sigma, 1) == [a + b]
+    basis2 = invariant_basis(sigma, 2)
     assert set(map(repr, basis2)) == {"a1*b1", "b1^2 + a1^2"}
     ring0, sigma0 = swap_polynomial_ring(0, 1, Z, truncation=5)
     for d in range(1, 6):
-        assert invariant_basis(sigma0, ring0, d) == [ring0.monomial({"t1": d})]
+        assert invariant_basis(sigma0, d) == [ring0.monomial({"t1": d})]
 
 
 def test_invariant_dimension_count():
     # dim invariants + dim antisymmetric part = dim of the whole degree component
     ring, sigma = swap_polynomial_ring(2, 1, Z, truncation=5)
     for d in range(6):
-        inv = len(invariant_basis(sigma, ring, d))
-        anti = antisymmetric_rank(sigma, ring, d)
+        inv = len(invariant_basis(sigma, d))
+        anti = antisymmetric_rank(sigma, d)
         assert inv + anti == len(ring.degree_basis(d))
 
 
 def test_norm_image_basis_examples():
     ring, sigma = swap_polynomial_ring(1, 0, Z, truncation=4)
     a, b = ring.gen("a1"), ring.gen("b1")
-    norms = norm_image_basis(sigma, ring, 2)
+    norms = norm_image_basis(sigma, 2)
     assert set(map(repr, norms)) == {"2*a1*b1", "b1^2 + a1^2"}
-    assert norm_image_basis(sigma, ring, 0) == [2 * ring.one()]
+    assert norm_image_basis(sigma, 0) == [2 * ring.one()]
     ring2, sigma2 = swap_polynomial_ring(1, 0, F2, truncation=4)
-    norms2 = norm_image_basis(sigma2, ring2, 2)
+    norms2 = norm_image_basis(sigma2, 2)
     assert set(map(repr, norms2)) == {"b1^2 + a1^2"}
 
 
@@ -56,12 +56,12 @@ def test_norm_image_is_ideal():
         ring, sigma = swap_polynomial_ring(2, 0, coeff, truncation=6)
         for _ in range(12):
             d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
-            invs = invariant_basis(sigma, ring, d1)
-            norms = norm_image_basis(sigma, ring, d2)
+            invs = invariant_basis(sigma, d1)
+            norms = norm_image_basis(sigma, d2)
             x = invs[rng.randrange(len(invs))]
             nu = norms[rng.randrange(len(norms))]
             target = x * nu
-            ok, _ = ring.span_membership(target, norm_image_basis(sigma, ring, d1 + d2))
+            ok, _ = ring.span_membership(target, norm_image_basis(sigma, d1 + d2))
             assert ok
 
 
@@ -69,13 +69,13 @@ def test_quotient_generation_lemma_instance():
     for coeff in (Z, F2):
         ring, sigma = swap_polynomial_ring(2, 0, coeff, truncation=6)
         gens = [ring.gen("a1") * ring.gen("b1"), ring.gen("a2") * ring.gen("b2")]
-        report = quotient_generation_check(sigma, ring, gens, 6)
+        report = quotient_generation_check(sigma, gens, 6)
         assert report.passed
 
 
 def test_quotient_generation_failure_witness():
     ring, sigma = swap_polynomial_ring(1, 0, Z, truncation=2)
-    report = quotient_generation_check(sigma, ring, [], 2)
+    report = quotient_generation_check(sigma, [], 2)
     assert not report.passed
     failing = [dc for dc in report.degrees if not dc.passed]
     assert failing[0].d == 2
@@ -86,12 +86,22 @@ def test_non_invariant_generator_rejected():
     for coeff in (Z, F2):
         ring, sigma = swap_polynomial_ring(1, 0, coeff, truncation=3)
         with pytest.raises(ConfigurationError, match="not invariant"):
-            quotient_generation_check(sigma, ring, [ring.gen("a1")], 3)
+            quotient_generation_check(sigma, [ring.gen("a1")], 3)
+
+
+def test_norm_class_rejects_element_of_another_ring():
+    ring, sigma = swap_polynomial_ring(1, 0, Z, truncation=3)
+    other, _ = swap_polynomial_ring(1, 0, Z, truncation=3)
+    x = other.gen("a1") * other.gen("b1")
+    with pytest.raises(ConfigurationError, match="presentation"):
+        sigma.norm_class(x)
+    pair = ring.gen("a1") * ring.gen("b1")
+    assert sigma.norm_class(pair) == ring.mod2().monomial({"a1": 1, "b1": 1})
 
 
 def test_quotient_generation_r0_trivial():
     ring, sigma = swap_polynomial_ring(0, 0, Z, truncation=4)
-    report = quotient_generation_check(sigma, ring, [], 4)
+    report = quotient_generation_check(sigma, [], 4)
     assert report.passed
 
 
@@ -112,9 +122,21 @@ def test_codim_le2_k_validation():
 
 def test_involution_validation():
     ring, _ = swap_polynomial_ring(1, 0, Z, truncation=3)
-    bad = SwapInvolution(pairs=(("a1", "b1"), ("x", "y")))
-    with pytest.raises(ConfigurationError):
-        bad.bind(ring)
+    mixed = free_polynomial_ring([("a", 1), ("b", 2)], Z, truncation=4)
+    # b^2 is a basis monomial and its image a^2 = 0 is not, so the swap would
+    # not permute the degree-2 basis
+    unbounded = AlgebraPresentation(
+        [GeneratorSpec("a", degree=1, power_bound=2), GeneratorSpec("b", degree=1)], Z, 4
+    )
+    refused = [
+        (ring, [("a1", "b1"), ("x", "y")], (), "partition"),
+        (ring, [("a1", "b1")], ("a1",), "partition"),
+        (mixed, [("a", "b")], (), "mixes degrees"),
+        (unbounded, [("a", "b")], (), "unequal power bounds"),
+    ]
+    for A, pairs, fixed, message in refused:
+        with pytest.raises(ConfigurationError, match=message):
+            SwapInvolution(A, pairs, fixed)
 
 
 def test_generator_products_degree_zero():

@@ -1,9 +1,10 @@
 """The lattice of products and norms as the reference for invariants modulo norms.
 
 The checks decide "modulo norms" on classes in F2 on the fixed monomials
-(``BoundSwap.norm_class``).  The reference decides the same questions in the
-Z or F2 lattice spanned by the products together with the whole norm module,
-and Weil freeness by the kernel of that lattice.  Both must agree degree by
+(``SwapInvolution.norm_class`` of a swap built as
+``SwapInvolution(ring, pairs, fixed)``).  The reference decides the same
+questions in the Z or F2 lattice spanned by the products together with the
+whole norm module, and Weil freeness by the kernel of that lattice.  Both must agree degree by
 degree, witnesses included.
 """
 
@@ -32,25 +33,25 @@ from chowlab.weil import (
 )
 
 
-def lattice_uncovered(sigma, A, products, d):
+def lattice_uncovered(sigma, products, d):
     """First invariant basis element outside the lattice span(products + norms), or None."""
-    span = A.span_solver(products + norm_image_basis(sigma, A, d), d)
-    return next((v for v in invariant_basis(sigma, A, d) if not span.contains(v)), None)
+    span = sigma.algebra.span_solver(products + norm_image_basis(sigma, d), d)
+    return next((v for v in invariant_basis(sigma, d) if not span.contains(v)), None)
 
 
-def lattice_generation(sigma, A, generators, max_degree):
+def lattice_generation(sigma, generators, max_degree):
     """Per-degree JSON of the lattice answer, in the form ``DegreeCheck.to_json`` takes."""
     out = []
     for d in range(max_degree + 1):
-        witness = lattice_uncovered(sigma, A, generator_products(A, generators, d), d)
+        witness = lattice_uncovered(sigma, generator_products(sigma.algebra, generators, d), d)
         pairs = witness.to_pairs() if witness is not None else None
         out.append({"d": d, "pass": witness is None, "witness": pairs})
     return out
 
 
-def assert_matches_lattice(report, sigma, A, generators, max_degree):
+def assert_matches_lattice(report, sigma, generators, max_degree):
     got = [dc.to_json() for dc in report.degrees]
-    assert got == lattice_generation(sigma, A, generators, max_degree)
+    assert got == lattice_generation(sigma, generators, max_degree)
 
 
 def lattice_kernel_matches_base_norms(R, d):
@@ -58,11 +59,11 @@ def lattice_kernel_matches_base_norms(R, d):
     ring, base = R.ring, R.base
     c = R.c()
     ks = range(min(R.r, d // 2 + 1))
-    base_inv = {k: invariant_basis(R.base_sigma, base, d - 2 * k) for k in ks}
-    base_norms = {k: norm_image_basis(R.base_sigma, base, d - 2 * k) for k in ks}
+    base_inv = {k: invariant_basis(R.base_sigma, d - 2 * k) for k in ks}
+    base_norms = {k: norm_image_basis(R.base_sigma, d - 2 * k) for k in ks}
     labels = [(k, idx) for k in ks for idx in range(len(base_inv[k]))]
     vectors = [R.base_in_full(base_inv[k][idx]) * c ** k for k, idx in labels]
-    norms = norm_image_basis(R.sigma, ring, d)
+    norms = norm_image_basis(R.sigma, d)
     full_solver = ring.span_solver(norms, d)
     for k in ks:
         for nu in base_norms[k]:
@@ -81,7 +82,7 @@ def lattice_kernel_matches_base_norms(R, d):
 
 
 def lattice_relation_in_norms(R):
-    ok, _ = R.ring.span_membership(relation_element(R), norm_image_basis(R.sigma, R.ring, 2 * R.r))
+    ok, _ = R.ring.span_membership(relation_element(R), norm_image_basis(R.sigma, 2 * R.r))
     return ok
 
 
@@ -101,7 +102,7 @@ def test_suite_generation_matches_lattice(coeff, k, r, max_degree):
     gens = [ring.gen(f"t{j}") for j in range(1, k + 1)]
     gens += [ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, r + 1)]
     assert report.passed
-    assert_matches_lattice(report, sigma, ring, gens, max_degree)
+    assert_matches_lattice(report, sigma, gens, max_degree)
 
 
 def _pair(ring, i):
@@ -135,9 +136,9 @@ FAILING_CASES = [
 def test_failing_generators_match_lattice(name, coeff, k, r):
     ring, sigma = swap_polynomial_ring(r, k, coeff, 7)
     gens = [ring.gen(f"t{j}") for j in range(1, k + 1)] + FAILING_SETS[name](ring, r)
-    report = quotient_generation_check(sigma, ring, gens, 7)
+    report = quotient_generation_check(sigma, gens, 7)
     assert not report.passed
-    assert_matches_lattice(report, sigma, ring, gens, 7)
+    assert_matches_lattice(report, sigma, gens, 7)
 
 
 def _collapsed(R):
@@ -146,7 +147,8 @@ def _collapsed(R):
         GeneratorSpec(g.name, degree=1, power_bound=1) if g.name in ("a", "b") else g
         for g in R.ring.generators
     ]
-    return dataclasses.replace(R, ring=AlgebraPresentation(gens, R.coefficients, R.D))
+    ring = AlgebraPresentation(gens, R.coefficients, R.D)
+    return dataclasses.replace(R, ring=ring, sigma=SwapInvolution(ring, R.sigma.pairs))
 
 
 def _misglued(R):
@@ -157,7 +159,7 @@ def _misglued(R):
     symmetric under it, so c^2 is not invariant and the checks must refuse.
     """
     chern = tuple(g.name for g in R.base.generators)
-    return dataclasses.replace(R, sigma=SwapInvolution(pairs=(("a", "b"),), fixed=chern))
+    return dataclasses.replace(R, sigma=SwapInvolution(R.ring, [("a", "b")], fixed=chern))
 
 
 WEIL_VARIANTS = {
@@ -180,7 +182,7 @@ def test_weil_freeness_matches_lattice(coeff, r, variant):
     report = freeness_check(R)
     degrees = range(R.D - 2 * R.r + 1)
     assert report.spanning == {
-        d: lattice_uncovered(R.sigma, R.ring, _power_monomials(R, d), d) is None for d in degrees
+        d: lattice_uncovered(R.sigma, _power_monomials(R, d), d) is None for d in degrees
     }
     assert report.freeness == {d: lattice_kernel_matches_base_norms(R, d) for d in degrees}
     assert report.relation_in_norms == lattice_relation_in_norms(R)
@@ -196,4 +198,4 @@ def test_weil_base_generation_matches_lattice(coeff, r):
     R = build(r, coeff, 2 * r + 4)
     gens = [R.base.gen(f"c{i}") * R.base.gen(f"cp{i}") for i in range(1, r + 1)]
     report = base_generation_check(R)
-    assert_matches_lattice(report, R.base_sigma, R.base, gens, R.D - 2 * R.r)
+    assert_matches_lattice(report, R.base_sigma, gens, R.D - 2 * R.r)

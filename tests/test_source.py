@@ -1,13 +1,16 @@
 """Source-level rules.
 
 No correctness check may live in a statement that ``python -O`` strips, the
-row format of degree-wise linear algebra stays behind ``algebra.Span``, and
-every name the benchmark's tracer wraps stays bound.
+row format of degree-wise linear algebra stays behind ``algebra.Span``,
+every name the benchmark's tracer wraps stays bound, and every package name
+the README spells out still resolves.
 """
 
 import ast
 import importlib
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
 import chowlab
@@ -55,3 +58,35 @@ def test_tracer_sites_resolve():
     for module_name, attr, _ in sites:
         module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
         assert callable(tracer._lookup(module, attr)), f"{module_name}.{attr}"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+DOTTED_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+
+
+def test_readme_names_resolve():
+    # A backticked dotted name counts when its head is ``chowlab``, a top-level
+    # class or function of the package, or capitalised like a class name (so a
+    # README still naming a deleted class fails); all-caps heads are file names.
+    defined = {
+        node.name: f"chowlab.{path.stem}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    names = [
+        name
+        for name in DOTTED_NAME.findall(README.read_text(encoding="utf-8"))
+        for head in [name.split(".")[0]]
+        if head == "chowlab" or head in defined or (head[0].isupper() and not head.isupper())
+    ]
+    assert "AlgebraPresentation.from_json" in names
+    unresolved = []
+    for name in names:
+        head = name.split(".")[0]
+        target = name if head == "chowlab" else f"{defined.get(head, 'chowlab')}:{name}"
+        try:
+            pkgutil.resolve_name(target)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert not unresolved, f"README names that do not resolve: {unresolved}"

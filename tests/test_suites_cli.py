@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from chowlab import grassmann
 from chowlab.cli import main
 from chowlab.suites import SuiteOptions, run_suite
 
@@ -157,6 +158,33 @@ def test_annihilate_cli(capsys):
     assert data["quotient_poincare"] == [1, 1, 0, 1, 1]
     code, out, _ = _run(capsys, ["annihilate", "maxorth", "4", "--element", "e2"])
     assert json.loads(out)["quotient_poincare"] == [1, 1, 0, 1, 1]
+
+
+ANNIHILATE_INPUTS = [
+    ["maxorth", "4"],
+    ["maxorth", "6"],
+    ["maxorth", "5", "--element", "e2"],
+    ["maxorth", "7", "--element", "e1*e3"],
+    ["oddquot", "2"],
+    ["oddquot", "3"],
+    ["oddquot", "3", "--element", "e3"],
+]
+
+
+@pytest.mark.parametrize("argv", ANNIHILATE_INPUTS, ids=" ".join)
+def test_annihilate_quotient_is_rank_of_multiplication(capsys, argv):
+    # the CLI reads the quotient off the annihilator dimensions (rank-nullity);
+    # the ranks of multiplication by the element must give the same polynomial
+    code, out, _ = _run(capsys, ["annihilate", *argv])
+    data = json.loads(out)
+    kind, param = argv[0], int(argv[1])
+    if kind == "maxorth":
+        ring = grassmann.max_orth_ring(param).ring
+    else:
+        ring = grassmann.odd_quotient_ring(param)
+    elt = ring.element(data["element"])
+    assert code == 0
+    assert data["quotient_poincare"] == grassmann._quotient_poincare(ring, elt).to_list()
 
 
 def test_suite_options_default_ranges():
