@@ -21,20 +21,20 @@ from chowlab.grassmann import (
 )
 from chowlab.motives import essential_poincare
 from chowlab.polynomials import PoincarePolynomial
+from chowlab.suites import report_json
 
-model = max_orth_ring(4)
-ring = model.ring
+ring = max_orth_ring(4)
 print(f"maximal model N=4: rank {ring.poincare().total}, poincare {ring.poincare().to_list()}")
 print(f"  e1^2 = {ring.monomial({'e1': 2})},  e3^2 = {ring.monomial({'e3': 2})}")
 
-model, cls = class_xr_even(2)
+ring, cls = class_xr_even(2)
 print(f"\ncanonical class for r=2: {cls} in codimension {cls.homogeneous_degree()}")
-print(f"unique nonzero even-subring class there: {uniqueness_in_codim(4, 2)}")
-ann = annihilator(cls, model.ring)
-print(f"annihilator dimensions by degree: {[len(ann[d]) for d in range(model.top_degree + 1)]}")
+print(f"unique nonzero even-subring class there: {uniqueness_in_codim(2)}")
+ann = annihilator(cls, ring)
+print(f"annihilator dimensions by degree: {[len(ann[d]) for d in range(ring.max_degree + 1)]}")
 
 for r in (1, 2, 3):
-    quotient = isochow_quotient(2 * r, r)
+    quotient = isochow_quotient(r)
     closed = PoincarePolynomial.exterior(2 * i - 1 for i in range(1, r + 1))
     motive = essential_poincare(2 * r, r)
     print(f"\nr={r}: quotient {quotient.to_list()}")
@@ -47,8 +47,8 @@ e1 = prev.ring.gen("e1")
 print(f"  norm of e1: {prev.norm(e1)}")
 for r in (1, 2):
     report = odd_case_pipeline(r)
-    print(f"  r={r}: {json.dumps(report.to_json(), sort_keys=True)}")
+    print(f"  r={r}: {json.dumps(report_json(report), sort_keys=True)}")
 
-ring6 = max_orth_ring(6).ring
+ring6 = max_orth_ring(6)
 print("\nthe even subring of the N=6 model in degree 6:",
       subring_basis(ring6, [ring6.gen("e2"), ring6.gen("e4")], 6))

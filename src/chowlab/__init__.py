@@ -24,13 +24,11 @@ from .finitefields import (
     witt_index_quadratic,
 )
 from .grassmann import (
-    MaxOrthRing,
     PrevMaxOrthRing,
     SubringClosure,
     annihilator,
     class_xr_even,
     class_xr_odd,
-    disc_generator_multiplier,
     isochow_quotient,
     max_orth_ring,
     odd_case_pipeline,

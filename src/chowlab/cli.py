@@ -52,7 +52,7 @@ def _cmd_poincare(args) -> int:
     if kind == "essential":
         poly = motives.essential_poincare(args.a, args.b)
     elif kind == "maxorth":
-        poly = grassmann.max_orth_ring(args.a).ring.poincare()
+        poly = grassmann.max_orth_ring(args.a).poincare()
     elif kind == "quadric":
         poly = motives.split_quadric_poincare(args.a)
     else:  # orthcount
@@ -64,7 +64,7 @@ def _cmd_poincare(args) -> int:
 def _cmd_presentation(args) -> int:
     kind = args.kind
     if kind == "maxorth":
-        ring = grassmann.max_orth_ring(args.a).ring
+        ring = grassmann.max_orth_ring(args.a)
     elif kind == "prevmax":
         ring = grassmann.prev_max_orth_ring(args.a).ring
     elif kind == "oddquot":
@@ -94,7 +94,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_annihilate(args) -> int:
     if args.ring == "maxorth":
-        ring = grassmann.max_orth_ring(args.param).ring
+        ring = grassmann.max_orth_ring(args.param)
     else:
         ring = grassmann.odd_quotient_ring(args.param)
     if args.element is not None:

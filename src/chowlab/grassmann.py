@@ -25,26 +25,15 @@ def _square_rule(i: int, top: int):
     return ()
 
 
-@dataclass(frozen=True)
-class MaxOrthRing:
+def max_orth_ring(N: int) -> AlgebraPresentation:
     """Chow ring model of the maximal grassmannian of a split 2N-dimensional form."""
-
-    N: int
-    ring: AlgebraPresentation = field(compare=False)
-
-    @property
-    def top_degree(self) -> int:
-        return self.N * (self.N - 1) // 2
-
-
-def max_orth_ring(N: int) -> MaxOrthRing:
     if N < 2:
         raise UsageError("N must be >= 2")
     gens = [
         GeneratorSpec(f"e{i}", degree=i, power_bound=2, replacement=_square_rule(i, N - 1))
         for i in range(1, N)
     ]
-    return MaxOrthRing(N=N, ring=AlgebraPresentation(gens, F2))
+    return AlgebraPresentation(gens, F2)
 
 
 @dataclass(frozen=True)
@@ -122,18 +111,17 @@ def subring_basis(ambient: AlgebraPresentation, gens, d: int) -> list[Element]:
     return SubringClosure(ambient, gens).basis(d)
 
 
-def class_xr_even(r: int) -> tuple[MaxOrthRing, Element]:
+def class_xr_even(r: int) -> tuple[AlgebraPresentation, Element]:
     """The canonical class e_2 e_4 ... e_{2r-2} in the rank-2r maximal model."""
     if r < 1:
         raise UsageError("r must be >= 1")
-    model = max_orth_ring(2 * r)
-    ring = model.ring
+    ring = max_orth_ring(2 * r)
     cls = reduce(
         lambda acc, i: acc * ring.gen(f"e{i}"), range(2, 2 * r - 1, 2), ring.one()
     )
     if cls.is_zero:
         raise UsageError("canonical class vanished; model inconsistent")
-    return model, cls
+    return ring, cls
 
 
 def class_xr_odd(r: int) -> tuple[AlgebraPresentation, Element]:
@@ -145,18 +133,16 @@ def class_xr_odd(r: int) -> tuple[AlgebraPresentation, Element]:
     return ring, cls
 
 
-def even_subring_generators(model: MaxOrthRing) -> list[Element]:
-    return [model.ring.gen(f"e{i}") for i in range(2, model.N - 1, 2)]
-
-
-def uniqueness_in_codim(N: int, r: int) -> bool:
-    """Is the canonical class the only nonzero even-subring element in its codimension?"""
-    if N != 2 * r:
-        raise UsageError("the uniqueness statement is for N = 2r")
-    model, cls = class_xr_even(r)
-    codim = r * (r - 1)
-    basis = SubringClosure(model.ring, even_subring_generators(model)).basis(codim)
+def _unique_in_even_subring(ring: AlgebraPresentation, cls: Element) -> bool:
+    """Is cls the only nonzero element of its codimension in the subring on e_2, e_4, ...?"""
+    evens = [ring.gen(g.name) for g in ring.generators if g.degree % 2 == 0]
+    basis = SubringClosure(ring, evens).basis(cls.homogeneous_degree())
     return len(basis) == 1 and basis[0] == cls
+
+
+def uniqueness_in_codim(r: int) -> bool:
+    """Is the canonical class of the rank-2r maximal model unique in its codimension?"""
+    return _unique_in_even_subring(*class_xr_even(r))
 
 
 def annihilator(x: Element, ambient: AlgebraPresentation) -> dict[int, list[Element]]:
@@ -193,27 +179,18 @@ def _quotient_poincare(ambient: AlgebraPresentation, x: Element) -> PoincarePoly
     return PoincarePolynomial(coeffs)
 
 
-def isochow_quotient(N: int, r: int) -> PoincarePolynomial:
-    """Poincare polynomial of the maximal model modulo the annihilator of the class."""
-    if N != 2 * r:
-        raise UsageError("the even-case quotient is for N = 2r")
-    model, cls = class_xr_even(r)
-    return _quotient_poincare(model.ring, cls)
+def isochow_quotient(r: int) -> PoincarePolynomial:
+    """Poincare polynomial of the rank-2r maximal model modulo the annihilator of the class."""
+    return _quotient_poincare(*class_xr_even(r))
 
 
 def odd_squares_vanish(r: int) -> bool:
     """Do the odd-codimension generators square to zero in the even-case quotient?"""
-    model, cls = class_xr_even(r)
-    ring = model.ring
+    ring, cls = class_xr_even(r)
     for i in range(1, 2 * r, 2):
         if not (ring.gen(f"e{i}") ** 2 * cls).is_zero:
             return False
     return True
-
-
-def disc_generator_multiplier(disc_trivial: bool) -> int:
-    """Multiplier m such that the first reduced Chow group is generated by m*c_1."""
-    return 1 if disc_trivial else 2
 
 
 # -- the odd-case comparison pipeline -----------------------------------------
@@ -230,19 +207,6 @@ class OddCaseReport:
     candidates: dict
     matches: dict
     rank_matches: dict
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "norm_equals_ideal": self.norm_equals_ideal,
-            "model_consistent": self.model_consistent,
-            "class_nonzero": self.class_nonzero,
-            "class_unique_in_codim": self.class_unique_in_codim,
-            "quotient_poincare": self.quotient_poincare.to_list(),
-            "candidates": {k: v.to_list() for k, v in self.candidates.items()},
-            "matches": dict(self.matches),
-            "rank_matches": dict(self.rank_matches),
-        }
 
 
 def odd_case_pipeline(r: int) -> OddCaseReport:
@@ -278,12 +242,9 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
         if len(sub_basis) != rank_n + len(model_basis) or rank_total != len(sub_basis):
             model_consistent = False
 
-    # (iii) the canonical class, its annihilator and the quotient
+    # (iii) the canonical class, its uniqueness, its annihilator and the quotient
     model_ring, cls = class_xr_odd(r)
     quotient = _quotient_poincare(model_ring, cls)
-    even_gens = [model_ring.gen(f"e{i}") for i in range(2, 2 * r + 1, 2)]
-    even_basis = SubringClosure(model_ring, even_gens).basis(r * (r + 1))
-    class_unique = len(even_basis) == 1 and even_basis[0] == cls
 
     # (iv) compare against both printed readings and the motive recursion
     candidates = {
@@ -298,7 +259,7 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
         norm_equals_ideal=norm_equals_ideal,
         model_consistent=model_consistent,
         class_nonzero=not cls.is_zero,
-        class_unique_in_codim=class_unique,
+        class_unique_in_codim=_unique_in_even_subring(model_ring, cls),
         quotient_poincare=quotient,
         candidates=candidates,
         matches=matches,

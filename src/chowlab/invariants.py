@@ -177,39 +177,18 @@ class DegreeCheck:
     passed: bool
     witness: Element | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "pass": self.passed,
-            "witness": self.witness.to_pairs() if self.witness is not None else None,
-        }
-
 
 @dataclass(frozen=True)
 class GenerationReport:
-    check: str
-    params: dict
     degrees: tuple[DegreeCheck, ...]
 
     @property
     def passed(self) -> bool:
         return all(dc.passed for dc in self.degrees)
 
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "degrees": [dc.to_json() for dc in self.degrees],
-            "pass": self.passed,
-        }
-
 
 def quotient_generation_check(
-    sigma: SwapInvolution,
-    generators,
-    max_degree: int,
-    check_name: str = "quotient_generation",
-    params: dict | None = None,
+    sigma: SwapInvolution, generators, max_degree: int
 ) -> GenerationReport:
     """Degreewise test that the invariants modulo norms are generated as stated.
 
@@ -221,9 +200,7 @@ def quotient_generation_check(
     for d in range(max_degree + 1):
         witness = uncovered_invariant(sigma, generator_products(sigma.algebra, generators, d), d)
         results.append(DegreeCheck(d=d, passed=witness is None, witness=witness))
-    return GenerationReport(
-        check=check_name, params=params or {}, degrees=tuple(results)
-    )
+    return GenerationReport(degrees=tuple(results))
 
 
 def codim_le2_generation_check(
@@ -235,13 +212,7 @@ def codim_le2_generation_check(
     ring, sigma = swap_polynomial_ring(r_pairs, k_fixed, coefficients, max_degree)
     gens = [ring.gen(f"t{j}") for j in range(1, k_fixed + 1)]
     gens += [ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, r_pairs + 1)]
-    return quotient_generation_check(
-        sigma,
-        gens,
-        max_degree,
-        check_name="codim_le2_generation",
-        params={"k_fixed": k_fixed, "r_pairs": r_pairs, "coefficients": coefficients},
-    )
+    return quotient_generation_check(sigma, gens, max_degree)
 
 
 @dataclass(frozen=True)
@@ -260,15 +231,6 @@ class ObstructionReport:
             and self.doubled_in_low_degree_span
             and self.witness_is_norm
         )
-
-    def to_json(self) -> dict:
-        return {
-            "witness": self.witness.to_pairs(),
-            "witness_in_low_degree_span": self.witness_in_low_degree_span,
-            "doubled_in_low_degree_span": self.doubled_in_low_degree_span,
-            "witness_is_norm": self.witness_is_norm,
-            "pass": self.passed,
-        }
 
 
 def non_generation_witness() -> ObstructionReport:

@@ -158,6 +158,10 @@ def essential_poincare(n: int, r: int) -> PoincarePolynomial:
     """Tate multiplicities of Essential(n, r), expanded through the split recursion."""
     if not 0 <= r <= n // 2:
         raise UsageError(f"r={r} out of range for n={n}")
+    # fill the table from the bottom, so each call below recurses one level whatever n is
+    for m in range(n % 2, n, 2):
+        for rr in range(max(0, r - (n - m) // 2), min(r, m // 2) + 1):
+            _essential_coeffs(m, rr)
     return PoincarePolynomial(_essential_coeffs(n, r))
 
 
@@ -179,14 +183,6 @@ class KvadrikaReport:
     binding: bool
     delta: tuple[int, ...]
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "binding": self.binding,
-            "delta": list(self.delta),
-            "pass": self.passed,
-        }
 
 
 def kvadrika_check(n: int) -> KvadrikaReport:
@@ -216,17 +212,6 @@ class DvaMrReport:
     positivity: bool
     dominance: dict = field(default_factory=dict)
     passed: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "shift_odd": self.shift_odd,
-            "shift_even": self.shift_even,
-            "positivity": self.positivity,
-            "dominance": dict(self.dominance),
-            "pass": self.passed,
-        }
 
 
 def dvamr_check(n: int, r: int, with_dominance: bool = True) -> DvaMrReport:

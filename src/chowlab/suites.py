@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
 
 from . import grassmann, invariants, motives, weil
-from .algebra import F2, Z
+from .algebra import F2, Z, Element
 from .errors import UsageError
 from .finitefields import (
     _WITT_QUADRATIC_BUDGET,
@@ -109,12 +109,36 @@ def _case(case_id: str, params: dict, check, informational: bool) -> CaseResult:
     return CaseResult(case_id, params, bool(passed), details, informational)
 
 
+def report_json(value):
+    """The JSON form of a domain report.
+
+    A dataclass becomes its fields by name, with ``passed`` (a field or a
+    property) written as ``"pass"``; dict keys become strings, tuples become
+    lists, an ``Element`` its ``to_pairs()`` and a ``PoincarePolynomial`` its
+    ``to_list()``.  Anything else passes through unchanged.
+    """
+    if is_dataclass(value):
+        names = [f.name for f in fields(value)]
+        if hasattr(value, "passed") and "passed" not in names:
+            names.append("passed")
+        return {("pass" if n == "passed" else n): report_json(getattr(value, n)) for n in names}
+    if isinstance(value, dict):
+        return {str(k): report_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [report_json(v) for v in value]
+    if isinstance(value, Element):
+        return value.to_pairs()
+    if isinstance(value, PoincarePolynomial):
+        return value.to_list()
+    return value
+
+
 # -- checks ------------------------------------------------------------------------
 
 
 def _full(report):
     """A report's verdict with its whole JSON as the details."""
-    return report.passed, report.to_json()
+    return report.passed, report_json(report)
 
 
 def _generation(coeff: str, k: int, r: int, max_degree: int):
@@ -136,7 +160,7 @@ def _weil_base(coeff: str, r: int, D: int):
 
 
 def _primerchik_quotient(r: int):
-    quotient = grassmann.isochow_quotient(2 * r, r)
+    quotient = grassmann.isochow_quotient(r)
     expected = PoincarePolynomial.exterior(range(1, 2 * r, 2))
     return quotient == expected, {"quotient": quotient.to_list()}
 
@@ -146,11 +170,11 @@ def _primerchik_squares(r: int):
 
 
 def _primerchik_unique(r: int):
-    return grassmann.uniqueness_in_codim(2 * r, r), {"codim": r * (r - 1)}
+    return grassmann.uniqueness_in_codim(r), {"codim": r * (r - 1)}
 
 
 def _primerchik_motive(r: int):
-    quotient = grassmann.isochow_quotient(2 * r, r)
+    quotient = grassmann.isochow_quotient(r)
     ess = motives.essential_poincare(2 * r, r)
     return quotient == ess, {"quotient": quotient.to_list(), "essential": ess.to_list()}
 
@@ -158,7 +182,7 @@ def _primerchik_motive(r: int):
 def _odd911(r: int):
     report = grassmann.odd_case_pipeline(r)
     ok = report.norm_equals_ideal and report.model_consistent and report.class_nonzero
-    return ok, report.to_json()
+    return ok, report_json(report)
 
 
 def _motives_poincare():
@@ -190,12 +214,12 @@ def _motives_jmin():
 
 def _kvadrika_even(n: int):
     report = motives.kvadrika_check(n)
-    return report.passed and not report.delta, report.to_json()
+    return report.passed and not report.delta, report_json(report)
 
 
 def _kvadrika_odd(n: int):
     report = motives.kvadrika_check(n)
-    return report.delta == tuple([0] * (n - 1) + [2]), report.to_json()
+    return report.delta == tuple([0] * (n - 1) + [2]), report_json(report)
 
 
 def _dvamr(n: int, r: int, dominance: bool):

@@ -146,20 +146,6 @@ class FreenessReport:
             and self.mutation_rejected
         )
 
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "coefficients": self.coefficients,
-            "D": self.D,
-            "spanning": {str(k): v for k, v in self.spanning.items()},
-            "freeness": {str(k): v for k, v in self.freeness.items()},
-            "module_rank": self.module_rank,
-            "relation_in_norms": self.relation_in_norms,
-            "mutation_rejected": self.mutation_rejected,
-            "mutation_witness": self.mutation_witness,
-            "pass": self.passed,
-        }
-
 
 def _power_monomials(R: DoubleBundleRing, d: int) -> list[Element]:
     """Products (c_1 c'_1)^m1 ... (c_r c'_r)^mr * c^k with k < r and total degree d."""
@@ -231,10 +217,4 @@ def base_generation_check(R: DoubleBundleRing, max_degree: int | None = None):
     if max_degree is None:
         max_degree = R.D - 2 * R.r
     gens = [R.base.gen(f"c{i}") * R.base.gen(f"cp{i}") for i in range(1, R.r + 1)]
-    return quotient_generation_check(
-        R.base_sigma,
-        gens,
-        max_degree,
-        check_name="weil_base_generation",
-        params={"r": R.r, "coefficients": R.coefficients},
-    )
+    return quotient_generation_check(R.base_sigma, gens, max_degree)

@@ -18,7 +18,7 @@ from chowlab.grassmann import max_orth_ring
 
 
 def _maxorth(n):
-    return max_orth_ring(n).ring
+    return max_orth_ring(n)
 
 
 def test_normal_form_square_rewrites():
@@ -302,7 +302,7 @@ def test_degree_basis_oracle_all_shipped_presentations():
     from chowlab.weil import build as build_weil
 
     rings = [
-        max_orth_ring(5).ring,
+        max_orth_ring(5),
         prev_max_orth_ring(2).ring,
         odd_quotient_ring(2),
         build_weil(2, Z, 10).ring,

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
+from chowlab import grassmann
 from chowlab.errors import UsageError
 from chowlab.grassmann import (
     SubringClosure,
     annihilator,
     class_xr_even,
     class_xr_odd,
-    disc_generator_multiplier,
-    even_subring_generators,
     isochow_quotient,
     max_orth_ring,
     odd_case_pipeline,
@@ -27,10 +26,10 @@ from chowlab.polynomials import PoincarePolynomial
 
 def test_max_orth_ring_counts():
     for n in range(2, 8):
-        model = max_orth_ring(n)
-        p = model.ring.poincare()
+        ring = max_orth_ring(n)
+        p = ring.poincare()
         assert p.total == 2 ** (n - 1)
-        assert p.degree == model.top_degree == n * (n - 1) // 2
+        assert p.degree == ring.max_degree == n * (n - 1) // 2
         assert p.is_palindromic()
 
 
@@ -58,28 +57,26 @@ def test_top_power_of_e1_sees_spinor_degree_parity():
     degrees = [_shifted_staircase_tableaux(N) for N in range(2, 8)]
     assert degrees == [1, 1, 2, 12, 286, 33592]
     for N, degree in zip(range(2, 8), degrees):
-        model = max_orth_ring(N)
-        top_power = model.ring.gen("e1") ** model.top_degree
+        ring = max_orth_ring(N)
+        top_power = ring.gen("e1") ** ring.max_degree
         assert (not top_power.is_zero) == (degree % 2 == 1), N
 
 
 def test_subring_basis_examples():
-    model = max_orth_ring(4)
-    ring = model.ring
+    ring = max_orth_ring(4)
     assert subring_basis(ring, [ring.gen("e2")], 2) == [ring.gen("e2")]
     assert subring_basis(ring, [], 0) == [ring.one()]
-    model6 = max_orth_ring(6)
-    ring6 = model6.ring
+    ring6 = max_orth_ring(6)
     basis = subring_basis(ring6, [ring6.gen("e2"), ring6.gen("e4")], 6)
     assert basis == [ring6.gen("e2") * ring6.gen("e4")]
 
 
 def test_class_xr_even_examples():
-    model, cls = class_xr_even(2)
-    assert cls == model.ring.gen("e2")
+    ring, cls = class_xr_even(2)
+    assert cls == ring.gen("e2")
     assert cls.homogeneous_degree() == 2
-    model1, cls1 = class_xr_even(1)
-    assert cls1 == model1.ring.one()
+    ring1, cls1 = class_xr_even(1)
+    assert cls1 == ring1.one()
     ring3, cls3 = class_xr_odd(1)
     assert cls3 == ring3.gen("e2")
     assert cls3.homogeneous_degree() == 2
@@ -87,12 +84,14 @@ def test_class_xr_even_examples():
 
 def test_uniqueness_in_codim():
     for r in (1, 2, 3):
-        assert uniqueness_in_codim(2 * r, r)
+        assert uniqueness_in_codim(r)
+    # codimension 6 of the rank-8 model holds both e6 and e2*e4 in the even subring
+    ring = max_orth_ring(8)
+    assert not grassmann._unique_in_even_subring(ring, ring.gen("e6"))
 
 
 def test_annihilator_maxorth4():
-    model = max_orth_ring(4)
-    ring = model.ring
+    ring = max_orth_ring(4)
     e1, e2, e3 = ring.gen("e1"), ring.gen("e2"), ring.gen("e3")
     ann = annihilator(e2, ring)
     assert ann[2] == [e2]
@@ -109,24 +108,23 @@ def test_annihilator_maxorth4():
 
 def test_rank_nullity_per_degree():
     for r in (1, 2, 3):
-        model, cls = class_xr_even(r)
-        ring = model.ring
+        ring, cls = class_xr_even(r)
         ann = annihilator(cls, ring)
-        quotient = isochow_quotient(2 * r, r)
+        quotient = isochow_quotient(r)
         for d in range(ring.max_degree + 1):
             dim_d = len(ring.degree_basis(d))
             assert dim_d == len(ann[d]) + quotient[d]
 
 
 def test_isochow_quotient_values():
-    assert isochow_quotient(2, 1) == [1, 1]
-    assert isochow_quotient(4, 2) == [1, 1, 0, 1, 1]
-    assert isochow_quotient(6, 3) == PoincarePolynomial.exterior([1, 3, 5])
+    assert isochow_quotient(1) == [1, 1]
+    assert isochow_quotient(2) == [1, 1, 0, 1, 1]
+    assert isochow_quotient(3) == PoincarePolynomial.exterior([1, 3, 5])
 
 
 def test_isochow_closed_form_and_motive_match():
     for r in (1, 2, 3):
-        q = isochow_quotient(2 * r, r)
+        q = isochow_quotient(r)
         assert q == PoincarePolynomial.exterior(2 * i - 1 for i in range(1, r + 1))
         assert q == essential_poincare(2 * r, r)
 
@@ -210,19 +208,7 @@ def test_odd_case_quotient_values():
     assert odd_case_pipeline(2).quotient_poincare == [1, 0, 0, 1]
 
 
-def test_even_subring_generators():
-    model = max_orth_ring(6)
-    assert [repr(g) for g in even_subring_generators(model)] == ["e2", "e4"]
-
-
-def test_disc_generator_multiplier():
-    assert disc_generator_multiplier(True) == 1
-    assert disc_generator_multiplier(False) == 2
-    assert disc_generator_multiplier(False) == disc_generator_multiplier(False)
-
-
 def test_subring_closure_validates_generators():
-    model = max_orth_ring(4)
-    ring = model.ring
+    ring = max_orth_ring(4)
     with pytest.raises(UsageError):
         SubringClosure(ring, [ring.gen("e1") + ring.gen("e2")])

@@ -17,6 +17,7 @@ from chowlab.invariants import (
     quotient_generation_check,
     swap_polynomial_ring,
 )
+from chowlab.suites import report_json
 
 
 def test_invariant_basis_examples():
@@ -160,8 +161,8 @@ def test_non_generation_witness():
 
 def test_generation_report_json_schema():
     report = codim_le2_generation_check(1, 2, 4)
-    data = report.to_json()
-    assert set(data) == {"check", "params", "degrees", "pass"}
+    data = report_json(report)
+    assert set(data) == {"degrees", "pass"}
     assert data["pass"] is True
     for entry in data["degrees"]:
         assert set(entry) == {"d", "pass", "witness"}

@@ -19,7 +19,7 @@ from chowlab.motives import (
     split_quadric_poincare,
     witt_decompose_whole,
 )
-from chowlab.polynomials import PoincarePolynomial
+from chowlab.polynomials import PoincarePolynomial, poly_divexact, poly_mul
 
 
 def test_dim_unitary_values():
@@ -89,6 +89,31 @@ def test_essential_poincare_palindromic_top_degree():
             assert p[0] == 1
             assert p.degree == dim_unitary(n, r)
             assert p.is_palindromic()
+
+
+def _unitary_count(n: int, r: int) -> list[int]:
+    """prod_{i=n-2r+1..n} (q^i - (-1)^i) / prod_{i=1..r} (q^(2i) - 1), exactly in Z[q].
+
+    The number of totally isotropic r-spaces of a nondegenerate hermitian form
+    of rank n over F_{q^2} (Taylor, The Geometry of the Classical Groups, ch. 10).
+    """
+    num, den = [1], [1]
+    for i in range(n - 2 * r + 1, n + 1):
+        num = poly_mul([-((-1) ** i)] + [0] * (i - 1) + [1], num)
+    for i in range(1, r + 1):
+        den = poly_mul([-1] + [0] * (2 * i - 1) + [1], den)
+    return poly_divexact(num, den)
+
+
+def test_essential_poincare_is_unitary_count():
+    for n in range(25):
+        for r in range(n // 2 + 1):
+            assert essential_poincare(n, r).to_list() == _unitary_count(n, r), (n, r)
+
+
+def test_essential_poincare_large_n():
+    # the recursion steps n -> n-2, so a naive top-down fill nests about n/2 calls
+    assert essential_poincare(1201, 1).to_list() == _unitary_count(1201, 1)
 
 
 def test_split_quadric_poincare():

@@ -23,6 +23,7 @@ from chowlab.invariants import (
     quotient_generation_check,
     swap_polynomial_ring,
 )
+from chowlab.suites import report_json
 from chowlab.weil import (
     _mutated,
     _power_monomials,
@@ -40,7 +41,7 @@ def lattice_uncovered(sigma, products, d):
 
 
 def lattice_generation(sigma, generators, max_degree):
-    """Per-degree JSON of the lattice answer, in the form ``DegreeCheck.to_json`` takes."""
+    """Per-degree JSON of the lattice answer, in the form ``report_json`` gives a ``DegreeCheck``."""
     out = []
     for d in range(max_degree + 1):
         witness = lattice_uncovered(sigma, generator_products(sigma.algebra, generators, d), d)
@@ -50,7 +51,7 @@ def lattice_generation(sigma, generators, max_degree):
 
 
 def assert_matches_lattice(report, sigma, generators, max_degree):
-    got = [dc.to_json() for dc in report.degrees]
+    got = [report_json(dc) for dc in report.degrees]
     assert got == lattice_generation(sigma, generators, max_degree)
 
 

@@ -2,8 +2,9 @@
 
 No correctness check may live in a statement that ``python -O`` strips, the
 row format of degree-wise linear algebra stays behind ``algebra.Span``,
-every name the benchmark's tracer wraps stays bound, and every package name
-the README spells out still resolves.
+report JSON is written only by ``suites.report_json``, every name the
+benchmark's tracer wraps stays bound, and every package name the README
+spells out still resolves.
 """
 
 import ast
@@ -46,6 +47,23 @@ def test_rows_stay_behind_span():
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ROW_NAMES]
     assert not found, f"row-level linear algebra outside algebra.Span: {found}"
+
+
+def test_json_stays_in_report_layer():
+    # domain reports are dataclasses that suites.report_json encodes; only the
+    # presentation round-trip format and the decompose output keep their own
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "suites.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        owners += [
+            f"{path.name}:{getattr(parents[node], 'name', '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "to_json"
+        ]
+    assert sorted(owners) == ["algebra.py:AlgebraPresentation", "motives.py:Motive"], owners
 
 
 def test_tracer_sites_resolve():

@@ -179,7 +179,7 @@ def test_annihilate_quotient_is_rank_of_multiplication(capsys, argv):
     data = json.loads(out)
     kind, param = argv[0], int(argv[1])
     if kind == "maxorth":
-        ring = grassmann.max_orth_ring(param).ring
+        ring = grassmann.max_orth_ring(param)
     else:
         ring = grassmann.odd_quotient_ring(param)
     elt = ring.element(data["element"])

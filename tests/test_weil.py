@@ -7,6 +7,7 @@ import pytest
 from chowlab.algebra import F2, Z
 from chowlab.errors import UsageError
 from chowlab.invariants import norm_image_basis
+from chowlab.suites import report_json
 from chowlab.weil import (
     base_generation_check,
     build,
@@ -91,7 +92,7 @@ def test_freeness_instances():
     for r in (1, 2, 3):
         for coeff in (Z, F2):
             report = freeness_check(build(r, coeff, 2 * r + 4))
-            assert report.passed, (r, coeff, report.to_json())
+            assert report.passed, (r, coeff, report_json(report))
             assert report.module_rank == r
             assert report.mutation_rejected
 
