@@ -16,6 +16,7 @@ from chowlab.grassmann import (
     max_orth_ring,
     odd_case_pipeline,
     prev_max_orth_ring,
+    prev_max_sigma,
     subring_basis,
     uniqueness_in_codim,
 )
@@ -42,9 +43,8 @@ for r in (1, 2, 3):
     print(f"      motive recursion:                    {motive.to_list()}  match={quotient == motive}")
 
 print("\nodd-case pipeline (previous-to-maximal model):")
-prev = prev_max_orth_ring(1)
-e1 = prev.ring.gen("e1")
-print(f"  norm of e1: {prev.norm(e1)}")
+e1 = prev_max_orth_ring(1).gen("e1")
+print(f"  norm of e1: {e1 + prev_max_sigma(e1)}")
 for r in (1, 2):
     report = odd_case_pipeline(r)
     print(f"  r={r}: {json.dumps(report_json(report), sort_keys=True)}")

@@ -24,7 +24,6 @@ from .finitefields import (
     witt_index_quadratic,
 )
 from .grassmann import (
-    PrevMaxOrthRing,
     SubringClosure,
     annihilator,
     class_xr_even,
@@ -34,6 +33,7 @@ from .grassmann import (
     odd_case_pipeline,
     odd_quotient_ring,
     prev_max_orth_ring,
+    prev_max_sigma,
     subring_basis,
     uniqueness_in_codim,
 )

@@ -17,6 +17,8 @@ from . import grassmann, motives, suites
 from .algebra import F2, Z
 from .errors import BudgetError, ChowlabError, UsageError
 from .finitefields import (
+    _WITT_HERMITIAN_BUDGET,
+    _WITT_QUADRATIC_BUDGET,
     count_isotropic,
     count_singular,
     hermitian_space,
@@ -66,7 +68,7 @@ def _cmd_presentation(args) -> int:
     if kind == "maxorth":
         ring = grassmann.max_orth_ring(args.a)
     elif kind == "prevmax":
-        ring = grassmann.prev_max_orth_ring(args.a).ring
+        ring = grassmann.prev_max_orth_ring(args.a)
     elif kind == "oddquot":
         ring = grassmann.odd_quotient_ring(args.a)
     else:  # weil
@@ -99,13 +101,12 @@ def _cmd_annihilate(args) -> int:
         ring = grassmann.odd_quotient_ring(args.param)
     if args.element is not None:
         elt = _parse_element(ring, args.element)
-    elif args.ring == "maxorth":
-        if args.param % 2:
-            raise UsageError("the canonical class needs an even rank; pass --element")
-        top = args.param - 2
-        elt = _parse_element(ring, "*".join(f"e{i}" for i in range(2, top + 1, 2)))
+    elif args.ring == "oddquot":
+        ring, elt = grassmann.class_xr_odd(args.param)
+    elif args.param % 2:
+        raise UsageError("the canonical class needs an even rank; pass --element")
     else:
-        elt = _parse_element(ring, "*".join(f"e{i}" for i in range(2, 2 * args.param + 1, 2)))
+        ring, elt = grassmann.class_xr_even(args.param // 2)
     ann = grassmann.annihilator(elt, ring)
     degrees = range(ring.max_degree + 1)
     # rank-nullity: dim (ring/Ann(x))_d = dim ring_d - dim Ann(x)_d
@@ -150,8 +151,6 @@ def _load_form(args):
 
 
 def _cmd_count(args) -> int:
-    from .finitefields import _WITT_HERMITIAN_BUDGET, _WITT_QUADRATIC_BUDGET
-
     p, diag = _load_form(args)
     H = hermitian_space(p, diag)
     n = H.n

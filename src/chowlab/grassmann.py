@@ -9,7 +9,7 @@ e_1 -> e + e_1 used to compute norm images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 from .algebra import F2, AlgebraPresentation, Element, GeneratorSpec
@@ -18,62 +18,42 @@ from .motives import essential_poincare
 from .polynomials import PoincarePolynomial
 
 
-def _square_rule(i: int, top: int):
-    """Rewrite data for e_i^2: e_{2i} while 2i <= top, zero beyond."""
-    if 2 * i <= top:
-        return ((1, ((f"e{2 * i}", 1),)),)
-    return ()
+def _square_free(first: int, last: int, extra=()) -> AlgebraPresentation:
+    """The F2 model on ``extra`` and e_first..e_last with e_i^2 = e_{2i}, zero past e_last."""
+    gens = list(extra)
+    for i in range(first, last + 1):
+        square = ((1, ((f"e{2 * i}", 1),)),) if 2 * i <= last else ()
+        gens.append(GeneratorSpec(f"e{i}", degree=i, power_bound=2, replacement=square))
+    return AlgebraPresentation(gens, F2)
 
 
 def max_orth_ring(N: int) -> AlgebraPresentation:
     """Chow ring model of the maximal grassmannian of a split 2N-dimensional form."""
     if N < 2:
         raise UsageError("N must be >= 2")
-    gens = [
-        GeneratorSpec(f"e{i}", degree=i, power_bound=2, replacement=_square_rule(i, N - 1))
-        for i in range(1, N)
-    ]
-    return AlgebraPresentation(gens, F2)
+    return _square_free(1, N - 1)
 
 
-@dataclass(frozen=True)
-class PrevMaxOrthRing:
-    """Ring model of the previous-to-maximal grassmannian, with its involution."""
-
-    r: int
-    ring: AlgebraPresentation = field(compare=False)
-
-    def sigma(self, x: Element) -> Element:
-        """The basis-linear involution determined by e_1 -> e + e_1."""
-        ring = self.ring
-        images = {g.name: ring.gen(g.name) for g in ring.generators}
-        images["e1"] = ring.gen("e") + ring.gen("e1")
-        return ring.substitute(x, images)
-
-    def norm(self, x: Element) -> Element:
-        return x + self.sigma(x)
-
-
-def prev_max_orth_ring(r: int) -> PrevMaxOrthRing:
+def prev_max_orth_ring(r: int) -> AlgebraPresentation:
+    """Ring model of the previous-to-maximal grassmannian: e, with e^(2r+1) = 0, and e_1..e_2r."""
     if r < 1:
         raise UsageError("r must be >= 1")
-    gens = [GeneratorSpec("e", degree=1, power_bound=2 * r + 1, replacement=())]
-    gens += [
-        GeneratorSpec(f"e{i}", degree=i, power_bound=2, replacement=_square_rule(i, 2 * r))
-        for i in range(1, 2 * r + 1)
-    ]
-    return PrevMaxOrthRing(r=r, ring=AlgebraPresentation(gens, F2))
+    return _square_free(1, 2 * r, [GeneratorSpec("e", degree=1, power_bound=2 * r + 1)])
+
+
+def prev_max_sigma(x: Element) -> Element:
+    """The basis-linear involution e_1 -> e + e_1 of the previous-to-maximal model."""
+    ring = x.algebra
+    images = {g.name: ring.gen(g.name) for g in ring.generators}
+    images["e1"] = ring.gen("e") + ring.gen("e1")
+    return ring.substitute(x, images)
 
 
 def odd_quotient_ring(r: int) -> AlgebraPresentation:
     """The quotient-modulo-norms model: generators e_2..e_{2r} with e_i^2 = e_{2i}."""
     if r < 1:
         raise UsageError("r must be >= 1")
-    gens = [
-        GeneratorSpec(f"e{i}", degree=i, power_bound=2, replacement=_square_rule(i, 2 * r))
-        for i in range(2, 2 * r + 1)
-    ]
-    return AlgebraPresentation(gens, F2)
+    return _square_free(2, 2 * r)
 
 
 class SubringClosure:
@@ -111,26 +91,24 @@ def subring_basis(ambient: AlgebraPresentation, gens, d: int) -> list[Element]:
     return SubringClosure(ambient, gens).basis(d)
 
 
+def _canonical_class(ring: AlgebraPresentation, top: int) -> tuple[AlgebraPresentation, Element]:
+    """The class e_2 e_4 ... e_top of ``ring``, which must not vanish."""
+    cls = reduce(lambda acc, i: acc * ring.gen(f"e{i}"), range(2, top + 1, 2), ring.one())
+    if cls.is_zero:
+        raise UsageError("canonical class vanished; model inconsistent")
+    return ring, cls
+
+
 def class_xr_even(r: int) -> tuple[AlgebraPresentation, Element]:
     """The canonical class e_2 e_4 ... e_{2r-2} in the rank-2r maximal model."""
     if r < 1:
         raise UsageError("r must be >= 1")
-    ring = max_orth_ring(2 * r)
-    cls = reduce(
-        lambda acc, i: acc * ring.gen(f"e{i}"), range(2, 2 * r - 1, 2), ring.one()
-    )
-    if cls.is_zero:
-        raise UsageError("canonical class vanished; model inconsistent")
-    return ring, cls
+    return _canonical_class(max_orth_ring(2 * r), 2 * r - 2)
 
 
 def class_xr_odd(r: int) -> tuple[AlgebraPresentation, Element]:
     """The canonical class e_2 e_4 ... e_{2r} in the odd-case quotient model."""
-    ring = odd_quotient_ring(r)
-    cls = reduce(lambda acc, i: acc * ring.gen(f"e{i}"), range(2, 2 * r + 1, 2), ring.one())
-    if cls.is_zero:
-        raise UsageError("canonical class vanished; model inconsistent")
-    return ring, cls
+    return _canonical_class(odd_quotient_ring(r), 2 * r)
 
 
 def _unique_in_even_subring(ring: AlgebraPresentation, cls: Element) -> bool:
@@ -145,38 +123,36 @@ def uniqueness_in_codim(r: int) -> bool:
     return _unique_in_even_subring(*class_xr_even(r))
 
 
-def annihilator(x: Element, ambient: AlgebraPresentation) -> dict[int, list[Element]]:
-    """Per-degree bases of {a : a*x = 0}."""
+def _times_x(ambient: AlgebraPresentation, x: Element):
+    """Each degree's basis with the Span of its products with x; None past the top degree."""
     if x.is_zero:
         raise UsageError("annihilator of zero is everything; rejected")
     codim = x.homogeneous_degree()
     if codim is None:
         raise UsageError("annihilator requires a homogeneous element")
-    out: dict[int, list[Element]] = {}
     for d in range(ambient.max_degree + 1):
         basis = ambient.basis_elements(d)
-        if d + codim > ambient.max_degree:
-            out[d] = basis
-            continue
-        span = ambient.span_solver([b * x for b in basis], d + codim)
-        out[d] = [
+        if d + codim <= ambient.max_degree:
+            yield basis, ambient.span_solver([b * x for b in basis], d + codim)
+        else:
+            yield basis, None
+
+
+def annihilator(x: Element, ambient: AlgebraPresentation) -> dict[int, list[Element]]:
+    """Per-degree bases of {a : a*x = 0}."""
+    return {
+        d: basis if span is None else [
             sum((b * c for c, b in zip(combo, basis) if c), ambient.zero())
             for combo in span.kernel()
         ]
-    return out
+        for d, (basis, span) in enumerate(_times_x(ambient, x))
+    }
 
 
 def _quotient_poincare(ambient: AlgebraPresentation, x: Element) -> PoincarePolynomial:
     """Poincare polynomial of ambient/Ann(x): ranks of multiplication by x."""
-    codim = x.homogeneous_degree()
-    coeffs = []
-    for d in range(ambient.max_degree + 1):
-        if d + codim > ambient.max_degree:
-            coeffs.append(0)
-            continue
-        images = [b * x for b in ambient.basis_elements(d)]
-        coeffs.append(ambient.span_solver(images, d + codim).rank)
-    return PoincarePolynomial(coeffs)
+    ranks = [0 if span is None else span.rank for _, span in _times_x(ambient, x)]
+    return PoincarePolynomial(ranks)
 
 
 def isochow_quotient(r: int) -> PoincarePolynomial:
@@ -216,9 +192,7 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
     quotient is matched against each reading of the expected answer and the
     outcomes are recorded.
     """
-    prev = prev_max_orth_ring(r)
-    ring = prev.ring
-
+    ring = prev_max_orth_ring(r)
     sub = SubringClosure(
         ring, [ring.gen("e")] + [ring.gen(f"e{i}") for i in range(2, 2 * r + 1)]
     )
@@ -226,7 +200,7 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
     model = odd_quotient_ring(r)
     norm_equals_ideal = model_consistent = True
     for d in range(ring.max_degree + 1):
-        norms = [prev.norm(x) for x in ring.basis_elements(d)]
+        norms = [x + prev_max_sigma(x) for x in ring.basis_elements(d)]
         rank_n = ring.span_solver(norms, d).rank
 
         # (i) the norm image coincides with e * <e, e_2, ..., e_2r>

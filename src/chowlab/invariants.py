@@ -243,16 +243,7 @@ def non_generation_witness() -> ObstructionReport:
     p = ring.monomial({"a1": 1, "a2": 1, "a3": 1}) + ring.monomial(
         {"b1": 1, "b2": 1, "b3": 1}
     )
-    deg1 = invariant_basis(sigma, 1)
-    deg2 = invariant_basis(sigma, 2)
-    spanners: list[Element] = []
-    for i in range(len(deg1)):
-        for j in range(i, len(deg1)):
-            for k in range(j, len(deg1)):
-                spanners.append(deg1[i] * deg1[j] * deg1[k])
-    for x in deg1:
-        for y in deg2:
-            spanners.append(x * y)
+    spanners = generator_products(ring, invariant_basis(sigma, 1) + invariant_basis(sigma, 2), 3)
     in_span, _ = ring.span_membership(p, spanners)
     doubled, _ = ring.span_membership(2 * p, spanners)
     is_norm, _ = ring.span_membership(p, norm_image_basis(sigma, 3))

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ChowlabError, UsageError
-from .polynomials import PoincarePolynomial, poly_mul, poly_sub
+from .errors import BudgetError, ChowlabError, UsageError
+from .finitefields import orth_count_polynomial
+from .polynomials import PoincarePolynomial, poly_divexact, poly_mul, poly_sub
 
 
 # -- dimensions ------------------------------------------------------------
@@ -141,6 +142,9 @@ def decompose_step(n: int, r: int) -> Motive:
     return Motive(tuple(summands))
 
 
+_ESSENTIAL_BUDGET = 1 << 21  # table coefficients one essential_poincare call may fill
+
+
 @lru_cache(maxsize=None)
 def _essential_coeffs(n: int, r: int) -> tuple[int, ...]:
     if r < 0 or r > n // 2:
@@ -154,14 +158,33 @@ def _essential_coeffs(n: int, r: int) -> tuple[int, ...]:
     return acc.coeffs
 
 
+def _table(n: int, r: int):
+    """The entries (m, rr) with rr >= 1 that Essential(n, r) expands through, bottom up.
+
+    Filled in this order, each entry recurses one level whatever n is; rr = 0
+    is the unit and needs no entry.
+    """
+    if r == 0:
+        return
+    for m in range(2 + n % 2, n + 1, 2):
+        for rr in range(max(1, r - (n - m) // 2), min(r, m // 2) + 1):
+            yield m, rr
+
+
 def essential_poincare(n: int, r: int) -> PoincarePolynomial:
     """Tate multiplicities of Essential(n, r), expanded through the split recursion."""
     if not 0 <= r <= n // 2:
         raise UsageError(f"r={r} out of range for n={n}")
-    # fill the table from the bottom, so each call below recurses one level whatever n is
-    for m in range(n % 2, n, 2):
-        for rr in range(max(0, r - (n - m) // 2), min(r, m // 2) + 1):
-            _essential_coeffs(m, rr)
+    needed = 0
+    for m, rr in _table(n, r):
+        needed += dim_unitary(m, rr) + 1
+        if needed > _ESSENTIAL_BUDGET:
+            raise BudgetError(
+                f"essential_poincare budget exceeded: n={n}, r={r} needs at least {needed} "
+                f"table coefficients, limit {_ESSENTIAL_BUDGET}"
+            )
+    for m, rr in _table(n, r):
+        _essential_coeffs(m, rr)
     return PoincarePolynomial(_essential_coeffs(n, r))
 
 
@@ -228,8 +251,6 @@ def dvamr_check(n: int, r: int, with_dominance: bool = True) -> DvaMrReport:
     positivity = shift_odd > 0 and (shift_even is None or shift_even > 0)
     dominance: dict[str, bool] = {}
     if with_dominance:
-        from .finitefields import orth_count_polynomial
-
         ess = essential_poincare(n, r)
         targets = [(2 * r - 1, shift_odd)]
         if n > 2:
@@ -237,8 +258,6 @@ def dvamr_check(n: int, r: int, with_dominance: bool = True) -> DvaMrReport:
         for m, delta in targets:
             ambient = orth_count_polynomial(n, m)
             if m == n:
-                from .polynomials import poly_divexact
-
                 ambient = PoincarePolynomial(poly_divexact(ambient.to_list(), [2]))
             doubled = ess * PoincarePolynomial.exterior([delta])
             dominance[f"m={m}"] = ambient.dominates(doubled)

@@ -303,7 +303,7 @@ def test_degree_basis_oracle_all_shipped_presentations():
 
     rings = [
         max_orth_ring(5),
-        prev_max_orth_ring(2).ring,
+        prev_max_orth_ring(2),
         odd_quotient_ring(2),
         build_weil(2, Z, 10).ring,
         free_polynomial_ring([("a", 1), ("b", 2)], Z, truncation=10),

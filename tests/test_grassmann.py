@@ -17,6 +17,7 @@ from chowlab.grassmann import (
     odd_quotient_ring,
     odd_squares_vanish,
     prev_max_orth_ring,
+    prev_max_sigma,
     subring_basis,
     uniqueness_in_codim,
 )
@@ -136,16 +137,14 @@ def test_odd_generators_square_to_zero_in_quotient():
 
 def test_prev_max_ring_shape():
     for r in (1, 2):
-        prev = prev_max_orth_ring(r)
-        p = prev.ring.poincare()
+        p = prev_max_orth_ring(r).poincare()
         assert p.total == (2 * r + 1) * 2 ** (2 * r)
 
 
 def test_prev_max_sigma_involution():
     rng = random.Random(31)
     for r in (1, 2):
-        prev = prev_max_orth_ring(r)
-        ring = prev.ring
+        ring = prev_max_orth_ring(r)
         names = [g.name for g in ring.generators]
         for _ in range(15):
             pairs = []
@@ -153,14 +152,13 @@ def test_prev_max_sigma_involution():
                 mono = {rng.choice(names): 1, rng.choice(names): rng.randint(0, 2)}
                 pairs.append((1, mono))
             x = ring.element(pairs)
-            assert prev.sigma(prev.sigma(x)) == x
+            assert prev_max_sigma(prev_max_sigma(x)) == x
 
 
 def test_prev_max_sigma_semilinear_over_fixed_subring():
     # sigma(x*y) = x*sigma(y) whenever x avoids the moved generator
     rng = random.Random(37)
-    prev = prev_max_orth_ring(2)
-    ring = prev.ring
+    ring = prev_max_orth_ring(2)
     fixed_names = [g.name for g in ring.generators if g.name != "e1"]
     names = [g.name for g in ring.generators]
     for _ in range(15):
@@ -168,18 +166,21 @@ def test_prev_max_sigma_semilinear_over_fixed_subring():
             [(1, {rng.choice(fixed_names): rng.randint(1, 2)}) for _ in range(2)]
         )
         y = ring.element([(1, {rng.choice(names): 1}) for _ in range(2)])
-        assert prev.sigma(x * y) == x * prev.sigma(y)
-        assert prev.sigma(x) == x
+        assert prev_max_sigma(x * y) == x * prev_max_sigma(y)
+        assert prev_max_sigma(x) == x
 
 
 def test_prev_max_norm_examples():
-    prev = prev_max_orth_ring(1)
-    ring = prev.ring
+    ring = prev_max_orth_ring(1)
     e, e1, e2 = ring.gen("e"), ring.gen("e1"), ring.gen("e2")
-    assert prev.norm(e1) == e
-    assert prev.norm(ring.one()).is_zero
-    assert prev.norm(e1 * e2) == e * e2
-    assert prev.norm(ring.monomial({"e": 2, "e1": 1})).is_zero  # e^3 = 0
+
+    def norm(x):
+        return x + prev_max_sigma(x)
+
+    assert norm(e1) == e
+    assert norm(ring.one()).is_zero
+    assert norm(e1 * e2) == e * e2
+    assert norm(ring.monomial({"e": 2, "e1": 1})).is_zero  # e^3 = 0
 
 
 def test_odd_quotient_ring_rank():

@@ -1,10 +1,10 @@
 """Source-level rules.
 
-No correctness check may live in a statement that ``python -O`` strips, the
-row format of degree-wise linear algebra stays behind ``algebra.Span``,
-report JSON is written only by ``suites.report_json``, every name the
-benchmark's tracer wraps stays bound, and every package name the README
-spells out still resolves.
+No correctness check may live in a statement that ``python -O`` strips, every
+import sits at module top level, the row format of degree-wise linear algebra
+stays behind ``algebra.Span``, report JSON is written only by
+``suites.report_json``, every name the benchmark's tracer wraps stays bound,
+and every package name the README spells out still resolves.
 """
 
 import ast
@@ -28,6 +28,19 @@ def test_no_assert_statements_in_package():
     ]
     assert len(list(SRC.glob("*.py"))) > 5
     assert not found, f"assert statements in src/chowlab: {found}"
+
+
+def test_imports_at_module_level():
+    # a function-local import hides a module's dependencies from its header
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+        ]
+    assert not found, f"imports below module level in src/chowlab: {found}"
 
 
 ROW_NAMES = {"F2Span", "ZSpan", "f2_kernel", "z_kernel", "vectorize"}

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from chowlab import grassmann
+from chowlab.algebra import AlgebraPresentation
 from chowlab.cli import main
 from chowlab.suites import SuiteOptions, run_suite
 
@@ -73,6 +74,14 @@ def test_count_budget_exceeded_exits_1(capsys):
     code, _, err = _run(capsys, ["count", "--p", "7", "--diag", "1,1", "--r", "1"])
     assert code == 1
     assert "resource" in err
+
+
+@pytest.mark.parametrize("command", ["poincare essential", "decompose"])
+def test_essential_table_budget_exceeded_exits_1(capsys, command):
+    # Essential(2000, 1000) would fill about 334 million table coefficients
+    code, out, err = _run(capsys, [*command.split(), "2000", "1000"])
+    assert code == 1 and out == ""
+    assert "resource error: essential_poincare budget exceeded" in err
 
 
 def test_count_usage_error_exits_2(capsys):
@@ -158,6 +167,16 @@ def test_annihilate_cli(capsys):
     assert data["quotient_poincare"] == [1, 1, 0, 1, 1]
     code, out, _ = _run(capsys, ["annihilate", "maxorth", "4", "--element", "e2"])
     assert json.loads(out)["quotient_poincare"] == [1, 1, 0, 1, 1]
+
+
+def test_presentation_prevmax_round_trips(capsys):
+    code, out, _ = _run(capsys, ["presentation", "prevmax", "2"])
+    assert code == 0
+    ring = AlgebraPresentation.from_json(out)
+    model = grassmann.prev_max_orth_ring(2)
+    assert ring.to_json() == json.loads(out)
+    for d in range(model.max_degree + 1):
+        assert ring.degree_basis(d) == model.degree_basis(d)
 
 
 ANNIHILATE_INPUTS = [
@@ -260,6 +279,10 @@ def test_verify_out_of_range_options_exit_2(capsys, argv):
         ["presentation", "weil", "2", "-1"],
         ["presentation", "weil", "2", "3"],
         ["presentation", "weil", "0", "4"],
+        ["annihilate", "maxorth", "5"],
+        ["annihilate", "maxorth", "1"],
+        ["annihilate", "oddquot", "0"],
+        ["presentation", "prevmax", "0"],
     ],
 )
 def test_malformed_cli_input_exits_2(capsys, tmp_path, argv):
