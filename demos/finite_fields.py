@@ -1,9 +1,10 @@
 """Finite-field oracles: Witt index doubling and point counts against polynomials.
 
 Every statement the symbolic layers prove at the ring or motive level is
-checked here by raw enumeration over F_4/F_2 and F_9/F_3: the quadratic
-form h(v, v) has twice the hermitian Witt index, and the number of
-isotropic subspaces equals the essential-motive polynomial at q = p.
+checked here over F_4/F_2 and F_9/F_3: the quadratic form h(v, v) has
+twice the hermitian Witt index (a subspace search over F_{p^2} against
+hyperbolic splitting over F_p), and the number of isotropic subspaces,
+found by enumeration, equals the essential-motive polynomial at q = p.
 """
 
 import itertools

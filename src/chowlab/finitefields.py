@@ -7,10 +7,12 @@ Totally isotropic (singular) subspaces are found by a depth-first search
 over reduced-echelon bases that propagates constraints: each accepted row
 adds one linear orthogonality constraint, so the next row is enumerated
 only over the affine solution space of the constraints and then tested for
-its own isotropy.  Counts are exact and Witt indices are found by
-exhaustion.  Budgets are hard caps raising :class:`BudgetError`: on the
-dimension and prime, and on the number of candidate rows (search nodes) one
-call may examine.
+its own isotropy.  Counts are exact.  The hermitian Witt index is the
+largest r at which the search finds a subspace; the quadratic one comes from
+splitting off hyperbolic planes (Witt cancellation), so the two sides of the
+trace-form doubling are computed by independent algorithms.  Budgets are
+hard caps raising :class:`BudgetError`: on the dimension and prime, and on
+the number of candidate rows or vectors (search nodes) one call may examine.
 """
 
 from __future__ import annotations
@@ -439,26 +441,81 @@ def _check_budget(op: str, budget: dict, key: str, size: int, p: int) -> None:
         )
 
 
-def _witt_index(search: _SubspaceSearch, top: int) -> int:
-    """Largest m <= top for which the search finds an m-dimensional subspace."""
-    witt = 0
-    for m in range(1, top + 1):
-        if not search.count(m, first_only=True):
-            break
-        witt = m
-    return witt
-
-
 def witt_index_hermitian(H: HermitianSpace) -> int:
     """Largest r with a totally isotropic r-dimensional subspace."""
     _check_budget("witt_index_hermitian", _WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
-    return _witt_index(_hermitian_search(H, "witt_index_hermitian"), H.n // 2)
+    search = _hermitian_search(H, "witt_index_hermitian")
+    witt = 0
+    for r in range(1, H.n // 2 + 1):
+        if not search.count(r, first_only=True):
+            break
+        witt = r
+    return witt
+
+
+def _combine(coeffs, vectors, p: int) -> list[int]:
+    out = [0] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [(x + c * y) % p for x, y in zip(out, vec)]
+    return out
 
 
 def witt_index_quadratic(Q: QuadraticSpace) -> int:
-    """Largest m with a totally singular m-dimensional subspace."""
-    _check_budget("witt_index_quadratic", _WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
-    return _witt_index(_quadratic_search(Q, "witt_index_quadratic"), Q.dim // 2)
+    """Dimension of a maximal totally singular subspace, by hyperbolic splitting.
+
+    By Witt cancellation (Elman-Karpenko-Merkurjev, *The Algebraic and
+    Geometric Theory of Quadratic Forms*, sections 7-8) Q is an orthogonal
+    sum of m hyperbolic planes and an anisotropic rest, and m is the Witt
+    index.  Starting from W = F_p^dim, the first singular vector v of W in
+    lexicographic coefficient order and a basis vector w of W with
+    b(v, w) != 0 span a hyperbolic plane; W becomes its polar complement in
+    W.  The split stops when an exhaustive pass finds W anisotropic, which
+    over F_p happens at dimension at most 2 (Chevalley-Warning).  Every
+    candidate vector is one node against the node budget.  The singular
+    vectors found are checked to span a totally singular subspace before the
+    index is returned.
+    """
+    op = "witt_index_quadratic"
+    _check_budget(op, _WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
+    p = Q.base.p
+    basis = [[int(i == j) for j in range(Q.dim)] for i in range(Q.dim)]
+    singular = []
+    nodes = 0
+    while True:
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            if not any(coeffs):
+                continue
+            nodes += 1
+            if nodes > _NODE_BUDGET:
+                raise BudgetError(
+                    f"{op} budget exceeded: visited {nodes} nodes, limit {_NODE_BUDGET}"
+                )
+            v = _combine(coeffs, basis, p)
+            if Q.value(v) == 0:
+                break
+        else:  # no singular vector left: W is anisotropic
+            break
+        w = next((u for u in basis if Q.polar(v, u)), None)
+        if w is None:
+            raise ChowlabError(f"singular vector {v} has no polar partner: degenerate rest")
+        plane = [[Q.polar(u, v) for u in basis], [Q.polar(u, w) for u in basis]]
+        basis = [_combine(a, basis, p) for a in modp_kernel(plane, p)]
+        singular.append(v)
+    _check_totally_singular(Q, singular)
+    return len(singular)
+
+
+def _check_totally_singular(Q: QuadraticSpace, vectors) -> None:
+    """Raise unless the vectors are independent and span a totally singular subspace."""
+    if any(Q.value(v) for v in vectors):
+        raise ChowlabError("certificate failed: a split vector is not singular")
+    for i, v in enumerate(vectors):
+        if any(Q.polar(v, u) for u in vectors[i + 1:]):
+            raise ChowlabError("certificate failed: two split vectors are not orthogonal")
+    columns = [[v[k] for v in vectors] for k in range(Q.dim)]
+    if vectors and modp_kernel(columns, Q.base.p):
+        raise ChowlabError("certificate failed: the split vectors are dependent")
 
 
 def count_isotropic(H: HermitianSpace, r: int) -> int:

@@ -307,7 +307,6 @@ def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
     if witt_h == 0:
         return Motive(((essential(n, r), 0),), speck_residual=True)
     i, j = _step_shifts(n, r)
-    out = witt_decompose_whole(n - 2, r - 1, witt_h - 1)
-    out = out + witt_decompose_whole(n - 2, r, witt_h - 1).shifted(i)
-    out = out + witt_decompose_whole(n - 2, r - 1, witt_h - 1).shifted(j)
+    lower = witt_decompose_whole(n - 2, r - 1, witt_h - 1)
+    out = lower + witt_decompose_whole(n - 2, r, witt_h - 1).shifted(i) + lower.shifted(j)
     return Motive(out.summands, speck_residual=True)

@@ -296,17 +296,36 @@ def test_count_isotropic_p5_matches_essential_poincare():
         assert count_isotropic(H, r) == essential_poincare(4, r)(5)
 
 
-# nodes the search visits for witt_index_quadratic on the 10-dimensional F2
-# trace form: finding a singular 4-space and exhausting the 5-spaces
-WITT_F2_N5_NODES = 16641
+# nodes the search visits for count_singular(Q, 5) on the 10-dimensional F2
+# trace form, whose Witt index is 4: every singular 4-space is extended and
+# none reaches dimension 5
+COUNT_F2_N5_M5_NODES = 16623
 
 
 def test_node_budget_bounds_search_work(monkeypatch):
     Q = trace_quadratic(hermitian_space(2, [1] * 5))
-    monkeypatch.setattr(finitefields, "_NODE_BUDGET", WITT_F2_N5_NODES)
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", COUNT_F2_N5_M5_NODES)
+    assert count_singular(Q, 5) == 0
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", COUNT_F2_N5_M5_NODES - 1)
+    message = f"visited {COUNT_F2_N5_M5_NODES} nodes, limit {COUNT_F2_N5_M5_NODES - 1}"
+    with pytest.raises(BudgetError, match=message):
+        count_singular(Q, 5)
+
+
+# candidate vectors the hyperbolic splitting examines on the same form: four
+# planes split off, then the three nonzero vectors of the anisotropic rest
+WITT_SPLIT_F2_N5_NODES = 17
+
+
+def test_node_budget_bounds_splitting_work(monkeypatch):
+    Q = trace_quadratic(hermitian_space(2, [1] * 5))
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", WITT_SPLIT_F2_N5_NODES)
     assert witt_index_quadratic(Q) == 4
-    monkeypatch.setattr(finitefields, "_NODE_BUDGET", WITT_F2_N5_NODES - 1)
-    message = f"visited {WITT_F2_N5_NODES} nodes, limit {WITT_F2_N5_NODES - 1}"
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", WITT_SPLIT_F2_N5_NODES - 1)
+    message = (
+        f"witt_index_quadratic budget exceeded: visited {WITT_SPLIT_F2_N5_NODES} nodes, "
+        f"limit {WITT_SPLIT_F2_N5_NODES - 1}"
+    )
     with pytest.raises(BudgetError, match=message):
         witt_index_quadratic(Q)
 

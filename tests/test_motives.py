@@ -189,6 +189,28 @@ def test_witt_decompose_whole_examples():
     )
 
 
+def _three_call_decompose(n, r, h):
+    # the recursion as first written: the (n - 2, r - 1) branch is computed twice
+    if r < 0 or r > n // 2:
+        return Motive()
+    if r == 0:
+        return Motive(((TATE, 0),))
+    if h == 0:
+        return Motive(((essential(n, r), 0),), speck_residual=True)
+    i, j = motives._step_shifts(n, r)
+    out = _three_call_decompose(n - 2, r - 1, h - 1)
+    out = out + _three_call_decompose(n - 2, r, h - 1).shifted(i)
+    out = out + _three_call_decompose(n - 2, r - 1, h - 1).shifted(j)
+    return Motive(out.summands, speck_residual=True)
+
+
+def test_witt_decompose_whole_matches_three_call_recursion():
+    for n in range(13):
+        for r in range(-1, n // 2 + 2):
+            for h in range(n // 2 + 1):
+                assert witt_decompose_whole(n, r, h) == _three_call_decompose(n, r, h), (n, r, h)
+
+
 def test_witt_decompose_full_split_matches_poincare():
     # fully split: only Tate summands remain and they realize the essential part
     for n in range(2, 8):
