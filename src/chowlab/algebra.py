@@ -7,6 +7,9 @@ power bound and total degree at most the truncation bound.  Degrees above
 the truncation are projected to zero, which models working "up to degree D"
 in an infinite polynomial ring.  Termination of rewriting is proved when a
 presentation is built (:meth:`AlgebraPresentation._check_termination`).
+The normal bases of all degrees come from one walk per presentation, made the
+first time any degree's basis is asked for
+(:meth:`AlgebraPresentation._walk_bases`).
 
 Coefficients are either ``"F2"`` or ``"Z"``.  Linear algebra in one degree goes
 through :class:`Span` (``span_solver``), which takes elements and answers with
@@ -94,21 +97,7 @@ class AlgebraPresentation:
                 terms.append((coeff, exps))
             self._replacements[i] = tuple(terms)
         self._check_termination()
-        self._basis_cache: dict[int, dict[tuple[int, ...], int]] = {}
-        self._mod2: AlgebraPresentation | None = None
-
-    def mod2(self) -> "AlgebraPresentation":
-        """The same presentation over F2 (``self`` when already over F2), built once.
-
-        It shares this presentation's normal bases, which depend only on the
-        degrees, power bounds and truncation.
-        """
-        if self.coefficients == F2:
-            return self
-        if self._mod2 is None:
-            self._mod2 = AlgebraPresentation(self.generators, F2, self.truncation)
-            self._mod2._basis_cache = self._basis_cache
-        return self._mod2
+        self._bases: list[dict[tuple[int, ...], int]] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -227,32 +216,38 @@ class AlgebraPresentation:
         return list(self._basis_index(d))
 
     def _basis_index(self, d: int) -> dict[tuple[int, ...], int]:
-        """Position of each degree-d normal-form monomial in canonical order, built once."""
+        """Position of each degree-d normal-form monomial in canonical order."""
         if d < 0:
             raise UsageError("degree must be nonnegative")
         if self.truncation is not None and d > self.truncation:
             raise UsageError(f"degree {d} exceeds truncation {self.truncation}")
-        if d not in self._basis_cache:
-            out: list[tuple[int, ...]] = []
-            exps = [0] * len(self.generators)
+        if self._bases is None:
+            self._bases = self._walk_bases()
+        return self._bases[d] if d < len(self._bases) else {}
 
-            def rec(i: int, remaining: int) -> None:
-                if i == len(self.generators):
-                    if remaining == 0:
-                        out.append(tuple(exps))
-                    return
-                deg = self._degrees[i]
-                cap = remaining // deg
-                if self._bounds[i] is not None:
-                    cap = min(cap, self._bounds[i] - 1)
-                for e in range(cap + 1):
-                    exps[i] = e
-                    rec(i + 1, remaining - e * deg)
-                exps[i] = 0
+    def _walk_bases(self) -> list[dict[tuple[int, ...], int]]:
+        """Every degree's basis index up to ``max_degree``, from one walk.
 
-            rec(0, d)
-            self._basis_cache[d] = {m: i for i, m in enumerate(sorted(out))}
-        return self._basis_cache[d]
+        The walk extends exponent prefixes one generator at a time, each
+        exponent capped by its power bound and by the degree left, so every
+        prefix completes to a basis monomial and none is a dead end.  Prefixes
+        are extended in order with exponents ascending, so the monomials come
+        out in canonical (lexicographic) order within each degree.
+        """
+        top = self.max_degree
+        walk: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        for deg, bound in zip(self._degrees, self._bounds):
+            cap = top if bound is None else bound - 1
+            walk = [
+                (exps + (e,), used + e * deg)
+                for exps, used in walk
+                for e in range(min(cap, (top - used) // deg) + 1)
+            ]
+        bases: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+        for exps, used in walk:
+            index = bases[used]
+            index[exps] = len(index)
+        return bases
 
     def poincare(self, up_to: int | None = None) -> PoincarePolynomial:
         """Poincare polynomial with coefficient |degree basis| at each degree."""

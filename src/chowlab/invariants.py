@@ -9,17 +9,20 @@ m + sigma(m) as a basis, and the norm module is spanned by all m + sigma(m):
 the orbit sums, and 2m for a fixed monomial m (nothing mod 2).  Invariants
 modulo norms is therefore F2 on the fixed monomials, the Tate cohomology
 H^0(Z/2, A_d), and an invariant's class keeps its fixed monomials with odd
-coefficients (``SwapInvolution.norm_class``).  Every "generated modulo norms"
-statement is tested degreewise as an F2 rank question on those classes; the
-integer lattice of products and norms, which answers the same questions, is
-the reference the tests compare against.
+coefficients (``SwapInvolution.norm_class``).  The classes live in
+``SwapInvolution.classes``, an F2 presentation with one generator per orbit of
+generators, whose normal basis in each degree is the fixed monomials; so the
+checks walk the fixed monomials only, never the ring's whole degree basis.
+Every "generated modulo norms" statement is tested degreewise as an F2 rank
+question on those classes; the integer lattice of products and norms, which
+answers the same questions, is the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraPresentation, Element, free_polynomial_ring
+from .algebra import F2, AlgebraPresentation, Element, GeneratorSpec, free_polynomial_ring
 from .errors import ConfigurationError, UsageError
 
 
@@ -30,6 +33,13 @@ class SwapInvolution:
     swapped pair must share its degree and its power bound.  Then the swap
     permutes every degree's normal basis, so each degree splits into fixed
     monomials and orbit pairs.
+
+    ``classes`` is the bare F2 presentation of invariants modulo norms: one
+    generator per orbit of generators, a fixed generator g as itself and a
+    swapped pair (a, b) as ``a*b`` of twice the degree, each with the same
+    power bound and ordered by the orbit's first position in the ring.  Its
+    normal basis in degree d is the degree-d fixed monomials, in their
+    canonical order (``lift``).
     """
 
     def __init__(self, A: AlgebraPresentation, pairs, fixed=()):
@@ -50,6 +60,23 @@ class SwapInvolution:
             perm[index[a]], perm[index[b]] = index[b], index[a]
         self._perm = tuple(perm)
         self._orbits: dict[int, tuple[list, list]] = {}
+        # Lexicographic order on fixed monomials is decided at each orbit's first position.
+        self._generator_orbits = sorted(
+            tuple(sorted(index[n] for n in orbit))
+            for orbit in self.pairs + tuple((n,) for n in self.fixed)
+        )
+        self.classes = AlgebraPresentation(
+            [
+                GeneratorSpec(
+                    "*".join(A.generators[i].name for i in orbit),
+                    degree=len(orbit) * A.generators[orbit[0]].degree,
+                    power_bound=A.generators[orbit[0]].power_bound,
+                )
+                for orbit in self._generator_orbits
+            ],
+            F2,
+            A.truncation,
+        )
 
     def permute(self, mono: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(mono[self._perm[i]] for i in range(len(mono)))
@@ -71,8 +98,16 @@ class SwapInvolution:
             self._orbits[d] = fixed, orbits
         return self._orbits[d]
 
+    def lift(self, mono: tuple[int, ...]) -> tuple[int, ...]:
+        """The fixed monomial of the ring whose class is the ``classes`` monomial ``mono``."""
+        exps = [0] * len(self.algebra.generators)
+        for e, orbit in zip(mono, self._generator_orbits):
+            for i in orbit:
+                exps[i] = e
+        return tuple(exps)
+
     def norm_class(self, x: Element) -> Element:
-        """The class of the invariant ``x`` modulo norms, as an element of ``A.mod2()``.
+        """The class of the invariant ``x`` modulo norms, as an element of ``classes``.
 
         The class keeps x's fixed monomials with odd coefficients.  Raises
         ConfigurationError when x is not invariant or not in this swap's ring.
@@ -82,8 +117,12 @@ class SwapInvolution:
         images = {m: self.permute(m) for m in x.terms}
         if any(x.terms.get(images[m]) != c for m, c in x.terms.items()):
             raise ConfigurationError(f"{x!r} is not invariant under the swap involution")
-        fixed = {m: 1 for m, c in x.terms.items() if c % 2 and images[m] == m}
-        return Element(self.algebra.mod2(), fixed)
+        fixed = {
+            tuple(m[orbit[0]] for orbit in self._generator_orbits): 1
+            for m, c in x.terms.items()
+            if c % 2 and images[m] == m
+        }
+        return Element(self.classes, fixed)
 
 
 def swap_polynomial_ring(
@@ -163,11 +202,11 @@ def uncovered_invariant(sigma: SwapInvolution, products: list[Element], d: int) 
     Every product must be invariant.  Orbit sums are norms, so the answer is the
     first fixed monomial whose class is outside the F2 span of the products' classes.
     """
-    F = sigma.algebra.mod2()
-    span = F.span_solver([sigma.norm_class(x) for x in products], d)
-    for mono in sigma.orbit_pairs(d)[0]:
-        if not span.contains(Element(F, {mono: 1})):
-            return Element(sigma.algebra, {mono: 1})
+    C = sigma.classes
+    span = C.span_solver([sigma.norm_class(x) for x in products], d)
+    for mono in C.degree_basis(d):
+        if not span.contains(Element(C, {mono: 1})):
+            return Element(sigma.algebra, {sigma.lift(mono): 1})
     return None
 
 

@@ -3,9 +3,11 @@
 ``SUITES`` is the whole catalogue: each entry maps ``SuiteOptions`` to rows
 ``(id, params, check, informational)``.  A check is a thunk returning a
 (passed, details) pair; it looks domain functions up through module globals
-when it is called, never at import time.  Informational rows record their
-outcome but never fail the run unless they raise.  Rows run serially and
-the results are reported in case-id order.
+when the rows are built or run, never at import time.  Rows built for one run
+may share a computation (the two primerchik rows that need
+``isochow_quotient(r)``); nothing is cached across runs.  Informational rows
+record their outcome but never fail the run unless they raise.  Rows run
+serially and the results are reported in case-id order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import partial
+from functools import cache, partial
 
 from . import grassmann, invariants, motives, weil
 from .algebra import F2, Z, Element
@@ -159,8 +161,8 @@ def _weil_base(coeff: str, r: int, D: int):
     return report.passed, {"max_degree": D - 2 * r}
 
 
-def _primerchik_quotient(r: int):
-    quotient = grassmann.isochow_quotient(r)
+def _primerchik_quotient(r: int, isochow):
+    quotient = isochow()
     expected = PoincarePolynomial.exterior(range(1, 2 * r, 2))
     return quotient == expected, {"quotient": quotient.to_list()}
 
@@ -173,10 +175,26 @@ def _primerchik_unique(r: int):
     return grassmann.uniqueness_in_codim(r), {"codim": r * (r - 1)}
 
 
-def _primerchik_motive(r: int):
-    quotient = grassmann.isochow_quotient(r)
+def _primerchik_motive(r: int, isochow):
+    quotient = isochow()
     ess = motives.essential_poincare(2 * r, r)
     return quotient == ess, {"quotient": quotient.to_list(), "essential": ess.to_list()}
+
+
+def _primerchik(o: SuiteOptions):
+    rows = []
+    for r in range(1, o.max_r + 1):
+        isochow = cache(partial(grassmann.isochow_quotient, r))  # shared by this run's two rows
+        rows += [
+            (f"primerchik/r{r}/{name}", {"r": r}, check, False)
+            for name, check in (
+                ("quotient", partial(_primerchik_quotient, r, isochow)),
+                ("squares", partial(_primerchik_squares, r)),
+                ("unique", partial(_primerchik_unique, r)),
+                ("motive", partial(_primerchik_motive, r, isochow)),
+            )
+        ]
+    return rows
 
 
 def _odd911(r: int):
@@ -276,16 +294,7 @@ SUITES = {
         for c in (Z, F2) for r in range(1, o.max_r + 1)
         for suffix, check in (("", _weil_freeness), ("/base", _weil_base))
     ],
-    "primerchik": lambda o: [
-        (f"primerchik/r{r}/{name}", {"r": r}, partial(check, r), False)
-        for r in range(1, o.max_r + 1)
-        for name, check in (
-            ("quotient", _primerchik_quotient),
-            ("squares", _primerchik_squares),
-            ("unique", _primerchik_unique),
-            ("motive", _primerchik_motive),
-        )
-    ],
+    "primerchik": _primerchik,
     "odd911": lambda o: [
         (f"odd911/r{r}", {"r": r}, partial(_odd911, r), True)
         for r in range(1, min(o.max_r, 2) + 1)

@@ -205,11 +205,11 @@ def _kernel_matches_base_norms(R: DoubleBundleRing, d: int) -> bool:
                 return False
     # inclusion 2: the evaluation is injective on base invariants modulo base norms
     images = [
-        R.sigma.norm_class(R.base_in_full(Element(R.base, {m: 1})) * c ** k)
+        R.sigma.norm_class(R.base_in_full(Element(R.base, {R.base_sigma.lift(m): 1})) * c ** k)
         for k in ks
-        for m in R.base_sigma.orbit_pairs(d - 2 * k)[0]
+        for m in R.base_sigma.classes.degree_basis(d - 2 * k)
     ]
-    return R.ring.mod2().span_solver(images, d).rank == len(images)
+    return R.sigma.classes.span_solver(images, d).rank == len(images)
 
 
 def base_generation_check(R: DoubleBundleRing, max_degree: int | None = None):

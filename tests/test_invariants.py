@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chowlab.algebra import F2, AlgebraPresentation, GeneratorSpec, Z, free_polynomial_ring
+from chowlab.algebra import F2, AlgebraPresentation, Element, GeneratorSpec, Z, free_polynomial_ring
 from chowlab.errors import ConfigurationError, UsageError
 from chowlab.invariants import (
     SwapInvolution,
@@ -18,6 +18,7 @@ from chowlab.invariants import (
     swap_polynomial_ring,
 )
 from chowlab.suites import report_json
+from chowlab.weil import build as build_weil
 
 
 def test_invariant_basis_examples():
@@ -97,7 +98,60 @@ def test_norm_class_rejects_element_of_another_ring():
     with pytest.raises(ConfigurationError, match="presentation"):
         sigma.norm_class(x)
     pair = ring.gen("a1") * ring.gen("b1")
-    assert sigma.norm_class(pair) == ring.mod2().monomial({"a1": 1, "b1": 1})
+    assert sigma.norm_class(pair) == sigma.classes.monomial({"a1*b1": 1})
+
+
+def _swaps():
+    for k in (0, 1):
+        for r in range(5):
+            yield swap_polynomial_ring(r, k, Z, truncation=8)[1]
+    for coeff in (Z, F2):
+        for r in (1, 2, 3):
+            R = build_weil(r, coeff, 2 * r + 4)
+            yield R.sigma
+            yield R.base_sigma
+    # orbits interleaved, so that ordering them by last position differs from
+    # ordering by first position; with bounds, truncated or not
+    for t_bound, truncation in ((None, 8), (2, None)):
+        gens = [
+            GeneratorSpec("a", 1, power_bound=3),
+            GeneratorSpec("t", 1, power_bound=t_bound),
+            GeneratorSpec("c", 2, power_bound=2),
+            GeneratorSpec("b", 1, power_bound=3),
+            GeneratorSpec("d", 2, power_bound=2),
+        ]
+        ring = AlgebraPresentation(gens, Z, truncation)
+        yield SwapInvolution(ring, [("a", "b"), ("d", "c")], ["t"])
+
+
+def test_class_basis_lifts_to_the_fixed_monomials_in_order():
+    # the class presentation is built from the generators alone; orbit_pairs
+    # finds the fixed monomials by permuting the whole degree basis
+    for sigma in _swaps():
+        A, C = sigma.algebra, sigma.classes
+        top = A.truncation if A.truncation is not None else A.max_degree + 2
+        for d in range(top + 1):
+            classes = C.degree_basis(d)
+            assert [sigma.lift(m) for m in classes] == sigma.orbit_pairs(d)[0], (A, d)
+            for m in classes:
+                assert sigma.norm_class(Element(A, {sigma.lift(m): 1})) == Element(C, {m: 1})
+
+
+def test_generation_check_never_walks_the_ring_basis(monkeypatch):
+    # a work guard without timing: only the class presentation's basis is walked
+    ring, sigma = swap_polynomial_ring(6, 1, Z, truncation=8)
+    walked = []
+    basis_index = AlgebraPresentation._basis_index
+
+    def recorded(self, d):
+        walked.append(self)
+        return basis_index(self, d)
+
+    monkeypatch.setattr(AlgebraPresentation, "_basis_index", recorded)
+    gens = [ring.gen("t1")] + [ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, 7)]
+    assert quotient_generation_check(sigma, gens, 8).passed
+    assert walked and all(A is sigma.classes for A in walked)
+    assert ring._bases is None
 
 
 def test_quotient_generation_r0_trivial():

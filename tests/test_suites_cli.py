@@ -290,3 +290,40 @@ def test_malformed_cli_input_exits_2(capsys, tmp_path, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert "usage error" in err
+
+
+def test_primerchik_computes_each_quotient_once(monkeypatch):
+    calls = []
+    isochow_quotient = grassmann.isochow_quotient
+
+    def counted(r):
+        calls.append(r)
+        return isochow_quotient(r)
+
+    monkeypatch.setattr(grassmann, "isochow_quotient", counted)
+    result = run_suite("primerchik", SuiteOptions(max_r=3))
+    assert result.passed and len(result.cases) == 12
+    assert sorted(calls) == [1, 2, 3]
+
+
+# Basis monomials walked by codim2 at max_r=6, max_degree=8: 3144 today, all of
+# them in the class presentations.  The ring's own degree-8 basis alone has 125970.
+CODIM2_R6_D8_MONOMIALS = 3500
+
+
+def test_codim2_reaches_r6_d8_within_a_work_bound(monkeypatch):
+    walked = 0
+    walk_bases = AlgebraPresentation._walk_bases
+
+    def counted(self):
+        nonlocal walked
+        bases = walk_bases(self)
+        walked += sum(map(len, bases))
+        return bases
+
+    monkeypatch.setattr(AlgebraPresentation, "_walk_bases", counted)
+    result = run_suite("codim2", SuiteOptions(max_r=6, max_degree=8))
+    assert [c.id for c in result.cases if c.passed] == [
+        f"codim2/{c}/k{k}/r{r}" for c in ("F2", "Z") for k in (0, 1) for r in range(1, 7)
+    ]
+    assert walked <= CODIM2_R6_D8_MONOMIALS
