@@ -17,8 +17,8 @@ from . import grassmann, motives, suites
 from .algebra import F2, Z
 from .errors import BudgetError, ChowlabError, UsageError
 from .finitefields import (
-    _WITT_HERMITIAN_BUDGET,
-    _WITT_QUADRATIC_BUDGET,
+    WITT_HERMITIAN_BUDGET,
+    WITT_QUADRATIC_BUDGET,
     count_isotropic,
     count_singular,
     hermitian_space,
@@ -157,40 +157,28 @@ def _cmd_count(args) -> int:
     if (args.r is None) == (args.m is None):
         raise UsageError("exactly one of --r and --m is required")
     if args.r is not None:
-        budget = {"max_n": _WITT_HERMITIAN_BUDGET["n"], "p": list(_WITT_HERMITIAN_BUDGET["p"])}
+        key = "r"
+        budget = {"max_n": WITT_HERMITIAN_BUDGET["n"], "p": list(WITT_HERMITIAN_BUDGET["p"])}
         count = count_isotropic(H, args.r)
-        predicted = (
-            motives.essential_poincare(n, args.r)(p) if args.r <= n // 2 else 0
-        )
-        _emit(
-            {
-                "p": p,
-                "n": n,
-                "diag": list(H.diag),
-                "r": args.r,
-                "count": count,
-                "predicted": predicted,
-                "budget": budget,
-            }
-        )
+        predicted = motives.essential_poincare(n, args.r)(p) if args.r <= n // 2 else 0
     else:
-        budget = {"max_dim": _WITT_QUADRATIC_BUDGET["dim"], "p": list(_WITT_QUADRATIC_BUDGET["p"])}
-        Q = trace_quadratic(H)
-        count = count_singular(Q, args.m)
+        key = "m"
+        budget = {"max_dim": WITT_QUADRATIC_BUDGET["dim"], "p": list(WITT_QUADRATIC_BUDGET["p"])}
+        count = count_singular(trace_quadratic(H), args.m)
         predicted = None
         if witt_index_hermitian(H) == n // 2 and n % 2 == 0:
             predicted = orth_count_polynomial(n, args.m)(p) if args.m <= n else 0
-        _emit(
-            {
-                "p": p,
-                "n": n,
-                "diag": list(H.diag),
-                "m": args.m,
-                "count": count,
-                "predicted": predicted,
-                "budget": budget,
-            }
-        )
+    _emit(
+        {
+            "p": p,
+            "n": n,
+            "diag": list(H.diag),
+            key: getattr(args, key),
+            "count": count,
+            "predicted": predicted,
+            "budget": budget,
+        }
+    )
     return 0
 
 

@@ -2,7 +2,10 @@
 
 Hermitian forms live over the quadratic extension of a prime field (the
 lexicographically first monic irreducible quadratic is used as modulus);
-the associated quadratic form is h(v, v) read over the prime field.
+the associated quadratic form is h(v, v) read over the prime field.  Each
+job has one code path: linear solves are the Gauss-Jordan kernel of
+:mod:`chowlab.linalg` on the field's lookup tables, walks over an affine
+space are ``_points``, and examined candidates are counted by ``_Nodes``.
 Totally isotropic (singular) subspaces are found by a depth-first search
 over reduced-echelon bases that propagates constraints: each accepted row
 adds one linear orthogonality constraint, so the next row is enumerated
@@ -18,16 +21,16 @@ the number of candidate rows or vectors (search nodes) one call may examine.
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetError, ChowlabError, UsageError
-from .linalg import modp_kernel
+from .linalg import field_kernel, modp_kernel
 from .polynomials import PoincarePolynomial, poly_divexact, poly_mul
 
-_WITT_HERMITIAN_BUDGET = {"n": 5, "p": (2, 3, 5)}
-_WITT_QUADRATIC_BUDGET = {"dim": 10, "p": (2, 3)}
-_NODE_BUDGET = 1 << 22  # candidate rows one public call may examine
+WITT_HERMITIAN_BUDGET = {"n": 5, "p": (2, 3, 5)}
+WITT_QUADRATIC_BUDGET = {"dim": 10, "p": (2, 3)}
+_NODE_BUDGET = 1 << 22  # candidate rows or vectors one public call may examine
 
 
 def _is_prime(p: int) -> bool:
@@ -41,27 +44,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class PrimeField:
     """The field Z/p with elements represented as residues 0..p-1."""
 
-    def __init__(self, p: int):
-        if type(p) is not int:
-            raise UsageError(f"p must be an integer, got {p!r}")
-        if not _is_prime(p):
-            raise UsageError(f"{p} is not prime")
-        self.p = p
+    p: int
 
-    def elements(self):
-        return range(self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+    def __post_init__(self):
+        if type(self.p) is not int:
+            raise UsageError(f"p must be an integer, got {self.p!r}")
+        if not _is_prime(self.p):
+            raise UsageError(f"{self.p} is not prime")
 
 
 class QuadExtField:
@@ -95,9 +88,6 @@ class QuadExtField:
 
     def decode(self, x: int) -> tuple[int, int]:
         return x % self.base.p, x // self.base.p
-
-    def from_base(self, a: int) -> int:
-        return a % self.base.p
 
     def in_base(self, x: int) -> bool:
         return x < self.base.p
@@ -161,8 +151,8 @@ class HermitianSpace:
     def value(self, v, w) -> int:
         K = self.field
         acc = 0
-        for d, vi, wi in zip(self.diag, v, w):
-            acc = K.add(acc, K.mul(K.from_base(d), K.mul(vi, K.conj(wi))))
+        for d, vi, wi in zip(self.diag, v, w):  # a reduced d encodes itself
+            acc = K.add(acc, K.mul(d, K.mul(vi, K.conj(wi))))
         return acc
 
 
@@ -171,7 +161,10 @@ def hermitian_space(p: int, diag) -> HermitianSpace:
 
 
 class QuadraticSpace:
-    """A quadratic form over a prime field given by an upper-triangular matrix."""
+    """A quadratic form over a prime field given by an upper-triangular matrix Q.
+
+    ``gram`` is Q + Q^T, the Gram matrix of the polar form.
+    """
 
     def __init__(self, base: PrimeField, upper):
         self.base = base
@@ -180,6 +173,10 @@ class QuadraticSpace:
         for i, row in enumerate(self.upper):
             if len(row) != self.dim or any(row[j] for j in range(i)):
                 raise UsageError("coefficient matrix must be square upper-triangular")
+        self.gram = tuple(
+            tuple((a + b) % base.p for a, b in zip(row, column))
+            for row, column in zip(self.upper, zip(*self.upper))
+        )
         self._terms = [
             (i, j, c) for i, row in enumerate(self.upper) for j, c in enumerate(row) if c
         ]
@@ -199,51 +196,23 @@ class QuadraticSpace:
         return sum(c * v[i] * v[j] for i, j, c in self._terms) % self.base.p
 
     def polar(self, v, w) -> int:
-        # b(v, w) = q(v+w) - q(v) - q(w), evaluated via B = Q + Q^T
-        p = self.base.p
+        """b(v, w) = q(v + w) - q(v) - q(w)."""
         acc = 0
-        for i in range(self.dim):
-            if v[i] == 0:
-                continue
-            for j in range(self.dim):
-                if i < j:
-                    acc += self.upper[i][j] * v[i] * w[j]
-                elif i > j:
-                    acc += self.upper[j][i] * v[i] * w[j]
-                else:
-                    acc += 2 * self.upper[i][i] * v[i] * w[j]
-        return acc % p
+        for x, row in zip(v, self.gram):
+            if x:
+                acc += x * sum(map(operator.mul, row, w))
+        return acc % self.base.p
 
     def _nondegenerate(self) -> bool:
-        p = self.base.p
-        bmat = [
-            [(self.polar_entry(i, j)) for j in range(self.dim)] for i in range(self.dim)
-        ]
-        radical = modp_kernel(bmat, p)
+        radical = modp_kernel(self.gram, self.base.p)
         if not radical:
             return True
-        if p != 2:
+        if self.base.p != 2:
             return False
         # characteristic 2: the form is nondegenerate iff q does not vanish
         # on a nonzero vector of the polar radical
-        for coeffs in itertools.product(range(p), repeat=len(radical)):
-            if not any(coeffs):
-                continue
-            v = [0] * self.dim
-            for c, vec in zip(coeffs, radical):
-                for k in range(self.dim):
-                    v[k] = (v[k] + c * vec[k]) % p
-            if self.value(v) == 0:
-                return False
-        return True
-
-    def polar_entry(self, i: int, j: int) -> int:
-        p = self.base.p
-        if i < j:
-            return self.upper[i][j] % p
-        if i > j:
-            return self.upper[j][i] % p
-        return (2 * self.upper[i][i]) % p
+        points = _points(_tables(self.base), [0] * self.dim, radical)
+        return all(self.value(v) for v in points if any(v))
 
     def __repr__(self):
         return f"QuadraticSpace(p={self.base.p}, dim={self.dim})"
@@ -277,18 +246,41 @@ def _tables(field) -> tuple:
         size, add, mul = field.size, field.add, field.mul
     else:
         p = size = field.p
-
-        def add(x, y):
-            return (x + y) % p
-
-        def mul(x, y):
-            return x * y % p
-
+        add, mul = (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
     add_t = tuple(tuple(add(x, y) for y in range(size)) for x in range(size))
     mul_t = tuple(tuple(mul(x, y) for y in range(size)) for x in range(size))
     neg = tuple(row.index(0) for row in add_t)
     inv = (0,) + tuple(row.index(1) for row in mul_t[1:])
     return add_t, mul_t, neg, inv
+
+
+def _points(tables, v, directions):
+    """Every v + t_1 w_1 + t_2 w_2 + ..., depth first in lexicographic order of (t_1, t_2, ...)."""
+    if not directions:
+        yield v
+        return
+    add, mul, _, _ = tables
+    w, rest = directions[0], directions[1:]
+    yield from _points(tables, v, rest)  # t = 0
+    for tw in mul[1:]:
+        yield from _points(tables, [add[a][tw[b]] for a, b in zip(v, w)], rest)
+
+
+class _Nodes:
+    """The candidates one public call examines, counted against ``_NODE_BUDGET``."""
+
+    def __init__(self, op: str):
+        self.op, self.visited = op, 0
+
+    def walk(self, candidates):
+        for v in candidates:
+            self.visited += 1
+            if self.visited > _NODE_BUDGET:
+                raise BudgetError(
+                    f"{self.op} budget exceeded: visited {self.visited} nodes, "
+                    f"limit {_NODE_BUDGET}"
+                )
+            yield v
 
 
 class _SubspaceSearch:
@@ -301,15 +293,13 @@ class _SubspaceSearch:
     a with sum a_j v_j = 0 exactly when v is orthogonal to u) on every later
     row v, which is therefore enumerated only over the affine solution space
     of those constraints in its free coordinates; ``null(v)`` tests the row's
-    own isotropy.  Every candidate row examined is one node, counted against
-    ``_NODE_BUDGET`` over the life of the search.
+    own isotropy.  Every candidate row examined is one node (``nodes``).
     """
 
     def __init__(self, op: str, field, dim: int, functional, null):
-        self.add, self.mul, self.neg, self.inv = _tables(field)
-        self.op, self.dim, self.functional, self.null = op, dim, functional, null
-        self.limit = _NODE_BUDGET
-        self.visited = 0
+        self.tables = _tables(field)
+        self.dim, self.functional, self.null = dim, functional, null
+        self.nodes = _Nodes(op)
 
     def count(self, r: int, first_only: bool = False) -> int:
         """Number of isotropic r-subspaces; with first_only, stop at the first."""
@@ -324,13 +314,7 @@ class _SubspaceSearch:
             space = self._solve(c, pivots, constraints)
             if space is None:
                 continue
-            for v in self._points(*space):
-                self.visited += 1
-                if self.visited > self.limit:
-                    raise BudgetError(
-                        f"{self.op} budget exceeded: visited {self.visited} nodes, "
-                        f"limit {self.limit}"
-                    )
+            for v in self.nodes.walk(_points(self.tables, *space)):
                 if not self.null(v):
                     continue
                 if k == 1:
@@ -346,56 +330,22 @@ class _SubspaceSearch:
     def _solve(self, c, pivots, constraints):
         """Rows e_c + sum x_j e_j over the free j > c that meet every constraint.
 
-        Gauss-Jordan elimination on the constraints restricted to the free
-        coordinates; returns (base, directions) as full-length vectors, or
-        None when no row qualifies.
+        The kernel of the constraints on the free coordinates, with column c
+        last: when c is a free column, its kernel vector is the base row and
+        the others are the directions.  Returns (base, directions) as
+        full-length vectors, or None when no row qualifies.
         """
-        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
-        free = [j for j in range(c + 1, self.dim) if j not in pivots]
-        n = len(free)
-        rows = [[a[j] for j in free] + [neg[a[c]]] for a in constraints]
-        pivot_cols = []
-        for col in range(n):
-            rank = len(pivot_cols)
-            hit = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-            if hit is None:
-                continue
-            scale = mul[inv[rows[hit][col]]]
-            prow = [scale[x] for x in rows[hit]]
-            rows[hit] = rows[rank]
-            rows[rank] = prow
-            for i, row in enumerate(rows):
-                if i != rank and row[col]:
-                    f = mul[neg[row[col]]]
-                    rows[i] = [add[x][f[y]] for x, y in zip(row, prow)]
-            pivot_cols.append(col)
-        if any(row[n] for row in rows[len(pivot_cols):]):
+        free = [j for j in range(c + 1, self.dim) if j not in pivots] + [c]
+        kernel = field_kernel([[a[j] for j in free] for a in constraints], len(free), self.tables)
+        if not kernel or not kernel[-1][-1]:
             return None
-        base = [0] * self.dim
-        base[c] = 1
-        for row, col in zip(rows, pivot_cols):
-            base[free[col]] = row[n]
-        directions = []
-        for col in range(n):
-            if col in pivot_cols:
-                continue
+        rows = []
+        for k in kernel:
             w = [0] * self.dim
-            w[free[col]] = 1
-            for row, pc in zip(rows, pivot_cols):
-                w[free[pc]] = neg[row[col]]
-            directions.append(w)
-        return base, directions
-
-    def _points(self, v, directions):
-        # every v + sum t_i w_i, depth first
-        if not directions:
-            yield v
-            return
-        w, rest = directions[0], directions[1:]
-        add, mul = self.add, self.mul
-        for t in range(len(mul)):
-            tw = mul[t]
-            yield from self._points([add[a][tw[b]] for a, b in zip(v, w)], rest)
+            for j, x in zip(free, k):
+                w[j] = x
+            rows.append(w)
+        return rows[-1], rows[:-1]
 
 
 def _hermitian_search(H: HermitianSpace, op: str) -> _SubspaceSearch:
@@ -419,18 +369,15 @@ def _hermitian_search(H: HermitianSpace, op: str) -> _SubspaceSearch:
 
 def _quadratic_search(Q: QuadraticSpace, op: str) -> _SubspaceSearch:
     # the constraint of u is the polar form b(u, .)
-    p, dim = Q.base.p, Q.dim
-    polar = [
-        [(j, Q.polar_entry(i, j)) for j in range(dim) if Q.polar_entry(i, j)] for i in range(dim)
-    ]
+    p, gram = Q.base.p, Q.gram
 
     def functional(u):
-        return [sum(c * u[j] for j, c in row) % p for row in polar]
+        return [sum(map(operator.mul, row, u)) % p for row in gram]
 
     def null(v):
         return Q.value(v) == 0
 
-    return _SubspaceSearch(op, Q.base, dim, functional, null)
+    return _SubspaceSearch(op, Q.base, Q.dim, functional, null)
 
 
 def _check_budget(op: str, budget: dict, key: str, size: int, p: int) -> None:
@@ -443,7 +390,7 @@ def _check_budget(op: str, budget: dict, key: str, size: int, p: int) -> None:
 
 def witt_index_hermitian(H: HermitianSpace) -> int:
     """Largest r with a totally isotropic r-dimensional subspace."""
-    _check_budget("witt_index_hermitian", _WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
+    _check_budget("witt_index_hermitian", WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
     search = _hermitian_search(H, "witt_index_hermitian")
     witt = 0
     for r in range(1, H.n // 2 + 1):
@@ -451,14 +398,6 @@ def witt_index_hermitian(H: HermitianSpace) -> int:
             break
         witt = r
     return witt
-
-
-def _combine(coeffs, vectors, p: int) -> list[int]:
-    out = [0] * len(vectors[0])
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            out = [(x + c * y) % p for x, y in zip(out, vec)]
-    return out
 
 
 def witt_index_quadratic(Q: QuadraticSpace) -> int:
@@ -477,30 +416,24 @@ def witt_index_quadratic(Q: QuadraticSpace) -> int:
     index is returned.
     """
     op = "witt_index_quadratic"
-    _check_budget(op, _WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
-    p = Q.base.p
+    _check_budget(op, WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
+    p, tables, zero = Q.base.p, _tables(Q.base), [0] * Q.dim
     basis = [[int(i == j) for j in range(Q.dim)] for i in range(Q.dim)]
     singular = []
-    nodes = 0
+    nodes = _Nodes(op)
     while True:
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            nodes += 1
-            if nodes > _NODE_BUDGET:
-                raise BudgetError(
-                    f"{op} budget exceeded: visited {nodes} nodes, limit {_NODE_BUDGET}"
-                )
-            v = _combine(coeffs, basis, p)
-            if Q.value(v) == 0:
-                break
-        else:  # no singular vector left: W is anisotropic
+        nonzero = (v for v in _points(tables, zero, basis) if any(v))
+        v = next((v for v in nodes.walk(nonzero) if Q.value(v) == 0), None)
+        if v is None:  # no singular vector left: W is anisotropic
             break
         w = next((u for u in basis if Q.polar(v, u)), None)
         if w is None:
             raise ChowlabError(f"singular vector {v} has no polar partner: degenerate rest")
         plane = [[Q.polar(u, v) for u in basis], [Q.polar(u, w) for u in basis]]
-        basis = [_combine(a, basis, p) for a in modp_kernel(plane, p)]
+        basis = [
+            [sum(map(operator.mul, a, column)) % p for column in zip(*basis)]
+            for a in modp_kernel(plane, p)
+        ]
         singular.append(v)
     _check_totally_singular(Q, singular)
     return len(singular)
@@ -522,7 +455,7 @@ def count_isotropic(H: HermitianSpace, r: int) -> int:
     """Exact number of totally isotropic r-dimensional subspaces."""
     if r < 0:
         raise UsageError("r must be nonnegative")
-    _check_budget("count_isotropic", _WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
+    _check_budget("count_isotropic", WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
     return _hermitian_search(H, "count_isotropic").count(r)
 
 
@@ -530,7 +463,7 @@ def count_singular(Q: QuadraticSpace, m: int) -> int:
     """Exact number of totally singular m-dimensional subspaces."""
     if m < 0:
         raise UsageError("m must be nonnegative")
-    _check_budget("count_singular", _WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
+    _check_budget("count_singular", WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
     return _quadratic_search(Q, "count_singular").count(m)
 
 
@@ -564,7 +497,7 @@ def jacobson_check(H1: HermitianSpace, H2: HermitianSpace) -> bool:
         raise UsageError("spaces must have equal dimension")
     if H1.field != H2.field:
         raise UsageError("spaces must live over the same field")
-    _check_budget("jacobson_check", _WITT_HERMITIAN_BUDGET, "n", H1.n, H1.field.base.p)
+    _check_budget("jacobson_check", WITT_HERMITIAN_BUDGET, "n", H1.n, H1.field.base.p)
     q_iso = witt_index_quadratic(trace_quadratic(H1)) == witt_index_quadratic(
         trace_quadratic(H2)
     )

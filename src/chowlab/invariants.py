@@ -32,7 +32,9 @@ class SwapInvolution:
     The pairs and the fixed names must partition the generators, and each
     swapped pair must share its degree and its power bound.  Then the swap
     permutes every degree's normal basis, so each degree splits into fixed
-    monomials and orbit pairs.
+    monomials and orbit pairs.  The swap must also permute the rewrite
+    rules: a swapped generator's rule is the swap of its partner's, and a
+    fixed generator's rule is swap-invariant, so that ``apply`` is a ring map.
 
     ``classes`` is the bare F2 presentation of invariants modulo norms: one
     generator per orbit of generators, a fixed generator g as itself and a
@@ -59,6 +61,14 @@ class SwapInvolution:
                 raise ConfigurationError(f"swapped pair ({a}, {b}) has unequal power bounds")
             perm[index[a]], perm[index[b]] = index[b], index[a]
         self._perm = tuple(perm)
+        for i, rule in A._replacements.items():
+            image = A._normalize([(self.permute(exps), c) for c, exps in rule])
+            if image != A._normalize([(exps, c) for c, exps in A._replacements[perm[i]]]):
+                name, partner = A.generators[i].name, A.generators[perm[i]].name
+                raise ConfigurationError(
+                    f"rule of fixed generator {name!r} is not swap-invariant" if i == perm[i]
+                    else f"rule of {partner!r} is not the swap image of the rule of {name!r}"
+                )
         self._orbits: dict[int, tuple[list, list]] = {}
         # Lexicographic order on fixed monomials is decided at each orbit's first position.
         self._generator_orbits = sorted(

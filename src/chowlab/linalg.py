@@ -1,14 +1,16 @@
-"""Exact linear algebra over GF(2) and over the integers.
+"""Exact linear algebra over GF(2), over the integers and over finite fields.
 
 GF(2) vectors are int bitmasks; integer vectors are dense lists of Python
 ints (arbitrary precision).  Both backends keep track of how reduced rows
 were obtained from the input rows, so membership queries can return witness
-coefficients and fully reduced rows yield kernel combinations.
+coefficients and fully reduced rows yield kernel combinations.  Kernels over
+any finite field, Z/p and F_{p^2} alike, come from one Gauss-Jordan
+elimination on the field's lookup tables (``field_kernel``).
 """
 
 from __future__ import annotations
 
-from math import gcd
+import functools
 
 
 class F2Span:
@@ -198,32 +200,69 @@ def z_kernel(rows) -> list[list[int]]:
     return span.kernel_vectors()
 
 
-def modp_kernel(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Kernel basis of a matrix over Z/p (columns as unknowns)."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows = [[x % p for x in row] for row in matrix]
-    pivots: dict[int, int] = {}  # column -> row index
-    rank_rows: list[list[int]] = []
-    for row in rows:
-        for col in sorted(pivots):
-            if row[col]:
-                r = pivots[col]
-                f = row[col] * pow(rank_rows[r][col], -1, p) % p
-                row = [(x - f * y) % p for x, y in zip(row, rank_rows[r])]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            pivots[lead] = len(rank_rows)
-            rank_rows.append(row)
-    free = [j for j in range(ncols) if j not in pivots]
+class _Table(dict):
+    """A lookup table whose entry ``x`` is ``rule(x)``, computed on first lookup."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, x):
+        self[x] = value = self.rule(x)
+        return value
+
+
+@functools.lru_cache(maxsize=8)
+def _residue_tables(p: int) -> tuple:
+    # Z/p as field_kernel reads it, filled only where looked up, so any prime fits
+    add = _Table(lambda x: _Table(lambda y: (x + y) % p))
+    mul = _Table(lambda x: _Table(lambda y: x * y % p))
+    return add, mul, _Table(lambda x: -x % p), _Table(lambda x: pow(x, -1, p))
+
+
+def field_kernel(rows, ncols: int, tables) -> list[list[int]]:
+    """Kernel basis of a matrix over a finite field, by Gauss-Jordan elimination.
+
+    The field's elements are 0..q-1 and ``tables`` is (add, mul, neg, inv),
+    read as ``add[x][y]``, ``mul[x][y]``, ``neg[x]`` and ``inv[x]``.  The
+    basis has one vector per free column, in column order: 1 in that column
+    and 0 in the other free columns, so it is unique.
+    """
+    add, mul, neg, inv = tables
+    rows = list(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        for hit in range(rank, len(rows)):
+            if rows[hit][col]:
+                break
+        else:
+            continue
+        scale = mul[inv[rows[hit][col]]]
+        prow = [scale[x] for x in rows[hit]]
+        rows[hit] = rows[rank]
+        rows[rank] = prow
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = mul[neg[row[col]]]
+                rows[i] = [add[x][f[y]] for x, y in zip(row, prow)]
+        pivots.append(col)
     basis = []
-    for f in free:
+    for col in range(ncols):
+        if col in pivots:
+            continue
         vec = [0] * ncols
-        vec[f] = 1
-        for col in sorted(pivots, reverse=True):
-            row = rank_rows[pivots[col]]
-            s = sum(row[j] * vec[j] for j in range(col + 1, ncols)) % p
-            vec[col] = (-s) * pow(row[col], -1, p) % p
+        vec[col] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = neg[row[col]]
         basis.append(vec)
     return basis
+
+
+def modp_kernel(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Kernel basis of a matrix over Z/p (columns as unknowns), as ``field_kernel``."""
+    if not matrix:
+        return []
+    rows = [[x % p for x in row] for row in matrix]
+    return field_kernel(rows, len(matrix[0]), _residue_tables(p))

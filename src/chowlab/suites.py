@@ -21,7 +21,7 @@ from . import grassmann, invariants, motives, weil
 from .algebra import F2, Z, Element
 from .errors import UsageError
 from .finitefields import (
-    _WITT_QUADRATIC_BUDGET,
+    WITT_QUADRATIC_BUDGET,
     count_isotropic,
     hermitian_space,
     trace_quadratic,
@@ -42,7 +42,7 @@ class SuiteOptions:
     PARITIES = ("even", "odd", "both")
 
     def __post_init__(self):
-        supported = _WITT_QUADRATIC_BUDGET["p"]
+        supported = WITT_QUADRATIC_BUDGET["p"]
         for name, low, high in (
             ("max_n", 1, None),
             ("max_p", min(supported), max(supported)),
@@ -57,7 +57,7 @@ class SuiteOptions:
             raise UsageError(f"parity must be one of {self.PARITIES}, got {self.parity!r}")
 
     def primes(self):
-        return [p for p in _WITT_QUADRATIC_BUDGET["p"] if p <= self.max_p]
+        return [p for p in WITT_QUADRATIC_BUDGET["p"] if p <= self.max_p]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Finite-field hermitian and quadratic form oracles."""
 
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from chowlab.finitefields import (
     witt_index_hermitian,
     witt_index_quadratic,
 )
+from chowlab.linalg import field_kernel, modp_kernel
 from chowlab.motives import essential_poincare, split_quadric_poincare
 
 
@@ -173,8 +175,6 @@ def test_count_singular_brute_force_cross_check():
 
 
 def test_hermitian_symmetry_and_scaling():
-    import random
-
     rng = random.Random(41)
     H = hermitian_space(3, [1, 2, 1])
     K = H.field
@@ -191,8 +191,6 @@ def test_hermitian_symmetry_and_scaling():
 
 
 def test_polar_form_is_trace_of_hermitian_pairing():
-    import random
-
     rng = random.Random(43)
     H = hermitian_space(3, [1, 2])
     K = H.field
@@ -337,3 +335,117 @@ def test_node_budget_is_per_call(monkeypatch):
         assert count_isotropic(H, 2) == 112
     with pytest.raises(BudgetError, match="count_isotropic budget exceeded"):
         count_isotropic(hermitian_space(3, [1] * 5), 2)
+
+
+# F_2, F_3 and their quadratic extensions F_4 and F_9; over F_2 negation is
+# the identity, so only the others catch a sign error
+FIELDS = [PrimeField(2), PrimeField(3), QuadExtField(PrimeField(2)), QuadExtField(PrimeField(3))]
+
+
+def _field_ops(field):
+    """(size, add, mul) of a field, straight from its class."""
+    if isinstance(field, QuadExtField):
+        return field.size, field.add, field.mul
+    p = field.p
+    return p, lambda x, y: (x + y) % p, lambda x, y: x * y % p
+
+
+def _enumerated_kernel(matrix, ncols, field):
+    """The kernel basis ``field_kernel`` promises, found by enumerating every vector.
+
+    Column j is free exactly when some solution ends with a 1 at j (column j
+    is then a combination of the earlier columns); its basis vector is the one
+    solution with 1 at j and 0 at the other free columns.
+    """
+    size, add, mul = _field_ops(field)
+
+    def is_solution(x):
+        for row in matrix:
+            acc = 0
+            for a, b in zip(row, x):
+                acc = add(acc, mul(a, b))
+            if acc:
+                return False
+        return True
+
+    solutions = [x for x in itertools.product(range(size), repeat=ncols) if is_solution(x)]
+    free = [j for j in range(ncols) if any(x[j] == 1 and not any(x[j + 1:]) for x in solutions)]
+    basis = []
+    for f in free:
+        (vec,) = [x for x in solutions if all(x[g] == (g == f) for g in free)]
+        basis.append(list(vec))
+    return basis
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_field_kernel_against_enumeration(field):
+    size = _field_ops(field)[0]
+    tables = finitefields._tables(field)
+    rng = random.Random(1300 + size)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 3), rng.randint(1, 4 if size < 9 else 3)
+        matrix = [
+            [rng.randrange(size) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        expected = _enumerated_kernel(matrix, ncols, field)
+        assert field_kernel(matrix, ncols, tables) == expected, matrix
+        if isinstance(field, PrimeField):
+            # modp_kernel reduces its entries first
+            shifted = [[x + size * rng.randint(-2, 2) for x in row] for row in matrix]
+            assert modp_kernel(shifted, size) == expected, shifted
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_points_in_lexicographic_order_of_the_coefficients(field):
+    size, add, mul = _field_ops(field)
+    rng = random.Random(1310 + size)
+    for ndirs in range(4):
+        v = [rng.randrange(size) for _ in range(3)]
+        directions = [[rng.randrange(size) for _ in range(3)] for _ in range(ndirs)]
+        expected = []
+        for ts in itertools.product(range(size), repeat=ndirs):
+            point = list(v)
+            for t, w in zip(ts, directions):
+                point = [add(a, mul(t, b)) for a, b in zip(point, w)]
+            expected.append(point)
+        assert list(finitefields._points(finitefields._tables(field), v, directions)) == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_solve_against_the_enumerated_affine_solutions(field):
+    # rows e_c + sum x_j e_j over the free j > c (not a pivot taken) with
+    # sum_j a_j v_j = 0 for every constraint a
+    size, add, mul = _field_ops(field)
+    dim = 4
+    search = finitefields._SubspaceSearch("test", field, dim, None, None)
+    rng = random.Random(1320 + size)
+    for _ in range(80):
+        c = rng.randrange(dim)
+        pivots = tuple(sorted(rng.sample(range(c + 1, dim), rng.randint(0, dim - c - 1))))
+        constraints = tuple(
+            [rng.randrange(size) if rng.random() < 0.6 else 0 for _ in range(dim)]
+            for _ in range(rng.randint(0, 3))
+        )
+        free = [j for j in range(c + 1, dim) if j not in pivots]
+        expected = []
+        for xs in itertools.product(range(size), repeat=len(free)):
+            v = [0] * dim
+            v[c] = 1
+            for j, x in zip(free, xs):
+                v[j] = x
+            dots = []
+            for a in constraints:
+                acc = 0
+                for aj, vj in zip(a, v):
+                    acc = add(acc, mul(aj, vj))
+                dots.append(acc)
+            if not any(dots):
+                expected.append(v)
+        space = search._solve(c, pivots, constraints)
+        if not expected:
+            assert space is None, (c, pivots, constraints)
+            continue
+        assert space is not None, (c, pivots, constraints)
+        got = list(finitefields._points(search.tables, *space))
+        assert sorted(got) == sorted(expected), (c, pivots, constraints)

@@ -18,6 +18,7 @@ from chowlab.invariants import (
     swap_polynomial_ring,
 )
 from chowlab.suites import report_json
+from chowlab.weil import _mutated
 from chowlab.weil import build as build_weil
 
 
@@ -192,6 +193,49 @@ def test_involution_validation():
     for A, pairs, fixed, message in refused:
         with pytest.raises(ConfigurationError, match=message):
             SwapInvolution(A, pairs, fixed)
+
+
+def test_swap_must_permute_the_rewrite_rules():
+    # a^2 = 0 and b^2 = t: sigma(a*a) = 0 but sigma(a)*sigma(a) = t, so the
+    # swap of a and b fixing t is not a ring map
+    gens = [
+        GeneratorSpec("t", degree=2),
+        GeneratorSpec("a", degree=1, power_bound=2),
+        GeneratorSpec("b", degree=1, power_bound=2, replacement=((1, {"t": 1}),)),
+    ]
+    with pytest.raises(ConfigurationError, match="rule of 'b' is not the swap image of the rule of 'a'"):
+        SwapInvolution(AlgebraPresentation(gens, Z, 6), [("a", "b")], ["t"])
+    # t^2 = a^4 is not fixed by the swap
+    gens = [
+        GeneratorSpec("a", degree=1),
+        GeneratorSpec("b", degree=1),
+        GeneratorSpec("t", degree=2, power_bound=2, replacement=((1, {"a": 4}),)),
+    ]
+    with pytest.raises(ConfigurationError, match="rule of fixed generator 't' is not swap-invariant"):
+        SwapInvolution(AlgebraPresentation(gens, Z, 6), [("a", "b")], ["t"])
+    # the weil fiber rules are written in c_i and c'_i, so swapping a and b
+    # while fixing the Chern classes is refused
+    for r in (1, 2, 3):
+        R = build_weil(r, Z, 2 * r + 4)
+        with pytest.raises(ConfigurationError, match="not the swap image"):
+            SwapInvolution(R.ring, [("a", "b")], [g.name for g in R.base.generators])
+    # symmetric rules are accepted, and then the swap is multiplicative
+    gens = [
+        GeneratorSpec("t", degree=2),
+        GeneratorSpec("a", degree=1, power_bound=2, replacement=((1, {"t": 1}),)),
+        GeneratorSpec("b", degree=1, power_bound=2, replacement=((1, {"t": 1}),)),
+    ]
+    ring = AlgebraPresentation(gens, Z, 6)
+    sigma = SwapInvolution(ring, [("a", "b")], ["t"])
+    basis = [ring.monomial(dict(zip("tab", m))) for d in range(4) for m in ring.degree_basis(d)]
+    for x in basis:
+        for y in basis:
+            assert sigma.apply(x * y) == sigma.apply(x) * sigma.apply(y)
+    # every shipped swap still builds
+    for coeff in (Z, F2):
+        swap_polynomial_ring(3, 2, coeff, 6)
+        for r in (1, 2, 3):
+            _mutated(build_weil(r, coeff, 2 * r + 4))
 
 
 def test_generator_products_degree_zero():

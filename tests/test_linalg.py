@@ -1,4 +1,4 @@
-"""Exact linear algebra backends: GF(2) bitsets and integer lattices."""
+"""Exact linear algebra backends: GF(2) bitsets, integer lattices and Z/p kernels."""
 
 import random
 
@@ -104,3 +104,18 @@ def test_z_kernel_generates_all_small_solutions():
                     continue
                 assert basis_span is not None
                 assert basis_span.contains(list(x)), (rows, x, basis)
+
+
+def test_modp_kernel_over_a_prime_too_large_to_enumerate():
+    # Z/p is looked up only where the elimination reads it, so a large prime
+    # costs no p x p tables
+    p = 1009
+    rng = random.Random(1330)
+    for nrows in range(1, 4):
+        matrix = [[rng.randrange(-p, 2 * p) for _ in range(5)] for _ in range(nrows)]
+        basis = modp_kernel(matrix, p)
+        assert len(basis) == 5 - nrows  # a seeded draw of full rank
+        free = [next(j for j in reversed(range(5)) if v[j]) for v in basis]
+        for v, f in zip(basis, free):
+            assert [v[g] for g in free] == [int(g == f) for g in free]
+            assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in matrix)

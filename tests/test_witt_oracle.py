@@ -15,11 +15,13 @@ import pytest
 from chowlab import finitefields
 from chowlab.errors import ChowlabError
 from chowlab.finitefields import (
+    WITT_HERMITIAN_BUDGET,
     PrimeField,
     QuadraticSpace,
     count_singular,
     hermitian_space,
     trace_quadratic,
+    witt_index_hermitian,
     witt_index_quadratic,
 )
 from chowlab.suites import SuiteOptions, run_suite
@@ -175,3 +177,17 @@ def test_i2i_reaches_n5_p3_within_a_work_bound(monkeypatch):
     ]
     assert evaluations <= I2I_N5_P3_EVALUATIONS
 
+
+
+def test_hermitian_index_is_half_the_dimension():
+    # over a finite field a nondegenerate hermitian form is determined by its
+    # dimension n (every nonzero base element is a norm), and its Witt index is
+    # floor(n / 2): checked for every diagonal form the search budget admits
+    forms = 0
+    for p in WITT_HERMITIAN_BUDGET["p"]:
+        for n in range(WITT_HERMITIAN_BUDGET["n"] + 1):
+            for diag in itertools.product(range(1, p), repeat=n):
+                H = hermitian_space(p, diag)
+                assert witt_index_hermitian(H) == n // 2, (p, diag)
+                forms += 1
+    assert forms == sum((p - 1) ** n for p in (2, 3, 5) for n in range(6))
