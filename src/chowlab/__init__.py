@@ -61,7 +61,7 @@ from .motives import (
     witt_decompose_whole,
 )
 from .polynomials import PoincarePolynomial
-from .weil import DoubleBundleRing, build as build_weil_bundle, freeness_check, product_relation_check
+from .weil import build as build_weil_bundle, freeness_check, product_relation_check
 
 __version__ = "0.1.0"
 

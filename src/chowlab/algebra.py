@@ -199,14 +199,19 @@ class AlgebraPresentation:
 
     def monomial(self, mono, coeff: int = 1) -> "Element":
         """Normal form of ``coeff * product(g^e)`` for a name-keyed monomial."""
-        exps = self._exps_from_named(_freeze_monomial(mono))
-        return Element(self, self._normalize([(exps, coeff)]))
+        return self.element([(coeff, mono)])
 
     def element(self, pairs) -> "Element":
-        """Build a normalized element from (coeff, name-monomial) pairs."""
+        """Build a normalized element from (coeff, name-monomial) pairs.
+
+        Rules keep degrees, so a monomial above ``max_degree`` is zero unrewritten.
+        """
+        top = self.max_degree
         raw = []
         for coeff, mono in pairs:
-            raw.append((self._exps_from_named(_freeze_monomial(mono)), int(coeff)))
+            exps = self._exps_from_named(_freeze_monomial(mono))
+            if self.monomial_degree(exps) <= top:
+                raw.append((exps, int(coeff)))
         return Element(self, self._normalize(raw))
 
     # -- bases and counting ----------------------------------------------------

@@ -72,7 +72,7 @@ def _cmd_presentation(args) -> int:
     elif kind == "oddquot":
         ring = grassmann.odd_quotient_ring(args.a)
     else:  # weil
-        ring = build_weil(args.a, args.coefficients, args.b).ring
+        ring = build_weil(args.a, args.coefficients, args.b).algebra
     _emit(ring.to_json())
     return 0
 

@@ -189,6 +189,19 @@ def test_truncation_projects_high_degrees():
     assert (a ** 4).is_zero
 
 
+def test_named_monomial_above_max_degree_is_zero():
+    # rewriting e1^N one square at a time would take time linear in N
+    ring = _maxorth(4)
+    assert ring.monomial({"e1": 10**12}).is_zero
+    assert ring.element([(1, {"e1": 10**12}), (3, {"e2": 1})]) == ring.monomial({"e2": 1}, 3)
+    # below and above the top degree alike, the same normal form as plain rewriting
+    for ring in (_maxorth(4), _maxorth(5), free_polynomial_ring([("a", 1)], Z, truncation=3)):
+        for name in (g.name for g in ring.generators):
+            for e in range(ring.max_degree + 4):
+                exps = ring._exps_from_named({name: e})
+                assert ring.monomial({name: e}).terms == ring._normalize([(exps, 1)])
+
+
 def test_unbounded_generator_requires_truncation():
     with pytest.raises(ConfigurationError):
         AlgebraPresentation([GeneratorSpec("a", 1)], Z, truncation=None)
@@ -306,7 +319,7 @@ def test_degree_basis_oracle_all_shipped_presentations():
         max_orth_ring(5),
         prev_max_orth_ring(2),
         odd_quotient_ring(2),
-        build_weil(2, Z, 10).ring,
+        build_weil(2, Z, 10).algebra,
         free_polynomial_ring([("a", 1), ("b", 2)], Z, truncation=10),
     ]
     for ring in rings:

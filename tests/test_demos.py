@@ -1,4 +1,4 @@
-"""The narrative demo scripts must run clean end to end."""
+"""The narrative demo scripts must run clean end to end and print their recorded output."""
 
 import pathlib
 import subprocess
@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
@@ -15,4 +16,5 @@ def test_demo_runs(script):
         [sys.executable, str(script)], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    expected = ROOT / "tests" / "data" / "demos" / f"{script.stem}.txt"
+    assert proc.stdout == expected.read_text(encoding="utf-8")

@@ -18,7 +18,7 @@ from chowlab.invariants import (
     swap_polynomial_ring,
 )
 from chowlab.suites import report_json
-from chowlab.weil import _mutated
+from chowlab.weil import _base, _mutated
 from chowlab.weil import build as build_weil
 
 
@@ -108,9 +108,9 @@ def _swaps():
             yield swap_polynomial_ring(r, k, Z, truncation=8)[1]
     for coeff in (Z, F2):
         for r in (1, 2, 3):
-            R = build_weil(r, coeff, 2 * r + 4)
-            yield R.sigma
-            yield R.base_sigma
+            sigma = build_weil(r, coeff, 2 * r + 4)
+            yield sigma
+            yield _base(sigma.algebra)
     # orbits interleaved, so that ordering them by last position differs from
     # ordering by first position; with bounds, truncated or not
     for t_bound, truncation in ((None, 8), (2, None)):
@@ -216,9 +216,10 @@ def test_swap_must_permute_the_rewrite_rules():
     # the weil fiber rules are written in c_i and c'_i, so swapping a and b
     # while fixing the Chern classes is refused
     for r in (1, 2, 3):
-        R = build_weil(r, Z, 2 * r + 4)
+        ring = build_weil(r, Z, 2 * r + 4).algebra
+        chern = [g.name for g in ring.generators if g.name not in ("a", "b")]
         with pytest.raises(ConfigurationError, match="not the swap image"):
-            SwapInvolution(R.ring, [("a", "b")], [g.name for g in R.base.generators])
+            SwapInvolution(ring, [("a", "b")], chern)
     # symmetric rules are accepted, and then the swap is multiplicative
     gens = [
         GeneratorSpec("t", degree=2),

@@ -8,8 +8,6 @@ whole norm module, and Weil freeness by the kernel of that lattice.  Both must a
 degree, witnesses included.
 """
 
-import dataclasses
-
 import pytest
 
 from chowlab.algebra import F2, AlgebraPresentation, GeneratorSpec, Z
@@ -24,6 +22,7 @@ from chowlab.invariants import (
 )
 from chowlab.suites import report_json
 from chowlab.weil import (
+    _base,
     _mutated,
     _power_monomials,
     base_generation_check,
@@ -54,20 +53,23 @@ def assert_matches_lattice(report, sigma, generators, max_degree):
     assert got == lattice_generation(sigma, generators, max_degree)
 
 
-def lattice_kernel_matches_base_norms(R, d):
+def lattice_kernel_matches_base_norms(sigma, r, d):
     """Both inclusions, on the kernel of the lattice of base invariants times c^k and norms."""
-    ring, base = R.ring, R.base
-    c = R.c()
-    ks = range(min(R.r, d // 2 + 1))
-    base_inv = {k: invariant_basis(R.base_sigma, d - 2 * k) for k in ks}
-    base_norms = {k: norm_image_basis(R.base_sigma, d - 2 * k) for k in ks}
+    ring = sigma.algebra
+    base_sigma = _base(ring)
+    base = base_sigma.algebra
+    c = ring.gen("a") * ring.gen("b")
+    ks = range(min(r, d // 2 + 1))
+    base_inv = {k: invariant_basis(base_sigma, d - 2 * k) for k in ks}
+    base_norms = {k: norm_image_basis(base_sigma, d - 2 * k) for k in ks}
     labels = [(k, idx) for k in ks for idx in range(len(base_inv[k]))]
-    vectors = [R.base_in_full(base_inv[k][idx]) * c ** k for k, idx in labels]
-    norms = norm_image_basis(R.sigma, d)
+    # a base element enters the ring by its generator names
+    vectors = [ring.element(base_inv[k][idx].to_pairs()) * c ** k for k, idx in labels]
+    norms = norm_image_basis(sigma, d)
     full_solver = ring.span_solver(norms, d)
     for k in ks:
         for nu in base_norms[k]:
-            if not full_solver.contains(R.base_in_full(nu) * c ** k):
+            if not full_solver.contains(ring.element(nu.to_pairs()) * c ** k):
                 return False
     base_norm_solvers = {k: base.span_solver(base_norms[k], d - 2 * k) for k in ks}
     for combo in ring.span_solver(vectors + norms, d).kernel():
@@ -81,8 +83,10 @@ def lattice_kernel_matches_base_norms(R, d):
     return True
 
 
-def lattice_relation_in_norms(R):
-    ok, _ = R.ring.span_membership(relation_element(R), norm_image_basis(R.sigma, 2 * R.r))
+def lattice_relation_in_norms(sigma, r):
+    ok, _ = sigma.algebra.span_membership(
+        relation_element(sigma.algebra), norm_image_basis(sigma, 2 * r)
+    )
     return ok
 
 
@@ -141,17 +145,17 @@ def test_failing_generators_match_lattice(name, coeff, k, r):
     assert_matches_lattice(report, sigma, gens, 7)
 
 
-def _collapsed(R):
+def _collapsed(sigma):
     """The fiber generators a and b set to zero, so c = 0 and freeness fails for r >= 2."""
+    ring = sigma.algebra
     gens = [
         GeneratorSpec(g.name, degree=1, power_bound=1) if g.name in ("a", "b") else g
-        for g in R.ring.generators
+        for g in ring.generators
     ]
-    ring = AlgebraPresentation(gens, R.coefficients, R.D)
-    return dataclasses.replace(R, ring=ring, sigma=SwapInvolution(ring, R.sigma.pairs))
+    return SwapInvolution(AlgebraPresentation(gens, ring.coefficients, ring.truncation), sigma.pairs)
 
 
-def _misglued(R):
+def _misglued(sigma):
     """The identity involution of the ring, fixing every Chern class unlike the base involution.
 
     Base norms such as c_1 + c'_1 are then invariant non-norms of the ring, so
@@ -159,12 +163,12 @@ def _misglued(R):
     ring, because the fiber rules are not swap images of each other; the
     constructor refuses it (``test_swap_must_permute_the_rewrite_rules``).
     """
-    names = tuple(g.name for g in R.ring.generators)
-    return dataclasses.replace(R, sigma=SwapInvolution(R.ring, [], fixed=names))
+    names = tuple(g.name for g in sigma.algebra.generators)
+    return SwapInvolution(sigma.algebra, [], fixed=names)
 
 
 WEIL_VARIANTS = {
-    "built": lambda R: R,
+    "built": lambda sigma: sigma,
     "mutated": _mutated,
     "collapsed": _collapsed,
     "misglued": _misglued,
@@ -175,24 +179,32 @@ WEIL_VARIANTS = {
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("variant", list(WEIL_VARIANTS))
 def test_weil_freeness_matches_lattice(coeff, r, variant):
-    R = WEIL_VARIANTS[variant](build(r, coeff, 2 * r + 4))
-    report = freeness_check(R)
-    degrees = range(R.D - 2 * R.r + 1)
+    sigma = WEIL_VARIANTS[variant](build(r, coeff, 2 * r + 4))
+    report = freeness_check(sigma)
+    degrees = range(5)  # relative degrees 0..D - 2r
     assert report.spanning == {
-        d: lattice_uncovered(R.sigma, _power_monomials(R, d), d) is None for d in degrees
+        d: lattice_uncovered(sigma, _power_monomials(sigma.algebra, d), d) is None for d in degrees
     }
-    assert report.freeness == {d: lattice_kernel_matches_base_norms(R, d) for d in degrees}
-    assert report.relation_in_norms == lattice_relation_in_norms(R)
-    assert report.mutation_rejected == (not lattice_relation_in_norms(_mutated(R)))
+    assert report.freeness == {d: lattice_kernel_matches_base_norms(sigma, r, d) for d in degrees}
+    assert report.relation_in_norms == lattice_relation_in_norms(sigma, r)
+    mutated = _mutated(sigma)
+    assert report.mutation_rejected == (not lattice_relation_in_norms(mutated, r))
     free = variant in ("built", "mutated") or (variant == "collapsed" and r == 1)
     assert all(report.freeness.values()) == free
     assert report.passed == (variant == "built")
+    # r, D and the coefficients are read off the ring; the collapsed variant's
+    # a and b have power bound 1, so a rank read from that bound would show here
+    assert (report.r, report.module_rank, report.D, report.coefficients) == (r, r, 2 * r + 4, coeff)
+    assert report.mutation_witness == relation_element(mutated.algebra).to_pairs()
+    assert [(g.power_bound, g.replacement) for g in mutated.algebra.generators[-2:]] == [(r, ())] * 2
 
 
 @pytest.mark.parametrize("coeff", [Z, F2])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_weil_base_generation_matches_lattice(coeff, r):
-    R = build(r, coeff, 2 * r + 4)
-    gens = [R.base.gen(f"c{i}") * R.base.gen(f"cp{i}") for i in range(1, r + 1)]
-    report = base_generation_check(R)
-    assert_matches_lattice(report, R.base_sigma, gens, R.D - 2 * R.r)
+    sigma = build(r, coeff, 2 * r + 4)
+    base_sigma = _base(sigma.algebra)
+    base = base_sigma.algebra
+    gens = [base.gen(f"c{i}") * base.gen(f"cp{i}") for i in range(1, r + 1)]
+    report = base_generation_check(sigma)
+    assert_matches_lattice(report, base_sigma, gens, 4)

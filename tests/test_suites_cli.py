@@ -169,6 +169,13 @@ def test_annihilate_cli(capsys):
     assert json.loads(out)["quotient_poincare"] == [1, 1, 0, 1, 1]
 
 
+def test_annihilate_huge_power_is_rejected_as_zero(capsys):
+    # e1^(10^12) lies above the top degree, so it is zero without being rewritten
+    code, out, err = _run(capsys, ["annihilate", "maxorth", "4", "--element", "e1^1000000000000"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: annihilator of zero is everything; rejected\n"
+
+
 def test_presentation_prevmax_round_trips(capsys):
     code, out, _ = _run(capsys, ["presentation", "prevmax", "2"])
     assert code == 0

@@ -27,19 +27,31 @@ from chowlab.finitefields import (
 from chowlab.suites import SuiteOptions, run_suite
 
 
-def _random_forms(count_per_shape: int, seed: int):
+def _random_forms(count_per_shape: int, seed: int, max_draws: int = 100):
+    """Nondegenerate random forms over F2 and F3 in dimensions 1..7.
+
+    Each shape gets at most ``max_draws`` draws, so a fault that makes every
+    draw degenerate fails collection instead of hanging it.
+    """
     rng = random.Random(seed)
     forms = []
     for p in (2, 3):
         for dim in range(1, 8):
             found = 0
-            while found < count_per_shape:
+            for _ in range(max_draws):
+                if found == count_per_shape:
+                    break
                 upper = [[rng.randrange(p) if j >= i else 0 for j in range(dim)] for i in range(dim)]
                 try:
                     forms.append((f"random-p{p}-dim{dim}-{found}", QuadraticSpace(PrimeField(p), upper)))
                 except ChowlabError:  # degenerate draw
                     continue
                 found += 1
+            if found < count_per_shape:
+                raise RuntimeError(
+                    f"{max_draws} draws gave {found} of {count_per_shape} nondegenerate forms"
+                    f" over F{p} in dimension {dim}"
+                )
     return forms
 
 
@@ -121,6 +133,15 @@ def test_oracle_forms_cover_the_claimed_shapes():
     random_forms = [Q for name, Q in FORMS if name.startswith("random")]
     assert len(random_forms) >= 50
     assert {Q.dim for Q in random_forms if Q.base.p == 2} >= {1, 3, 5, 7}
+
+
+def test_random_forms_stop_at_the_draw_cap(monkeypatch):
+    def degenerate(field, upper):
+        raise ChowlabError("degenerate")
+
+    monkeypatch.setitem(globals(), "QuadraticSpace", degenerate)
+    with pytest.raises(RuntimeError, match="100 draws gave 0 of 4 nondegenerate forms over F2 in dimension 1"):
+        _random_forms(count_per_shape=4, seed=1109)
 
 
 @pytest.mark.parametrize("name, Q", FORMS, ids=[name for name, _ in FORMS])
