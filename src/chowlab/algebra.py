@@ -478,6 +478,8 @@ class Element:
         acc = self.algebra.one()
         for _ in range(n):
             acc = acc * self
+            if acc.is_zero:  # so is every higher power
+                break
         return acc
 
     def __eq__(self, other) -> bool:

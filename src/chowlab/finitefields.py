@@ -10,12 +10,16 @@ Totally isotropic (singular) subspaces are found by a depth-first search
 over reduced-echelon bases that propagates constraints: each accepted row
 adds one linear orthogonality constraint, so the next row is enumerated
 only over the affine solution space of the constraints and then tested for
-its own isotropy.  Counts are exact.  The hermitian Witt index is the
-largest r at which the search finds a subspace; the quadratic one comes from
-splitting off hyperbolic planes (Witt cancellation), so the two sides of the
-trace-form doubling are computed by independent algorithms.  Budgets are
-hard caps raising :class:`BudgetError`: on the dimension and prime, and on
-the number of candidate rows or vectors (search nodes) one call may examine.
+its own isotropy.  The last row is counted a line at a time: on a line
+u + t w the form's value depends only on value(u), value(w) and the polar
+value b(u, w), so one lookup in the field's ``_line_zeros`` table lists the
+isotropic points of q candidates.  Counts are exact.  The hermitian Witt
+index is the largest r at which the search finds a subspace; the quadratic
+one comes from splitting off hyperbolic planes (Witt cancellation), so the
+two sides of the trace-form doubling are computed by independent
+algorithms.  Budgets are hard caps raising :class:`BudgetError`: on the
+dimension and prime, and on the number of candidate rows or vectors (search
+nodes) one call may examine, every candidate on a counted line included.
 """
 
 from __future__ import annotations
@@ -254,6 +258,34 @@ def _tables(field) -> tuple:
     return add_t, mul_t, neg, inv
 
 
+@functools.lru_cache(maxsize=None)  # one entry per field, like _tables
+def _line_zeros(field) -> tuple:
+    """``zeros[c][x][beta]``: the t, in increasing order, where a form vanishes on u + t w.
+
+    The form's value on the line depends only on c = value(w), x = value(u)
+    (both in the prime field) and beta = b(u, w).  For a hermitian form over
+    F_{p^2} it is x + Tr(conj(t) beta) + N(t) c; for a quadratic form over
+    F_p it is x + t beta + t^2 c.
+    """
+    if isinstance(field, QuadExtField):
+        K, p = field, field.base.p
+        products = [[K.mul(K.conj(t), beta) for beta in K.elements()] for t in K.elements()]
+        linear = [[K.add(s, K.conj(s)) for s in row] for row in products]  # traces
+        square = [K.norm(t) for t in K.elements()]
+    else:
+        p = field.p
+        linear = [[t * beta % p for beta in range(p)] for t in range(p)]
+        square = [t * t % p for t in range(p)]
+    size = len(square)
+
+    def zeros(c, x, beta):
+        return tuple(t for t in range(size) if (x + linear[t][beta] + square[t] * c) % p == 0)
+
+    return tuple(
+        tuple(tuple(zeros(c, x, beta) for beta in range(size)) for x in range(p)) for c in range(p)
+    )
+
+
 def _points(tables, v, directions):
     """Every v + t_1 w_1 + t_2 w_2 + ..., depth first in lexicographic order of (t_1, t_2, ...)."""
     if not directions:
@@ -272,14 +304,19 @@ class _Nodes:
     def __init__(self, op: str):
         self.op, self.visited = op, 0
 
+    def add(self, n: int) -> None:
+        """Count n more candidates; past the budget, stop at the first one beyond it."""
+        self.visited += n
+        if self.visited > _NODE_BUDGET:
+            self.visited = _NODE_BUDGET + 1
+            raise BudgetError(
+                f"{self.op} budget exceeded: visited {self.visited} nodes, "
+                f"limit {_NODE_BUDGET}"
+            )
+
     def walk(self, candidates):
         for v in candidates:
-            self.visited += 1
-            if self.visited > _NODE_BUDGET:
-                raise BudgetError(
-                    f"{self.op} budget exceeded: visited {self.visited} nodes, "
-                    f"limit {_NODE_BUDGET}"
-                )
+            self.add(1)
             yield v
 
 
@@ -292,13 +329,18 @@ class _SubspaceSearch:
     accepted row u adds the linear constraint ``functional(u)`` (coefficients
     a with sum a_j v_j = 0 exactly when v is orthogonal to u) on every later
     row v, which is therefore enumerated only over the affine solution space
-    of those constraints in its free coordinates; ``null(v)`` tests the row's
-    own isotropy.  Every candidate row examined is one node (``nodes``).
+    of those constraints in its free coordinates; a row is isotropic when
+    ``value(v)``, the form's value in the prime field, is 0.  The last row is
+    counted a line at a time: on the line u + t w through the innermost
+    direction w the value depends only on value(u), value(w) and
+    b(u, w) = ``functional(w)`` applied to u, so one ``_line_zeros`` lookup
+    gives the isotropic t.  Every candidate row examined, or skipped along a
+    line, is one node (``nodes``).
     """
 
-    def __init__(self, op: str, field, dim: int, functional, null):
-        self.tables = _tables(field)
-        self.dim, self.functional, self.null = dim, functional, null
+    def __init__(self, op: str, field, dim: int, functional, value):
+        self.tables, self.zeros = _tables(field), _line_zeros(field)
+        self.dim, self.functional, self.value = dim, functional, value
         self.nodes = _Nodes(op)
 
     def count(self, r: int, first_only: bool = False) -> int:
@@ -314,17 +356,41 @@ class _SubspaceSearch:
             space = self._solve(c, pivots, constraints)
             if space is None:
                 continue
-            for v in self.nodes.walk(_points(self.tables, *space)):
-                if not self.null(v):
-                    continue
-                if k == 1:
-                    total += 1
-                else:
+            if k == 1:
+                total += self._last_rows(*space, first_only)
+            else:
+                for v in self.nodes.walk(_points(self.tables, *space)):
+                    if self.value(v):
+                        continue
                     total += self._extend(
                         k - 1, c, pivots + (c,), constraints + (self.functional(v),), first_only
                     )
-                if first_only and total:
-                    return total
+                    if first_only and total:
+                        break
+            if first_only and total:
+                return total
+        return total
+
+    def _last_rows(self, base, directions, first_only) -> int:
+        """Isotropic rows of base + span(directions), in ``_points`` order, a line at a time."""
+        if not directions:
+            self.nodes.add(1)
+            return int(self.value(base) == 0)
+        *outer, w = directions
+        add, mul, _, _ = self.tables
+        zeros = self.zeros[self.value(w)]
+        polar = [(j, mul[a]) for j, a in enumerate(self.functional(w)) if a]  # u -> b(u, w)
+        total = 0
+        for u in _points(self.tables, base, outer):
+            beta = 0
+            for j, row in polar:
+                beta = add[beta][row[u[j]]]
+            hits = zeros[self.value(u)][beta]
+            if first_only and hits:
+                self.nodes.add(hits[0] + 1)
+                return 1
+            self.nodes.add(len(mul))
+            total += len(hits)
         return total
 
     def _solve(self, c, pivots, constraints):
@@ -361,10 +427,10 @@ def _hermitian_search(H: HermitianSpace, op: str) -> _SubspaceSearch:
     def functional(u):
         return [mul[d][conj[x]] for d, x in zip(diag, u)]
 
-    def null(v):
-        return sum(d * norm[x] for d, x in zip(diag, v)) % p == 0
+    def value(v):
+        return sum(d * norm[x] for d, x in zip(diag, v)) % p
 
-    return _SubspaceSearch(op, K, H.n, functional, null)
+    return _SubspaceSearch(op, K, H.n, functional, value)
 
 
 def _quadratic_search(Q: QuadraticSpace, op: str) -> _SubspaceSearch:
@@ -374,10 +440,7 @@ def _quadratic_search(Q: QuadraticSpace, op: str) -> _SubspaceSearch:
     def functional(u):
         return [sum(map(operator.mul, row, u)) % p for row in gram]
 
-    def null(v):
-        return Q.value(v) == 0
-
-    return _SubspaceSearch(op, Q.base, Q.dim, functional, null)
+    return _SubspaceSearch(op, Q.base, Q.dim, functional, Q.value)
 
 
 def _check_budget(op: str, budget: dict, key: str, size: int, p: int) -> None:

@@ -10,6 +10,7 @@ from chowlab.algebra import (
     F2,
     Z,
     AlgebraPresentation,
+    Element,
     GeneratorSpec,
     free_polynomial_ring,
 )
@@ -200,6 +201,27 @@ def test_named_monomial_above_max_degree_is_zero():
             for e in range(ring.max_degree + 4):
                 exps = ring._exps_from_named({name: e})
                 assert ring.monomial({name: e}).terms == ring._normalize([(exps, 1)])
+
+
+def test_power_stops_at_the_first_zero_product(monkeypatch):
+    # multiplying on after the power is zero would take time linear in n
+    ring = _maxorth(4)
+    e1 = ring.gen("e1")
+    assert [(e1**k).terms for k in range(ring.max_degree + 3)] == [
+        ring.monomial({"e1": k}).terms for k in range(ring.max_degree + 3)
+    ]
+    products = 0
+    mul = Element.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        if products > ring.max_degree + 1:
+            raise AssertionError("multiplied past the top degree")
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    assert (e1 ** 10**12).is_zero
 
 
 def test_unbounded_generator_requires_truncation():

@@ -8,6 +8,7 @@ import pytest
 from chowlab import finitefields
 from chowlab.errors import BudgetError, ChowlabError, UsageError
 from chowlab.finitefields import (
+    HermitianSpace,
     PrimeField,
     QuadExtField,
     QuadraticSpace,
@@ -294,6 +295,11 @@ def test_count_isotropic_p5_matches_essential_poincare():
         assert count_isotropic(H, r) == essential_poincare(4, r)(5)
 
 
+def test_largest_count_within_the_budgets():
+    # p = 5, n = 5, r = 2 visits 2066932 nodes, the most of any call the caps admit
+    assert count_isotropic(hermitian_space(5, [1] * 5), 2) == essential_poincare(5, 2)(5) == 393876
+
+
 # nodes the search visits for count_singular(Q, 5) on the 10-dimensional F2
 # trace form, whose Witt index is 4: every singular 4-space is extended and
 # none reaches dimension 5
@@ -326,6 +332,40 @@ def test_node_budget_bounds_splitting_work(monkeypatch):
     )
     with pytest.raises(BudgetError, match=message):
         witt_index_quadratic(Q)
+
+
+# (p, n, r, first_only, count, nodes) of the hermitian search on the form
+# [1] * n; a last row counts q nodes per line, or up to its first isotropic t
+HERMITIAN_SEARCH_NODES = [
+    (3, 4, 1, False, 280, 820),
+    (3, 4, 2, False, 112, 347),
+    (3, 5, 2, False, 6832, 23756),
+    (3, 5, 2, True, 1, 10),
+    (5, 4, 2, False, 756, 3807),
+    (5, 4, 2, True, 1, 6),
+]
+
+
+@pytest.mark.parametrize("p, n, r, first_only, count, nodes", HERMITIAN_SEARCH_NODES)
+def test_hermitian_search_node_counts(p, n, r, first_only, count, nodes):
+    search = finitefields._hermitian_search(hermitian_space(p, [1] * n), "test")
+    assert search.count(r, first_only) == count
+    assert search.nodes.visited == nodes
+
+
+@pytest.mark.parametrize("first_only, count, nodes", [(False, 6832, 23756), (True, 1, 10)])
+def test_node_budget_cuts_a_line(monkeypatch, first_only, count, nodes):
+    # the full count overruns on the whole of its last line, the first-only
+    # search inside the line of its first isotropic row
+    H = hermitian_space(3, [1] * 5)
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", nodes)
+    assert finitefields._hermitian_search(H, "count_isotropic").count(2, first_only) == count
+    monkeypatch.setattr(finitefields, "_NODE_BUDGET", nodes - 1)
+    search = finitefields._hermitian_search(H, "count_isotropic")
+    message = f"count_isotropic budget exceeded: visited {nodes} nodes, limit {nodes - 1}$"
+    with pytest.raises(BudgetError, match=message):
+        search.count(2, first_only)
+    assert search.nodes.visited == nodes
 
 
 def test_node_budget_is_per_call(monkeypatch):
@@ -449,3 +489,90 @@ def test_solve_against_the_enumerated_affine_solutions(field):
         assert space is not None, (c, pivots, constraints)
         got = list(finitefields._points(search.tables, *space))
         assert sorted(got) == sorted(expected), (c, pivots, constraints)
+
+
+def _random_form(field, dim, rng):
+    """(value, b) of a random nondegenerate form on field^dim.
+
+    Hermitian over a quadratic extension, with b(u, w) = h(u, w); quadratic
+    over a prime field, with b its polar form.
+    """
+    if isinstance(field, QuadExtField):
+        H = HermitianSpace(field, tuple(rng.randrange(1, field.base.p) for _ in range(dim)))
+        return (lambda v: H.value(v, v)), H.value
+    for _ in range(100):
+        upper = [[rng.randrange(field.p) if j >= i else 0 for j in range(dim)] for i in range(dim)]
+        try:
+            Q = QuadraticSpace(field, upper)
+        except ChowlabError:  # degenerate: draw again
+            continue
+        return Q.value, Q.polar
+    raise RuntimeError(f"no nondegenerate form of dimension {dim} over F_{field.p} in 100 draws")
+
+
+@pytest.mark.parametrize("field", FIELDS + [QuadExtField(PrimeField(5))], ids=repr)
+def test_line_zeros_against_the_form_on_the_line(field):
+    # zeros[value(w)][value(u)][b(u, w)] lists the t with value(u + t w) = 0
+    size, add, mul = _field_ops(field)
+    zeros = finitefields._line_zeros(field)
+    rng = random.Random(1500 + size)
+    for _ in range(60):
+        dim = rng.randint(2, 3)
+        value, polar = _random_form(field, dim, rng)
+        u = [rng.randrange(size) for _ in range(dim)]
+        w = [rng.randrange(size) for _ in range(dim)]
+        line = [[add(a, mul(t, b)) for a, b in zip(u, w)] for t in range(size)]
+        expected = tuple(t for t, v in enumerate(line) if value(v) == 0)
+        assert zeros[value(w)][value(u)][polar(u, w)] == expected, (u, w)
+
+
+def _row_by_row(search, base, directions, first_only):
+    """The last row walked one candidate row at a time: the line count's reference."""
+    total = 0
+    for v in search.nodes.walk(finitefields._points(search.tables, base, directions)):
+        if search.value(v) == 0:
+            total += 1
+            if first_only:
+                break
+    return total
+
+
+def _small_forms():
+    """Small forms, each with the largest r to search it at.
+
+    The first eight diagonal hermitian forms of each p <= 5 and n <= 4, their
+    trace forms up to dimension 6 and the split forms up to dimension 6.
+    """
+    for p in (2, 3, 5):
+        for n in range(5):
+            for diag in itertools.islice(itertools.product(range(1, p), repeat=n), 8):
+                H = hermitian_space(p, diag)
+                yield H, n
+                if p < 5 and n <= 3:
+                    yield trace_quadratic(H), 2 * n
+    for p in (2, 3):
+        for N in (1, 2, 3):
+            yield QuadraticSpace.split(PrimeField(p), N), 2 * N
+
+
+def test_line_count_matches_the_row_by_row_walk(monkeypatch):
+    # same counts and node counts, first_only or not, at every r up to the
+    # first with no subspace
+    def sweep():
+        out = {}
+        for i, (form, top) in enumerate(_small_forms()):
+            for r in range(top + 1):
+                for first_only in (False, True):
+                    if isinstance(form, HermitianSpace):
+                        search = finitefields._hermitian_search(form, "test")
+                    else:
+                        search = finitefields._quadratic_search(form, "test")
+                    out[i, r, first_only] = search.count(r, first_only), search.nodes.visited
+                if out[i, r, False][0] == 0:
+                    break
+        return out
+
+    by_line = sweep()
+    monkeypatch.setattr(finitefields._SubspaceSearch, "_last_rows", _row_by_row)
+    assert sweep() == by_line
+    assert (len(by_line), sum(nodes for _, nodes in by_line.values())) == (526, 201139)
