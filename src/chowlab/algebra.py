@@ -7,9 +7,8 @@ power bound and total degree at most the truncation bound.  Degrees above
 the truncation are projected to zero, which models working "up to degree D"
 in an infinite polynomial ring.  Termination of rewriting is proved when a
 presentation is built (:meth:`AlgebraPresentation._check_termination`).
-The normal bases of all degrees come from one walk per presentation, made the
-first time any degree's basis is asked for
-(:meth:`AlgebraPresentation._walk_bases`).
+A degree's normal basis is enumerated the first time that degree is asked for
+(:meth:`AlgebraPresentation._basis_index`).
 
 Coefficients are either ``"F2"`` or ``"Z"``.  Linear algebra in one degree goes
 through :class:`Span` (``span_solver``), which takes elements and answers with
@@ -97,7 +96,8 @@ class AlgebraPresentation:
                 terms.append((coeff, exps))
             self._replacements[i] = tuple(terms)
         self._check_termination()
-        self._bases: list[dict[tuple[int, ...], int]] | None = None
+        self._bases: dict[int, dict[tuple[int, ...], int]] = {}
+        self._tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -221,38 +221,35 @@ class AlgebraPresentation:
         return list(self._basis_index(d))
 
     def _basis_index(self, d: int) -> dict[tuple[int, ...], int]:
-        """Position of each degree-d normal-form monomial in canonical order."""
+        """Position of each degree-d normal-form monomial in canonical order.
+
+        Built from :meth:`_tail` the first time degree d is asked for.
+        """
         if d < 0:
             raise UsageError("degree must be nonnegative")
         if self.truncation is not None and d > self.truncation:
             raise UsageError(f"degree {d} exceeds truncation {self.truncation}")
-        if self._bases is None:
-            self._bases = self._walk_bases()
-        return self._bases[d] if d < len(self._bases) else {}
+        if d not in self._bases:
+            self._bases[d] = {exps: k for k, exps in enumerate(self._tail(0, d))}
+        return self._bases[d]
 
-    def _walk_bases(self) -> list[dict[tuple[int, ...], int]]:
-        """Every degree's basis index up to ``max_degree``, from one walk.
+    def _tail(self, i: int, left: int) -> list[tuple[int, ...]]:
+        """Exponent vectors of generators i.. of degree ``left``, in canonical order.
 
-        The walk extends exponent prefixes one generator at a time, each
-        exponent capped by its power bound and by the degree left, so every
-        prefix completes to a basis monomial and none is a dead end.  Prefixes
-        are extended in order with exponents ascending, so the monomials come
-        out in canonical (lexicographic) order within each degree.
+        Exponents ascend, capped by the power bound and by the degree left, so
+        the vectors come out lexicographically.  Tails of later generators are
+        memoised: no prefix is walked twice, and degree d touches only degrees <= d.
         """
-        top = self.max_degree
-        walk: list[tuple[tuple[int, ...], int]] = [((), 0)]
-        for deg, bound in zip(self._degrees, self._bounds):
-            cap = top if bound is None else bound - 1
-            walk = [
-                (exps + (e,), used + e * deg)
-                for exps, used in walk
-                for e in range(min(cap, (top - used) // deg) + 1)
-            ]
-        bases: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
-        for exps, used in walk:
-            index = bases[used]
-            index[exps] = len(index)
-        return bases
+        if i == len(self._degrees):
+            return [()] if left == 0 else []
+        deg, bound = self._degrees[i], self._bounds[i]
+        out = []
+        for e in range(min(left // deg, left if bound is None else bound - 1) + 1):
+            key = (i + 1, left - e * deg)
+            if key not in self._tails:
+                self._tails[key] = self._tail(*key)
+            out += [(e,) + rest for rest in self._tails[key]]
+        return out
 
     def poincare(self, up_to: int | None = None) -> PoincarePolynomial:
         """Poincare polynomial with coefficient |degree basis| at each degree."""

@@ -332,11 +332,13 @@ def test_three_generator_cycle_rejected():
     assert ring.monomial({"a": 2}).is_zero
 
 
-def test_degree_basis_oracle_all_shipped_presentations():
-    # independent oracle on every shipped presentation shape, d <= 10
+def test_degree_basis_oracle_all_shipped_presentations(indexed_bases):
+    # independent oracle on every shipped presentation shape, d <= 10, asked
+    # ascending, then descending and shuffled on fresh copies
     from chowlab.grassmann import odd_quotient_ring, prev_max_orth_ring
     from chowlab.weil import build as build_weil
 
+    rng = random.Random(16)
     rings = [
         max_orth_ring(5),
         prev_max_orth_ring(2),
@@ -348,14 +350,26 @@ def test_degree_basis_oracle_all_shipped_presentations():
         degrees = [g.degree for g in ring.generators]
         bounds = [g.power_bound for g in ring.generators]
         # untruncated rings are also asked past their max_degree
-        for d in range(11 if ring.truncation is not None else ring.max_degree + 3):
+        asked = list(range(11 if ring.truncation is not None else ring.max_degree + 3))
+        expected = {}
+        for d in asked:
             caps = [
                 min(d // deg, (b - 1) if b is not None else d)
                 for deg, b in zip(degrees, bounds)
             ]
-            expected = {
+            expected[d] = sorted(
                 exps
                 for exps in itertools.product(*[range(c + 1) for c in caps])
                 if sum(e * deg for e, deg in zip(exps, degrees)) == d
-            }
-            assert ring.degree_basis(d) == sorted(expected), (ring, d)
+            )
+        shuffled = asked[:]
+        rng.shuffle(shuffled)
+        for order, algebra in (
+            (asked, ring),
+            (asked[::-1], AlgebraPresentation.from_json(ring.to_json())),
+            (shuffled, AlgebraPresentation.from_json(ring.to_json())),
+        ):
+            for k, d in enumerate(order):
+                assert algebra.degree_basis(d) == expected[d], (ring, order, d)
+                # asking degree d indexes d alone, never a degree above it
+                assert indexed_bases.degrees(algebra) == sorted(order[: k + 1]), (ring, d)

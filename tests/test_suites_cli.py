@@ -313,24 +313,25 @@ def test_primerchik_computes_each_quotient_once(monkeypatch):
     assert sorted(calls) == [1, 2, 3]
 
 
-# Basis monomials walked by codim2 at max_r=6, max_degree=8: 3144 today, all of
+# Basis monomials indexed by codim2 at max_r=6, max_degree=8: 3144 today, all of
 # them in the class presentations.  The ring's own degree-8 basis alone has 125970.
 CODIM2_R6_D8_MONOMIALS = 3500
 
 
-def test_codim2_reaches_r6_d8_within_a_work_bound(monkeypatch):
-    walked = 0
-    walk_bases = AlgebraPresentation._walk_bases
-
-    def counted(self):
-        nonlocal walked
-        bases = walk_bases(self)
-        walked += sum(map(len, bases))
-        return bases
-
-    monkeypatch.setattr(AlgebraPresentation, "_walk_bases", counted)
+def test_codim2_reaches_r6_d8_within_a_work_bound(indexed_bases):
     result = run_suite("codim2", SuiteOptions(max_r=6, max_degree=8))
     assert [c.id for c in result.cases if c.passed] == [
         f"codim2/{c}/k{k}/r{r}" for c in ("F2", "Z") for k in (0, 1) for r in range(1, 7)
     ]
-    assert walked <= CODIM2_R6_D8_MONOMIALS
+    assert indexed_bases.monomials <= CODIM2_R6_D8_MONOMIALS
+
+
+# Basis monomials indexed by weil at max_r=10: 980 today, with codim2's headroom.
+# Walking each presentation to its top degree indexes 1158284.
+WEIL_R10_MONOMIALS = 1090
+
+
+def test_weil_reaches_r10_within_a_work_bound(indexed_bases):
+    result = run_suite("weil", SuiteOptions(max_r=10))
+    assert len(result.cases) == 40 and all(c.passed for c in result.cases)
+    assert indexed_bases.monomials <= WEIL_R10_MONOMIALS
