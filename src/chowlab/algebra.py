@@ -7,6 +7,9 @@ power bound and total degree at most the truncation bound.  Degrees above
 the truncation are projected to zero, which models working "up to degree D"
 in an infinite polynomial ring.  Termination of rewriting is proved when a
 presentation is built (:meth:`AlgebraPresentation._check_termination`).
+Every normal form comes from one kernel, :meth:`AlgebraPresentation._normalize`:
+rules keep degrees, so it drops terms above the truncation once, on entry, and
+it looks for an exponent to rewrite among the bounded generators only.
 A degree's normal basis is enumerated the first time that degree is asked for
 (:meth:`AlgebraPresentation._basis_index`).
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add, mul
 
 from .errors import ConfigurationError, PresentationError, UsageError
 from .linalg import F2Span, ZSpan
@@ -96,6 +100,8 @@ class AlgebraPresentation:
                 terms.append((coeff, exps))
             self._replacements[i] = tuple(terms)
         self._check_termination()
+        # the (index, bound) pairs where _normalize looks for an exponent to rewrite
+        self._hot = tuple((i, b) for i, b in enumerate(self._bounds) if b is not None)
         self._bases: dict[int, dict[tuple[int, ...], int]] = {}
         self._tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
@@ -139,7 +145,7 @@ class AlgebraPresentation:
             raise PresentationError(f"rewrite rules cycle through generators {names}")
 
     def monomial_degree(self, exps) -> int:
-        return sum(e * d for e, d in zip(exps, self._degrees))
+        return sum(map(mul, exps, self._degrees))
 
     @property
     def max_degree(self) -> int:
@@ -150,40 +156,42 @@ class AlgebraPresentation:
 
     # -- normalization -------------------------------------------------------
 
-    def _reduce_coeff(self, c: int) -> int:
-        return c % 2 if self.coefficients == F2 else c
-
     def _normalize(self, raw_terms) -> dict[tuple[int, ...], int]:
+        """Normal form of (exponents, coefficient) pairs, as a monomial -> coefficient map.
+
+        Rules keep degrees, so terms above the truncation are dropped on entry.  A
+        pending monomial is rewritten at its first bounded generator at or above the
+        bound; a normal one is added to the result.  F2 coefficients reduce by ``& 1``.
+        """
+        top, degrees, hot = self.truncation, self._degrees, self._hot
+        f2 = self.coefficients == F2
         pending = {}
         for mono, coeff in raw_terms:
-            pending[mono] = pending.get(mono, 0) + coeff
+            if top is None or sum(map(mul, mono, degrees)) <= top:
+                pending[mono] = pending.get(mono, 0) + coeff
         out: dict[tuple[int, ...], int] = {}
         while pending:
             mono, coeff = pending.popitem()
-            coeff = self._reduce_coeff(coeff)
-            if coeff == 0:
+            if f2:
+                coeff &= 1
+            if not coeff:
                 continue
-            if self.truncation is not None and self.monomial_degree(mono) > self.truncation:
-                continue
-            hot = None
-            for i, e in enumerate(mono):
-                b = self._bounds[i]
-                if b is not None and e >= b:
-                    hot = i
+            for i, bound in hot:
+                if mono[i] >= bound:
+                    rest = list(mono)
+                    rest[i] -= bound
+                    for rc, rmono in self._replacements[i]:
+                        new_mono = tuple(map(add, rest, rmono))
+                        pending[new_mono] = pending.get(new_mono, 0) + coeff * rc
                     break
-            if hot is None:
+            else:
                 new = out.get(mono, 0) + coeff
-                new = self._reduce_coeff(new)
+                if f2:
+                    new &= 1
                 if new:
                     out[mono] = new
                 else:
-                    out.pop(mono, None)
-                continue
-            rest = list(mono)
-            rest[hot] -= self._bounds[hot]
-            for rc, rmono in self._replacements[hot]:
-                new_mono = tuple(x + y for x, y in zip(rest, rmono))
-                pending[new_mono] = pending.get(new_mono, 0) + coeff * rc
+                    del out[mono]
         return out
 
     # -- element constructors -------------------------------------------------
@@ -461,10 +469,11 @@ class Element:
                 self.algebra._normalize([(m, c * other) for m, c in self.terms.items()]),
             )
         self._check_compatible(other)
-        raw = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                raw.append((tuple(x + y for x, y in zip(m1, m2)), c1 * c2))
+        raw = [
+            (tuple(map(add, m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        ]
         return Element(self.algebra, self.algebra._normalize(raw))
 
     __rmul__ = __mul__

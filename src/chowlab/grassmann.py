@@ -42,11 +42,16 @@ def prev_max_orth_ring(r: int) -> AlgebraPresentation:
 
 
 def prev_max_sigma(x: Element) -> Element:
-    """The basis-linear involution e_1 -> e + e_1 of the previous-to-maximal model."""
+    """The basis-linear involution e_1 -> e + e_1 of the previous-to-maximal model.
+
+    Every other generator is fixed and e_1 is square-free in a normal monomial,
+    so sigma(m) = m when e_1 does not divide m and (m/e_1)(e + e_1) when it
+    does: sigma(x) = x + (x/e_1) * e, one product.
+    """
     ring = x.algebra
-    images = {g.name: ring.gen(g.name) for g in ring.generators}
-    images["e1"] = ring.gen("e") + ring.gen("e1")
-    return ring.substitute(x, images)
+    i = ring._index["e1"]
+    quotient = {m[:i] + (0,) + m[i + 1:]: c for m, c in x.terms.items() if m[i]}
+    return x + Element(ring, quotient) * ring.gen("e")
 
 
 def odd_quotient_ring(r: int) -> AlgebraPresentation:

@@ -72,6 +72,12 @@ def _chern_products(ring: AlgebraPresentation) -> list[Element]:
     return [ring.gen(f"c{i}") * ring.gen(f"cp{i}") for i in range(1, _rank(ring) + 1)]
 
 
+def _c_powers(ring: AlgebraPresentation, n: int) -> list[Element]:
+    """c^0, ..., c^(n-1) for the class c = a*b."""
+    c = ring.gen("a") * ring.gen("b")
+    return [c ** k for k in range(n)]
+
+
 def _mutated(sigma: SwapInvolution) -> SwapInvolution:
     """The same swap on the ring with the fiber relations replaced by a^r = b^r = 0."""
     ring = sigma.algebra
@@ -86,10 +92,10 @@ def _mutated(sigma: SwapInvolution) -> SwapInvolution:
 def relation_element(ring: AlgebraPresentation) -> Element:
     """sum_{i=0..r} c_i c'_i c^(r-i), normalized in the ring."""
     r = _rank(ring)
-    c = ring.gen("a") * ring.gen("b")
-    acc = c ** r
+    powers = _c_powers(ring, r + 1)
+    acc = powers[r]
     for i, pair in enumerate(_chern_products(ring), 1):
-        acc = acc + pair * c ** (r - i)
+        acc = acc + pair * powers[r - i]
     return acc
 
 
@@ -123,10 +129,9 @@ class FreenessReport:
 def _power_monomials(ring: AlgebraPresentation, d: int) -> list[Element]:
     """Products (c_1 c'_1)^m1 ... (c_r c'_r)^mr * c^k with k < r and total degree d."""
     pairs = _chern_products(ring)
-    c = ring.gen("a") * ring.gen("b")
     return [
-        c ** k * x
-        for k in range(min(len(pairs), d // 2 + 1))
+        ck * x
+        for k, ck in enumerate(_c_powers(ring, min(len(pairs), d // 2 + 1)))
         for x in generator_products(ring, pairs, d - 2 * k)
     ]
 
@@ -167,18 +172,17 @@ def _kernel_matches_base_norms(sigma: SwapInvolution, base: SwapInvolution, d: i
     when the classes of the base fixed monomials times c^k are F2-independent.
     """
     ring = sigma.algebra
-    c = ring.gen("a") * ring.gen("b")
-    ks = range(min(_rank(ring), d // 2 + 1))
+    powers = list(enumerate(_c_powers(ring, min(_rank(ring), d // 2 + 1))))
     # inclusion 1: base norms times c^k land in the full norm module
-    for k in ks:
+    for k, ck in powers:
         for nu in norm_image_basis(base, d - 2 * k):
             lifted = Element(ring, {m + (0, 0): v for m, v in nu.terms.items()})
-            if not sigma.norm_class(lifted * c ** k).is_zero:
+            if not sigma.norm_class(lifted * ck).is_zero:
                 return False
     # inclusion 2: the evaluation is injective on base invariants modulo base norms
     images = [
-        sigma.norm_class(Element(ring, {base.lift(m) + (0, 0): 1}) * c ** k)
-        for k in ks
+        sigma.norm_class(Element(ring, {base.lift(m) + (0, 0): 1}) * ck)
+        for k, ck in powers
         for m in base.classes.degree_basis(d - 2 * k)
     ]
     return sigma.classes.span_solver(images, d).rank == len(images)

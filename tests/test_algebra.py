@@ -15,7 +15,8 @@ from chowlab.algebra import (
     free_polynomial_ring,
 )
 from chowlab.errors import ConfigurationError, PresentationError, UsageError
-from chowlab.grassmann import max_orth_ring
+from chowlab.grassmann import max_orth_ring, odd_quotient_ring, prev_max_orth_ring
+from chowlab.weil import build as build_weil
 
 
 def _maxorth(n):
@@ -224,6 +225,86 @@ def test_power_stops_at_the_first_zero_product(monkeypatch):
     assert (e1 ** 10**12).is_zero
 
 
+def _reference_normalize(self, raw_terms):
+    # the pending-loop normal form that the kernel replaced, kept as its oracle
+    def _reduce_coeff(c):
+        return c % 2 if self.coefficients == F2 else c
+
+    pending = {}
+    for mono, coeff in raw_terms:
+        pending[mono] = pending.get(mono, 0) + coeff
+    out = {}
+    while pending:
+        mono, coeff = pending.popitem()
+        coeff = _reduce_coeff(coeff)
+        if coeff == 0:
+            continue
+        if self.truncation is not None and self.monomial_degree(mono) > self.truncation:
+            continue
+        hot = None
+        for i, e in enumerate(mono):
+            b = self._bounds[i]
+            if b is not None and e >= b:
+                hot = i
+                break
+        if hot is None:
+            new = out.get(mono, 0) + coeff
+            new = _reduce_coeff(new)
+            if new:
+                out[mono] = new
+            else:
+                out.pop(mono, None)
+            continue
+        rest = list(mono)
+        rest[hot] -= self._bounds[hot]
+        for rc, rmono in self._replacements[hot]:
+            new_mono = tuple(x + y for x, y in zip(rest, rmono))
+            pending[new_mono] = pending.get(new_mono, 0) + coeff * rc
+    return out
+
+
+def test_normalize_against_the_pending_loop_reference():
+    # fiber rules (weil over Z and F2), chained e_i^2 = e_2i, a truncated free
+    # ring and a swap's class presentation, on seeded raw term lists
+    rng = random.Random(17)
+    rings = [
+        build_weil(2, Z, 8).algebra,
+        build_weil(3, F2, 9).algebra,
+        max_orth_ring(7),
+        prev_max_orth_ring(2),
+        free_polynomial_ring([("a", 1), ("b", 2)], Z, truncation=7),
+        free_polynomial_ring([("a", 1), ("b", 3)], F2, truncation=7),
+        build_weil(2, Z, 8).classes,
+    ]
+    for ring in rings:
+        top = ring.max_degree
+        normal = [m for d in range(top + 1) for m in ring.degree_basis(d)]
+        caps = [(g.power_bound or 3) + 2 for g in ring.generators]  # above every bound
+        kinds = (
+            lambda: rng.choice(normal),
+            # a product of normal monomials: often rewritten into a normal one met again
+            lambda: tuple(x + y for x, y in zip(rng.choice(normal), rng.choice(normal))),
+            lambda: tuple(rng.randrange(c) for c in caps),
+        )
+        seen = {"cancelled": 0, "above_top": 0, "rewritten": 0}
+        for _ in range(200):
+            pool = [rng.choice(kinds)() for _ in range(rng.randint(1, 4))]
+            raw = [(rng.choice(pool), rng.randint(-3, 3)) for _ in range(rng.randint(1, 8))]
+            mono, coeff = rng.choice(raw)
+            raw.append((mono, -coeff))  # a coefficient that cancels what came before it
+            expected = _reference_normalize(ring, raw)
+            assert ring._normalize(raw) == expected, (ring, raw)
+            assert ring._normalize(list(reversed(raw))) == expected, (ring, raw)
+            seen["cancelled"] += not expected
+            seen["above_top"] += any(ring.monomial_degree(m) > top for m, _ in raw)
+            seen["rewritten"] += any(
+                e >= b for m, _ in raw for e, b in zip(m, ring._bounds) if b is not None
+            )
+        if all(b is None for b in ring._bounds):  # a free ring rewrites nothing
+            del seen["rewritten"]
+        assert all(seen.values()), (ring, seen)
+
+
 def test_unbounded_generator_requires_truncation():
     with pytest.raises(ConfigurationError):
         AlgebraPresentation([GeneratorSpec("a", 1)], Z, truncation=None)
@@ -335,9 +416,6 @@ def test_three_generator_cycle_rejected():
 def test_degree_basis_oracle_all_shipped_presentations(indexed_bases):
     # independent oracle on every shipped presentation shape, d <= 10, asked
     # ascending, then descending and shuffled on fresh copies
-    from chowlab.grassmann import odd_quotient_ring, prev_max_orth_ring
-    from chowlab.weil import build as build_weil
-
     rng = random.Random(16)
     rings = [
         max_orth_ring(5),

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from chowlab import grassmann
+from chowlab.algebra import Element
 from chowlab.errors import UsageError
 from chowlab.grassmann import (
     SubringClosure,
@@ -168,6 +169,47 @@ def test_prev_max_sigma_semilinear_over_fixed_subring():
         y = ring.element([(1, {rng.choice(names): 1}) for _ in range(2)])
         assert prev_max_sigma(x * y) == x * prev_max_sigma(y)
         assert prev_max_sigma(x) == x
+
+
+def test_prev_max_sigma_against_substitute():
+    # the monomial rule against the generic ring map sending e1 to e + e1
+    rng = random.Random(41)
+    for r in (1, 2, 3):
+        ring = prev_max_orth_ring(r)
+        e, e1 = ring.gen("e"), ring.gen("e1")
+        images = {g.name: ring.gen(g.name) for g in ring.generators}
+        images["e1"] = e + e1
+        monomials = [x for d in range(ring.max_degree + 1) for x in ring.basis_elements(d)]
+        moved = 0
+        for x in monomials:
+            assert prev_max_sigma(x) == ring.substitute(x, images), x
+            named = ring.monomial_named(*x.terms)
+            if named.pop("e1", 0):
+                q = ring.monomial(named)
+                assert e1 * q == x
+                assert x + prev_max_sigma(x) == q * e, x
+                moved += 1
+        assert moved == len(monomials) // 2
+        for _ in range(40):
+            x = sum(rng.sample(monomials, rng.randint(2, 12)), ring.zero())
+            assert prev_max_sigma(x) == ring.substitute(x, images), x
+
+
+def test_odd_case_pipeline_multiplies_within_a_work_bound(monkeypatch):
+    # a count, not a timing: sigma by its monomial rule takes 2024 products here,
+    # the generic substitute of every generator's image into each element 6440
+    products = 0
+    mul = Element.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    report = odd_case_pipeline(3)
+    assert report.norm_equals_ideal and report.model_consistent and report.class_nonzero
+    assert products <= 2230, products
 
 
 def test_prev_max_norm_examples():
