@@ -205,19 +205,21 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
     model = odd_quotient_ring(r)
     norm_equals_ideal = model_consistent = True
     for d in range(ring.max_degree + 1):
-        norms = [x + prev_max_sigma(x) for x in ring.basis_elements(d)]
-        rank_n = ring.span_solver(norms, d).rank
+        norms = ring.span_solver([x + prev_max_sigma(x) for x in ring.basis_elements(d)], d)
+        rank_n = norms.rank
 
-        # (i) the norm image coincides with e * <e, e_2, ..., e_2r>
+        # (i) the norm image coincides with e * <e, e_2, ..., e_2r>: equal F2
+        # ranks, and the ideal inside the norm span
         ideal = [e * x for x in sub.basis(d - 1)]
-        if not rank_n == ring.span_solver(ideal, d).rank == ring.span_solver(norms + ideal, d).rank:
+        if ring.span_solver(ideal, d).rank != rank_n or not all(norms.contains(x) for x in ideal):
             norm_equals_ideal = False
 
         # (ii) the subring modulo norms matches the model ring
         sub_basis = sub.basis(d)
         model_basis = model.degree_basis(d) if d <= model.max_degree else []
-        efree = [ring.element([(1, model.monomial_named(m))]) for m in model_basis]
-        rank_total = ring.span_solver(norms + efree, d).rank
+        for m in model_basis:
+            norms.add(ring.element([(1, model.monomial_named(m))]))
+        rank_total = norms.rank
         if len(sub_basis) != rank_n + len(model_basis) or rank_total != len(sub_basis):
             model_consistent = False
 

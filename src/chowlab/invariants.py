@@ -14,8 +14,10 @@ coefficients (``SwapInvolution.norm_class``).  The classes live in
 generators, whose normal basis in each degree is the fixed monomials; so the
 checks walk the fixed monomials only, never the ring's whole degree basis.
 Every "generated modulo norms" statement is tested degreewise as an F2 rank
-question on those classes; the integer lattice of products and norms, which
-answers the same questions, is the reference the tests compare against.
+question on those classes, on the generators' products of every degree built
+in one walk (``generator_products``); the integer lattice of products and
+norms, which answers the same questions, is the reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -176,33 +178,34 @@ def norm_image_basis(sigma: SwapInvolution, d: int) -> list[Element]:
     return out
 
 
-def generator_products(A: AlgebraPresentation, generators, d: int) -> list[Element]:
-    """All products of the given homogeneous elements with total degree d."""
+def generator_products(A: AlgebraPresentation, generators, top: int) -> list[list[Element]]:
+    """The nonzero products of the given homogeneous elements, by degree 0..top.
+
+    One walk: each generator in turn extends every product found so far by
+    its powers up to degree ``top``, so each product costs one multiplication
+    and a zero one is never extended.  Within a degree the products are in
+    lexicographic order of their exponent vectors.
+    """
     degrees = []
     for g in generators:
         gd = g.homogeneous_degree()
         if gd is None or gd < 1:
             raise UsageError("generators must be homogeneous of positive degree")
         degrees.append(gd)
-    out: list[Element] = []
-
-    def rec(i: int, remaining: int, acc: Element) -> None:
-        if acc.is_zero:
-            return
-        if i == len(degrees):
-            if remaining == 0:
-                out.append(acc)
-            return
-        power = acc
-        e = 0
-        while True:
-            rec(i + 1, remaining - e * degrees[i], power)
-            e += 1
-            if e * degrees[i] > remaining:
-                break
-            power = power * generators[i]
-
-    rec(0, d, A.one())
+    walk = [(0, A.one())]
+    for g, gd in zip(generators, degrees):
+        extended = []
+        for deg, power in walk:
+            extended.append((deg, power))
+            while deg + gd <= top:
+                deg, power = deg + gd, power * g
+                if power.is_zero:
+                    break
+                extended.append((deg, power))
+        walk = extended
+    out: list[list[Element]] = [[] for _ in range(top + 1)]
+    for deg, x in walk:
+        out[deg].append(x)
     return out
 
 
@@ -245,9 +248,10 @@ def quotient_generation_check(
     degree-d products of the given generators together with the norm module.
     The generators must be invariant; otherwise ConfigurationError is raised.
     """
+    products = generator_products(sigma.algebra, generators, max_degree)
     results = []
     for d in range(max_degree + 1):
-        witness = uncovered_invariant(sigma, generator_products(sigma.algebra, generators, d), d)
+        witness = uncovered_invariant(sigma, products[d], d)
         results.append(DegreeCheck(d=d, passed=witness is None, witness=witness))
     return GenerationReport(degrees=tuple(results))
 
@@ -292,7 +296,8 @@ def non_generation_witness() -> ObstructionReport:
     p = ring.monomial({"a1": 1, "a2": 1, "a3": 1}) + ring.monomial(
         {"b1": 1, "b2": 1, "b3": 1}
     )
-    spanners = generator_products(ring, invariant_basis(sigma, 1) + invariant_basis(sigma, 2), 3)
+    low = invariant_basis(sigma, 1) + invariant_basis(sigma, 2)
+    spanners = generator_products(ring, low, 3)[3]
     in_span, _ = ring.span_membership(p, spanners)
     doubled, _ = ring.span_membership(2 * p, spanners)
     is_norm, _ = ring.span_membership(p, norm_image_basis(sigma, 3))

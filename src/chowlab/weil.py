@@ -4,7 +4,10 @@ Two rank-r projective-bundle rings over a common base are glued by the
 involution swapping the two factors; the distinguished degree-2 class is
 c = a*b.  The checks verify that modulo the norm module the invariants form
 a free module on 1, c, ..., c^(r-1) over the base invariants, with the
-single monic relation sum_i c_i c'_i c^(r-i) = 0.
+single monic relation sum_i c_i c'_i c^(r-i) = 0.  In each degree one list,
+the base fixed monomials times c^k for k < r, answers both module questions:
+its classes span when their rank is the number of fixed monomials, and are
+free when they are independent and base norms times c^k have class zero.
 
 The model is its swap: ``build`` returns the ``SwapInvolution`` of the ring on
 c_1..c_r, c'_1..c'_r, a, b, and the checks read r, D and the coefficients off
@@ -17,13 +20,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraPresentation, Element, GeneratorSpec
 from .errors import UsageError
-from .invariants import (
-    SwapInvolution,
-    generator_products,
-    norm_image_basis,
-    quotient_generation_check,
-    uncovered_invariant,
-)
+from .invariants import SwapInvolution, norm_image_basis, quotient_generation_check
 
 
 def _fiber_rule(r: int, chern_prefix: str, fiber_name: str):
@@ -126,37 +123,25 @@ class FreenessReport:
         )
 
 
-def _power_monomials(ring: AlgebraPresentation, d: int) -> list[Element]:
-    """Products (c_1 c'_1)^m1 ... (c_r c'_r)^mr * c^k with k < r and total degree d."""
-    pairs = _chern_products(ring)
-    return [
-        ck * x
-        for k, ck in enumerate(_c_powers(ring, min(len(pairs), d // 2 + 1)))
-        for x in generator_products(ring, pairs, d - 2 * k)
-    ]
-
-
 def freeness_check(sigma: SwapInvolution) -> FreenessReport:
     """Module spanning and freeness of 1, c, ..., c^(r-1) modulo norms, per degree.
 
     Both are questions about classes in invariants modulo norms, which is F2 on
     the fixed monomials (``SwapInvolution.norm_class``).  Spanning: the classes of
-    base-pair monomials times powers of c span it.  Freeness: the kernel of the
-    evaluation (beta_k) -> sum_k beta_k c^k of base invariants is exactly the
-    tuple of base norm modules, checked by both inclusions.
+    the base fixed monomials (the base-pair monomials) times powers of c span it.
+    Freeness: the kernel of the evaluation (beta_k) -> sum_k beta_k c^k of base
+    invariants is exactly the tuple of base norm modules, checked by both inclusions.
     """
     ring = sigma.algebra
     r, D, base = _rank(ring), ring.truncation, _base(ring)
-    degrees = range(D - 2 * r + 1)
+    checks = {d: _module_checks(sigma, base, d) for d in range(D - 2 * r + 1)}
     mutated = _mutated(sigma)
     return FreenessReport(
         r=r,
         coefficients=ring.coefficients,
         D=D,
-        spanning={
-            d: uncovered_invariant(sigma, _power_monomials(ring, d), d) is None for d in degrees
-        },
-        freeness={d: _kernel_matches_base_norms(sigma, base, d) for d in degrees},
+        spanning={d: spans for d, (spans, _) in checks.items()},
+        freeness={d: free for d, (_, free) in checks.items()},
         module_rank=r,
         relation_in_norms=product_relation_check(sigma),
         mutation_rejected=not product_relation_check(mutated),
@@ -164,28 +149,32 @@ def freeness_check(sigma: SwapInvolution) -> FreenessReport:
     )
 
 
-def _kernel_matches_base_norms(sigma: SwapInvolution, base: SwapInvolution, d: int) -> bool:
-    """Both inclusions between the evaluation kernel and the base norm modules in degree d.
+def _module_checks(sigma: SwapInvolution, base: SwapInvolution, d: int) -> tuple[bool, bool]:
+    """Spanning and freeness in degree d, from one span of images.
 
-    Base invariants modulo base norms is F2 on the base fixed monomials, so once
-    every base norm times c^k has class zero, the kernel is no larger exactly
-    when the classes of the base fixed monomials times c^k are F2-independent.
+    The images are the classes of the base fixed monomials times c^k, k < r.
+    They span invariants modulo norms when their rank is the number of
+    degree-d fixed monomials.  Base invariants modulo base norms is F2 on the
+    base fixed monomials, so once every base norm times c^k has class zero,
+    the kernel is no larger exactly when the images are F2-independent.
     """
     ring = sigma.algebra
     powers = list(enumerate(_c_powers(ring, min(_rank(ring), d // 2 + 1))))
-    # inclusion 1: base norms times c^k land in the full norm module
-    for k, ck in powers:
-        for nu in norm_image_basis(base, d - 2 * k):
-            lifted = Element(ring, {m + (0, 0): v for m, v in nu.terms.items()})
-            if not sigma.norm_class(lifted * ck).is_zero:
-                return False
-    # inclusion 2: the evaluation is injective on base invariants modulo base norms
     images = [
         sigma.norm_class(Element(ring, {base.lift(m) + (0, 0): 1}) * ck)
         for k, ck in powers
         for m in base.classes.degree_basis(d - 2 * k)
     ]
-    return sigma.classes.span_solver(images, d).rank == len(images)
+    rank = sigma.classes.span_solver(images, d).rank
+    spans = rank == len(sigma.classes.degree_basis(d))
+    # inclusion 1: base norms times c^k land in the full norm module
+    for k, ck in powers:
+        for nu in norm_image_basis(base, d - 2 * k):
+            lifted = Element(ring, {m + (0, 0): v for m, v in nu.terms.items()})
+            if not sigma.norm_class(lifted * ck).is_zero:
+                return spans, False
+    # inclusion 2: the evaluation is injective on base invariants modulo base norms
+    return spans, rank == len(images)
 
 
 def base_generation_check(sigma: SwapInvolution, max_degree: int | None = None):

@@ -6,6 +6,7 @@ import pytest
 
 from chowlab.algebra import F2, AlgebraPresentation, Element, GeneratorSpec, Z, free_polynomial_ring
 from chowlab.errors import ConfigurationError, UsageError
+from chowlab.grassmann import max_orth_ring, prev_max_orth_ring
 from chowlab.invariants import (
     SwapInvolution,
     antisymmetric_rank,
@@ -234,7 +235,113 @@ def test_swap_must_permute_the_rewrite_rules():
 def test_generator_products_degree_zero():
     ring, _ = swap_polynomial_ring(1, 0, Z, truncation=3)
     prods = generator_products(ring, [ring.gen("a1") * ring.gen("b1")], 0)
-    assert prods == [ring.one()]
+    assert prods == [[ring.one()]]
+
+
+def _reference_products(A: AlgebraPresentation, generators, d: int) -> list[Element]:
+    """All products of the given homogeneous elements with total degree d."""
+    degrees = []
+    for g in generators:
+        gd = g.homogeneous_degree()
+        if gd is None or gd < 1:
+            raise UsageError("generators must be homogeneous of positive degree")
+        degrees.append(gd)
+    out: list[Element] = []
+
+    def rec(i: int, remaining: int, acc: Element) -> None:
+        if acc.is_zero:
+            return
+        if i == len(degrees):
+            if remaining == 0:
+                out.append(acc)
+            return
+        power = acc
+        e = 0
+        while True:
+            rec(i + 1, remaining - e * degrees[i], power)
+            e += 1
+            if e * degrees[i] > remaining:
+                break
+            power = power * generators[i]
+
+    rec(0, d, A.one())
+    return out
+
+
+def _swap_generators(coeff):
+    ring, _ = swap_polynomial_ring(2, 1, coeff, truncation=7)
+    a1, b1, a2, b2, t1 = (ring.gen(n) for n in ("a1", "b1", "a2", "b2", "t1"))
+    return ring, [t1, a1 * b1, a2 * b2, a1 + b1, a1 * a1 + b1 * b1], 7
+
+
+def _weil_generators(r):
+    ring = build_weil(r, Z, 2 * r + 2).algebra
+    c = ring.gen("a") * ring.gen("b")
+    pairs = [ring.gen(f"c{i}") * ring.gen(f"cp{i}") for i in range(1, r + 1)]
+    return ring, pairs + [c, ring.gen("a") + ring.gen("b")], 2 * r + 2
+
+
+def _max_orth_generators():
+    ring = max_orth_ring(7)
+    return ring, [ring.gen(f"e{i}") for i in range(1, 7)], 12
+
+
+def _prev_max_generators():
+    ring = prev_max_orth_ring(2)
+    e, e1 = ring.gen("e"), ring.gen("e1")
+    return ring, [e, e1, e * e1] + [ring.gen(f"e{i}") for i in range(2, 5)], 9
+
+
+def _high_generator():
+    ring, _ = swap_polynomial_ring(1, 1, Z, truncation=6)
+    t1, a1, b1 = ring.gen("t1"), ring.gen("a1"), ring.gen("b1")
+    return ring, [t1, t1 ** 3 + a1 * a1 * b1, a1 * b1], 2
+
+
+PRODUCT_CASES = {
+    "swap_Z": lambda: _swap_generators(Z),
+    "swap_F2": lambda: _swap_generators(F2),
+    "weil_r1": lambda: _weil_generators(1),
+    "weil_r2": lambda: _weil_generators(2),
+    "max_orth_7": _max_orth_generators,
+    "prev_max_2": _prev_max_generators,
+    "generator_above_top": _high_generator,
+}
+
+
+@pytest.mark.parametrize("case", list(PRODUCT_CASES))
+def test_generator_products_match_the_recursive_reference(case):
+    ring, gens, top = PRODUCT_CASES[case]()
+    for t in (0, top):
+        products = generator_products(ring, gens, t)
+        assert len(products) == t + 1
+        for d in range(t + 1):
+            expected = _reference_products(ring, gens, d)
+            assert len(products[d]) == len(expected), (case, t, d)
+            assert all(x == y for x, y in zip(products[d], expected)), (case, t, d)
+
+
+def test_generator_products_vanishing_products_are_pruned():
+    # e4^2 = e8 lies past e6, so e1^8 = e4^2 and all its multiples vanish
+    ring, gens, top = _max_orth_generators()
+    products = generator_products(ring, gens, top)
+    assert all(not x.is_zero for layer in products for x in layer)
+    exponent_vectors = [1] + [0] * top  # exponent vectors of each total degree
+    for g in gens:
+        gd = g.homogeneous_degree()
+        for d in range(gd, top + 1):
+            exponent_vectors[d] += exponent_vectors[d - gd]
+    assert len(products[8]) < exponent_vectors[8]
+
+
+def test_generator_products_rejects_a_non_homogeneous_generator():
+    ring, _ = swap_polynomial_ring(1, 1, Z, truncation=4)
+    t1, a1 = ring.gen("t1"), ring.gen("a1")
+    for gens in ([t1, t1 + a1 * a1], [t1, ring.one()], [t1 * t1 * t1 + a1]):
+        with pytest.raises(UsageError):
+            generator_products(ring, gens, 4)
+        with pytest.raises(UsageError):
+            generator_products(ring, gens, 0)
 
 
 def test_non_generation_witness():

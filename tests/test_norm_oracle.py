@@ -24,7 +24,6 @@ from chowlab.suites import report_json
 from chowlab.weil import (
     _base,
     _mutated,
-    _power_monomials,
     base_generation_check,
     build,
     freeness_check,
@@ -40,9 +39,10 @@ def lattice_uncovered(sigma, products, d):
 
 def lattice_generation(sigma, generators, max_degree):
     """Per-degree JSON of the lattice answer, in the form ``report_json`` gives a ``DegreeCheck``."""
+    products = generator_products(sigma.algebra, generators, max_degree)
     out = []
     for d in range(max_degree + 1):
-        witness = lattice_uncovered(sigma, generator_products(sigma.algebra, generators, d), d)
+        witness = lattice_uncovered(sigma, products[d], d)
         pairs = witness.to_pairs() if witness is not None else None
         out.append({"d": d, "pass": witness is None, "witness": pairs})
     return out
@@ -81,6 +81,14 @@ def lattice_kernel_matches_base_norms(sigma, r, d):
             if not base_norm_solvers[k].contains(acc):
                 return False
     return True
+
+
+def pair_power_products(ring, r, d):
+    """(c_1 c'_1)^m1 ... (c_r c'_r)^mr * c^k with k < r and total degree d, multiplied out."""
+    pairs = [ring.gen(f"c{i}") * ring.gen(f"cp{i}") for i in range(1, r + 1)]
+    products = generator_products(ring, pairs, d)
+    c = ring.gen("a") * ring.gen("b")
+    return [x * c ** k for k in range(min(r, d // 2 + 1)) for x in products[d - 2 * k]]
 
 
 def lattice_relation_in_norms(sigma, r):
@@ -183,7 +191,8 @@ def test_weil_freeness_matches_lattice(coeff, r, variant):
     report = freeness_check(sigma)
     degrees = range(5)  # relative degrees 0..D - 2r
     assert report.spanning == {
-        d: lattice_uncovered(sigma, _power_monomials(sigma.algebra, d), d) is None for d in degrees
+        d: lattice_uncovered(sigma, pair_power_products(sigma.algebra, r, d), d) is None
+        for d in degrees
     }
     assert report.freeness == {d: lattice_kernel_matches_base_norms(sigma, r, d) for d in degrees}
     assert report.relation_in_norms == lattice_relation_in_norms(sigma, r)

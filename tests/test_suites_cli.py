@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from chowlab import grassmann
-from chowlab.algebra import AlgebraPresentation
+from chowlab.algebra import AlgebraPresentation, Element
 from chowlab.cli import main
 from chowlab.suites import SuiteOptions, run_suite
 
@@ -153,7 +153,7 @@ def test_decompose_cli(capsys):
 def test_presentation_cli_roundtrip(capsys):
     code, out, _ = _run(capsys, ["presentation", "weil", "2", "8", "--coefficients", "Z"])
     assert code == 0
-    from chowlab.algebra import AlgebraPresentation
+    from chowlab.algebra import AlgebraPresentation, Element
 
     ring = AlgebraPresentation.from_json(json.loads(out))
     a2 = ring.monomial({"a": 2})
@@ -324,6 +324,27 @@ def test_codim2_reaches_r6_d8_within_a_work_bound(indexed_bases):
         f"codim2/{c}/k{k}/r{r}" for c in ("F2", "Z") for k in (0, 1) for r in range(1, 7)
     ]
     assert indexed_bases.monomials <= CODIM2_R6_D8_MONOMIALS
+
+
+# Ring products made by lemmaS, codim2 and weil at max_degree=8: 1029 today, when
+# each check builds every degree's products in one walk and each Weil degree's
+# images once.  Rebuilding all lower degrees for each degree made 2345.
+RINGS_D8_PRODUCTS = 1130
+
+
+def test_invariant_suites_multiply_within_a_work_bound(monkeypatch):
+    products = 0
+    mul = Element.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    for suite in ("lemmaS", "codim2", "weil"):
+        assert run_suite(suite, SuiteOptions(max_degree=8)).passed, suite
+    assert products <= RINGS_D8_PRODUCTS, products
 
 
 # Basis monomials indexed by weil at max_r=10: 980 today, with codim2's headroom.
