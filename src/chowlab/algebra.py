@@ -21,7 +21,7 @@ integer coefficient lists; only it and :mod:`chowlab.linalg` see rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, mul
 
 from .errors import ConfigurationError, PresentationError, UsageError
@@ -40,31 +40,24 @@ def _freeze_monomial(mono) -> tuple[tuple[str, int], ...]:
     return tuple(sorted((str(n), int(e)) for n, e in items if int(e) != 0))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(namedtuple("GeneratorSpec", "name degree power_bound replacement")):
     """A named generator: degree, optional power bound and rewrite image of g^bound.
 
     ``replacement`` holds (coefficient, monomial) pairs with name-keyed
     monomials; an empty replacement with a finite bound means g^bound = 0.
     """
 
-    name: str
-    degree: int
-    power_bound: int | None = None
-    replacement: tuple[tuple[int, tuple[tuple[str, int], ...]], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "replacement",
-            tuple((int(c), _freeze_monomial(m)) for c, m in self.replacement),
-        )
-        if self.degree < 1:
-            raise PresentationError(f"generator {self.name!r} must have positive degree")
-        if self.power_bound is not None and self.power_bound < 1:
-            raise PresentationError(f"generator {self.name!r} power bound must be >= 1")
-        if self.power_bound is None and self.replacement:
-            raise PresentationError(f"generator {self.name!r} is unbounded but has a replacement")
+    def __new__(cls, name: str, degree: int, power_bound: int | None = None, replacement=()):
+        replacement = tuple((int(c), _freeze_monomial(m)) for c, m in replacement)
+        if degree < 1:
+            raise PresentationError(f"generator {name!r} must have positive degree")
+        if power_bound is not None and power_bound < 1:
+            raise PresentationError(f"generator {name!r} power bound must be >= 1")
+        if power_bound is None and replacement:
+            raise PresentationError(f"generator {name!r} is unbounded but has a replacement")
+        return super().__new__(cls, name, degree, power_bound, replacement)
 
 
 class AlgebraPresentation:

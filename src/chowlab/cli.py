@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from . import grassmann, motives, suites
 from .algebra import F2, Z
@@ -183,8 +182,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = [f.name for f in fields(suites.SuiteOptions)]
-    options = suites.SuiteOptions(**{name: getattr(args, name) for name in names})
+    options = suites.SuiteOptions(*(getattr(args, name) for name in suites.SuiteOptions._fields))
     result = suites.run_suite(args.suite, options)
     _emit(result.to_json())
     failed = [c for c in result.cases if not c.passed]
@@ -245,12 +243,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("suite", choices=suites.SUITE_NAMES + ("all",))
-    for f in fields(suites.SuiteOptions):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name == "parity":
-            p.add_argument(flag, choices=suites.SuiteOptions.PARITIES, default=f.default)
+    for name, default in suites.SuiteOptions._field_defaults.items():
+        flag = "--" + name.replace("_", "-")
+        if name == "parity":
+            p.add_argument(flag, choices=suites.SuiteOptions.PARITIES, default=default)
         else:
-            p.add_argument(flag, dest=f.name, type=int, default=f.default)
+            p.add_argument(flag, dest=name, type=int, default=default)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetError, ChowlabError, UsageError
 from .linalg import field_kernel, modp_kernel
@@ -48,17 +48,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p")):
     """The field Z/p with elements represented as residues 0..p-1."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.p) is not int:
-            raise UsageError(f"p must be an integer, got {self.p!r}")
-        if not _is_prime(self.p):
-            raise UsageError(f"{self.p} is not prime")
+    def __new__(cls, p: int):
+        if type(p) is not int:
+            raise UsageError(f"p must be an integer, got {p!r}")
+        if not _is_prime(p):
+            raise UsageError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
 
 class QuadExtField:
@@ -133,20 +133,18 @@ class QuadExtField:
         return f"QuadExtField(p={self.base.p}, modulus=t^2+{self.b}t+{self.c})"
 
 
-@dataclass(frozen=True)
-class HermitianSpace:
+class HermitianSpace(namedtuple("HermitianSpace", "field diag")):
     """A diagonal hermitian space over a quadratic extension."""
 
-    field: QuadExtField
-    diag: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.field.base.p
-        if any(type(d) is not int for d in self.diag):
-            raise UsageError(f"diagonal entries must be integers, got {list(self.diag)!r}")
-        if any(d % p == 0 for d in self.diag):
+    def __new__(cls, field: QuadExtField, diag):
+        p = field.base.p
+        if any(type(d) is not int for d in diag):
+            raise UsageError(f"diagonal entries must be integers, got {list(diag)!r}")
+        if any(d % p == 0 for d in diag):
             raise UsageError("diagonal entries must be nonzero in the base field")
-        object.__setattr__(self, "diag", tuple(d % p for d in self.diag))
+        return super().__new__(cls, field, tuple(d % p for d in diag))
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ e_1 -> e + e_1 used to compute norm images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .algebra import F2, AlgebraPresentation, Element, GeneratorSpec
@@ -177,17 +177,11 @@ def odd_squares_vanish(r: int) -> bool:
 # -- the odd-case comparison pipeline -----------------------------------------
 
 
-@dataclass(frozen=True)
-class OddCaseReport:
-    r: int
-    norm_equals_ideal: bool
-    model_consistent: bool
-    class_nonzero: bool
-    class_unique_in_codim: bool
-    quotient_poincare: PoincarePolynomial
-    candidates: dict
-    matches: dict
-    rank_matches: dict
+OddCaseReport = namedtuple(
+    "OddCaseReport",
+    "r norm_equals_ideal model_consistent class_nonzero class_unique_in_codim"
+    " quotient_poincare candidates matches rank_matches",
+)
 
 
 def odd_case_pipeline(r: int) -> OddCaseReport:

@@ -22,7 +22,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import F2, AlgebraPresentation, Element, GeneratorSpec, free_polynomial_ring
 from .errors import ConfigurationError, UsageError
@@ -223,16 +223,11 @@ def uncovered_invariant(sigma: SwapInvolution, products: list[Element], d: int) 
     return None
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
-    d: int
-    passed: bool
-    witness: Element | None = None
+DegreeCheck = namedtuple("DegreeCheck", "d passed witness")
 
 
-@dataclass(frozen=True)
-class GenerationReport:
-    degrees: tuple[DegreeCheck, ...]
+class GenerationReport(namedtuple("GenerationReport", "degrees")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -268,14 +263,15 @@ def codim_le2_generation_check(
     return quotient_generation_check(sigma, gens, max_degree)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(
+    namedtuple(
+        "ObstructionReport",
+        "witness witness_in_low_degree_span doubled_in_low_degree_span witness_is_norm",
+    )
+):
     """The degree-3 witness separating integral generation from generation after doubling."""
 
-    witness: Element
-    witness_in_low_degree_span: bool
-    doubled_in_low_degree_span: bool
-    witness_is_norm: bool
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

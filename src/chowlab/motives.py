@@ -14,7 +14,7 @@ with Essential(n, 0) the Tate unit and out-of-range atoms zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetError, ChowlabError, UsageError
@@ -42,20 +42,18 @@ def dim_orthogonal(n: int, m: int) -> int:
 # -- atoms and motives -------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    kind: str
-    n: int | None = None
-    r: int | None = None
+class Atom(namedtuple("Atom", "kind n r")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("Tate", "SpecK", "Essential"):
-            raise UsageError(f"unknown atom kind {self.kind!r}")
-        if self.kind == "Essential":
-            if self.n is None or self.r is None or not 0 <= self.r <= self.n // 2:
-                raise UsageError(f"Essential atom out of range: n={self.n}, r={self.r}")
-        elif self.n is not None or self.r is not None:
-            raise UsageError(f"{self.kind} atom takes no parameters")
+    def __new__(cls, kind: str, n: int | None = None, r: int | None = None):
+        if kind not in ("Tate", "SpecK", "Essential"):
+            raise UsageError(f"unknown atom kind {kind!r}")
+        if kind == "Essential":
+            if n is None or r is None or not 0 <= r <= n // 2:
+                raise UsageError(f"Essential atom out of range: n={n}, r={r}")
+        elif n is not None or r is not None:
+            raise UsageError(f"{kind} atom takes no parameters")
+        return super().__new__(cls, kind, n, r)
 
     def __repr__(self) -> str:
         if self.kind == "Essential":
@@ -71,16 +69,14 @@ def essential(n: int, r: int) -> Atom:
     return Atom("Essential", n, r)
 
 
-@dataclass(frozen=True)
-class Motive:
+class Motive(namedtuple("Motive", "summands speck_residual")):
     """A finite multiset of shifted atoms, plus an optional unspecified SpecK remainder."""
 
-    summands: tuple[tuple[Atom, int], ...] = ()
-    speck_residual: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.summands, key=lambda s: (s[1], s[0])))
-        object.__setattr__(self, "summands", ordered)
+    def __new__(cls, summands=(), speck_residual: bool = False):
+        ordered = tuple(sorted(summands, key=lambda s: (s[1], s[0])))
+        return super().__new__(cls, ordered, speck_residual)
 
     def shifted(self, i: int) -> "Motive":
         return Motive(tuple((a, s + i) for a, s in self.summands), self.speck_residual)
@@ -200,12 +196,7 @@ def split_quadric_poincare(n: int) -> PoincarePolynomial:
 # -- reported checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KvadrikaReport:
-    n: int
-    binding: bool
-    delta: tuple[int, ...]
-    passed: bool
+KvadrikaReport = namedtuple("KvadrikaReport", "n binding delta passed")
 
 
 def kvadrika_check(n: int) -> KvadrikaReport:
@@ -226,15 +217,7 @@ def kvadrika_check(n: int) -> KvadrikaReport:
     return KvadrikaReport(n=n, binding=binding, delta=tuple(delta), passed=passed)
 
 
-@dataclass(frozen=True)
-class DvaMrReport:
-    n: int
-    r: int
-    shift_odd: int
-    shift_even: int | None
-    positivity: bool
-    dominance: dict = field(default_factory=dict)
-    passed: bool = True
+DvaMrReport = namedtuple("DvaMrReport", "n r shift_odd shift_even positivity dominance passed")
 
 
 def dvamr_check(n: int, r: int, with_dominance: bool = True) -> DvaMrReport:

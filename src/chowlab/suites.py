@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from collections import namedtuple
 from functools import cache, partial
 
 from . import grassmann, invariants, motives, weil
@@ -31,17 +31,17 @@ from .finitefields import (
 from .polynomials import PoincarePolynomial
 
 
-@dataclass(frozen=True)
-class SuiteOptions:
-    max_n: int = 4
-    max_p: int = 3
-    max_degree: int = 6
-    max_r: int = 3
-    parity: str = "both"  # kvadrika filter, one of PARITIES
+class SuiteOptions(
+    namedtuple(
+        "SuiteOptions", "max_n max_p max_degree max_r parity", defaults=(4, 3, 6, 3, "both")
+    )
+):
+    __slots__ = ()
 
-    PARITIES = ("even", "odd", "both")
+    PARITIES = ("even", "odd", "both")  # the kvadrika filters ``parity`` may name
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         supported = WITT_QUADRATIC_BUDGET["p"]
         for name, low, high in (
             ("max_n", 1, None),
@@ -55,18 +55,14 @@ class SuiteOptions:
                 raise UsageError(f"{name}={value} is out of range; need {bound}")
         if self.parity not in self.PARITIES:
             raise UsageError(f"parity must be one of {self.PARITIES}, got {self.parity!r}")
+        return self
 
     def primes(self):
         return [p for p in WITT_QUADRATIC_BUDGET["p"] if p <= self.max_p]
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    id: str
-    params: dict
-    passed: bool
-    details: dict = field(default_factory=dict)
-    informational: bool = False
+class CaseResult(namedtuple("CaseResult", "id params passed details informational")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {
@@ -80,11 +76,8 @@ class CaseResult:
         return out
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    suite: str
-    cases: tuple[CaseResult, ...]
-    elapsed: float
+class SuiteResult(namedtuple("SuiteResult", "suite cases elapsed")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -114,13 +107,14 @@ def _case(case_id: str, params: dict, check, informational: bool) -> CaseResult:
 def report_json(value):
     """The JSON form of a domain report.
 
-    A dataclass becomes its fields by name, with ``passed`` (a field or a
-    property) written as ``"pass"``; dict keys become strings, tuples become
-    lists, an ``Element`` its ``to_pairs()`` and a ``PoincarePolynomial`` its
-    ``to_list()``.  Anything else passes through unchanged.
+    A record (named tuple) becomes its fields by name, with ``passed`` (a
+    field or a property) written as ``"pass"``; dict keys become strings,
+    other tuples and lists become lists, an ``Element`` its ``to_pairs()`` and
+    a ``PoincarePolynomial`` its ``to_list()``.  Anything else passes through
+    unchanged.
     """
-    if is_dataclass(value):
-        names = [f.name for f in fields(value)]
+    if hasattr(value, "_fields"):  # before the tuple branch: a record is a tuple
+        names = list(value._fields)
         if hasattr(value, "passed") and "passed" not in names:
             names.append("passed")
         return {("pass" if n == "passed" else n): report_json(getattr(value, n)) for n in names}

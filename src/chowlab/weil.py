@@ -16,7 +16,7 @@ that ring.  The base ring is its leading 2r generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraPresentation, Element, GeneratorSpec
 from .errors import UsageError
@@ -70,9 +70,12 @@ def _chern_products(ring: AlgebraPresentation) -> list[Element]:
 
 
 def _c_powers(ring: AlgebraPresentation, n: int) -> list[Element]:
-    """c^0, ..., c^(n-1) for the class c = a*b."""
+    """c^0, ..., c^(n-1) for the class c = a*b, one product each."""
     c = ring.gen("a") * ring.gen("b")
-    return [c ** k for k in range(n)]
+    powers = [ring.one()]
+    for _ in range(1, n):
+        powers.append(powers[-1] * c)
+    return powers
 
 
 def _mutated(sigma: SwapInvolution) -> SwapInvolution:
@@ -86,10 +89,10 @@ def _mutated(sigma: SwapInvolution) -> SwapInvolution:
     return SwapInvolution(mutated, sigma.pairs, sigma.fixed)
 
 
-def relation_element(ring: AlgebraPresentation) -> Element:
-    """sum_{i=0..r} c_i c'_i c^(r-i), normalized in the ring."""
+def relation_element(ring: AlgebraPresentation, powers: list[Element] | None = None) -> Element:
+    """sum_{i=0..r} c_i c'_i c^(r-i), normalized in the ring, from c^0..c^r if given."""
     r = _rank(ring)
-    powers = _c_powers(ring, r + 1)
+    powers = powers or _c_powers(ring, r + 1)
     acc = powers[r]
     for i, pair in enumerate(_chern_products(ring), 1):
         acc = acc + pair * powers[r - i]
@@ -101,17 +104,14 @@ def product_relation_check(sigma: SwapInvolution) -> bool:
     return sigma.norm_class(relation_element(sigma.algebra)).is_zero
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    r: int
-    coefficients: str
-    D: int
-    spanning: dict
-    freeness: dict
-    module_rank: int
-    relation_in_norms: bool
-    mutation_rejected: bool
-    mutation_witness: list
+class FreenessReport(
+    namedtuple(
+        "FreenessReport",
+        "r coefficients D spanning freeness module_rank"
+        " relation_in_norms mutation_rejected mutation_witness",
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -134,8 +134,10 @@ def freeness_check(sigma: SwapInvolution) -> FreenessReport:
     """
     ring = sigma.algebra
     r, D, base = _rank(ring), ring.truncation, _base(ring)
-    checks = {d: _module_checks(sigma, base, d) for d in range(D - 2 * r + 1)}
+    powers = _c_powers(ring, r + 1)
+    checks = {d: _module_checks(sigma, base, d, powers[:r]) for d in range(D - 2 * r + 1)}
     mutated = _mutated(sigma)
+    mutated_relation = relation_element(mutated.algebra)
     return FreenessReport(
         r=r,
         coefficients=ring.coefficients,
@@ -143,23 +145,26 @@ def freeness_check(sigma: SwapInvolution) -> FreenessReport:
         spanning={d: spans for d, (spans, _) in checks.items()},
         freeness={d: free for d, (_, free) in checks.items()},
         module_rank=r,
-        relation_in_norms=product_relation_check(sigma),
-        mutation_rejected=not product_relation_check(mutated),
-        mutation_witness=relation_element(mutated.algebra).to_pairs(),
+        relation_in_norms=sigma.norm_class(relation_element(ring, powers)).is_zero,
+        mutation_rejected=not mutated.norm_class(mutated_relation).is_zero,
+        mutation_witness=mutated_relation.to_pairs(),
     )
 
 
-def _module_checks(sigma: SwapInvolution, base: SwapInvolution, d: int) -> tuple[bool, bool]:
+def _module_checks(
+    sigma: SwapInvolution, base: SwapInvolution, d: int, c_powers: list[Element]
+) -> tuple[bool, bool]:
     """Spanning and freeness in degree d, from one span of images.
 
-    The images are the classes of the base fixed monomials times c^k, k < r.
-    They span invariants modulo norms when their rank is the number of
-    degree-d fixed monomials.  Base invariants modulo base norms is F2 on the
-    base fixed monomials, so once every base norm times c^k has class zero,
-    the kernel is no larger exactly when the images are F2-independent.
+    The images are the classes of the base fixed monomials times c^k, k < r,
+    with c^k taken from ``c_powers`` = c^0, ..., c^(r-1).  They span
+    invariants modulo norms when their rank is the number of degree-d fixed
+    monomials.  Base invariants modulo base norms is F2 on the base fixed
+    monomials, so once every base norm times c^k has class zero, the kernel
+    is no larger exactly when the images are F2-independent.
     """
     ring = sigma.algebra
-    powers = list(enumerate(_c_powers(ring, min(_rank(ring), d // 2 + 1))))
+    powers = list(enumerate(c_powers[: d // 2 + 1]))
     images = [
         sigma.norm_class(Element(ring, {base.lift(m) + (0, 0): 1}) * ck)
         for k, ck in powers

@@ -1,10 +1,12 @@
 """Source-level rules.
 
 No correctness check may live in a statement that ``python -O`` strips, every
-import sits at module top level, the row format of degree-wise linear algebra
-stays behind ``algebra.Span``, report JSON is written only by
-``suites.report_json``, every name the benchmark's tracer wraps stays bound,
-and every package name the README spells out still resolves.
+import sits at module top level, no module imports ``dataclasses`` or
+``typing`` and importing the CLI loads neither (start-up cost), the row format
+of degree-wise linear algebra stays behind ``algebra.Span``, report JSON is
+written only by ``suites.report_json``, every name the benchmark's tracer
+wraps stays bound, and every package name the README spells out still
+resolves.
 """
 
 import ast
@@ -12,6 +14,8 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import chowlab
@@ -43,6 +47,39 @@ def test_imports_at_module_level():
     assert not found, f"imports below module level in src/chowlab: {found}"
 
 
+SLOW_IMPORTS = {"dataclasses", "typing"}
+
+
+def test_no_slow_imports_in_package():
+    # records are collections.namedtuple: dataclasses pulls in inspect, ast and
+    # dis, and each dataclass execs its generated methods at import time
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in SLOW_IMPORTS
+            ]
+    assert not found, f"slow imports in src/chowlab: {found}"
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # -S skips site, which may preload modules of its own
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import chowlab.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]", out.stdout
+
+
 ROW_NAMES = {"F2Span", "ZSpan", "f2_kernel", "z_kernel", "vectorize"}
 
 
@@ -63,8 +100,9 @@ def test_rows_stay_behind_span():
 
 
 def test_json_stays_in_report_layer():
-    # domain reports are dataclasses that suites.report_json encodes; only the
-    # presentation round-trip format and the decompose output keep their own
+    # domain reports are records, and a record (named tuple) becomes its fields
+    # by name in suites.report_json; only the presentation round-trip format and
+    # the decompose output keep their own
     owners = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "suites.py":

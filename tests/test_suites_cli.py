@@ -326,25 +326,42 @@ def test_codim2_reaches_r6_d8_within_a_work_bound(indexed_bases):
     assert indexed_bases.monomials <= CODIM2_R6_D8_MONOMIALS
 
 
-# Ring products made by lemmaS, codim2 and weil at max_degree=8: 1029 today, when
-# each check builds every degree's products in one walk and each Weil degree's
-# images once.  Rebuilding all lower degrees for each degree made 2345.
-RINGS_D8_PRODUCTS = 1130
-
-
-def test_invariant_suites_multiply_within_a_work_bound(monkeypatch):
-    products = 0
+@pytest.fixture
+def ring_products(monkeypatch) -> list:
+    """Count the ``Element.__mul__`` calls made during the test in ``ring_products[0]``."""
+    products = [0]
     mul = Element.__mul__
 
     def counted(self, other):
-        nonlocal products
-        products += 1
+        products[0] += 1
         return mul(self, other)
 
     monkeypatch.setattr(Element, "__mul__", counted)
+    return products
+
+
+# Ring products made by lemmaS, codim2 and weil at max_degree=8: 917 today, when
+# each check builds every degree's products in one walk, each Weil degree's
+# images once and each power of c once.  Rebuilding all lower degrees for each
+# degree made 2345; building every c^k by c ** k made 1029.
+RINGS_D8_PRODUCTS = 1010
+
+
+def test_invariant_suites_multiply_within_a_work_bound(ring_products):
     for suite in ("lemmaS", "codim2", "weil"):
         assert run_suite(suite, SuiteOptions(max_degree=8)).passed, suite
-    assert products <= RINGS_D8_PRODUCTS, products
+    assert ring_products[0] <= RINGS_D8_PRODUCTS, ring_products[0]
+
+
+# Ring products made by weil at max_r=10: 1425 today, when each freeness check
+# builds c^0..c^r once, one product each, and the mutated relation once.
+# Building every c^k by c ** k, per degree and per relation, made 2951.
+WEIL_R10_PRODUCTS = 1570
+
+
+def test_weil_r10_multiplies_within_a_work_bound(ring_products):
+    assert run_suite("weil", SuiteOptions(max_r=10)).passed
+    assert ring_products[0] <= WEIL_R10_PRODUCTS, ring_products[0]
 
 
 # Basis monomials indexed by weil at max_r=10: 980 today, with codim2's headroom.
