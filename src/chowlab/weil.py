@@ -89,10 +89,10 @@ def _mutated(sigma: SwapInvolution) -> SwapInvolution:
     return SwapInvolution(mutated, sigma.pairs, sigma.fixed)
 
 
-def relation_element(ring: AlgebraPresentation, powers: list[Element] | None = None) -> Element:
-    """sum_{i=0..r} c_i c'_i c^(r-i), normalized in the ring, from c^0..c^r if given."""
+def relation_element(ring: AlgebraPresentation) -> Element:
+    """sum_{i=0..r} c_i c'_i c^(r-i), normalized in the ring."""
     r = _rank(ring)
-    powers = powers or _c_powers(ring, r + 1)
+    powers = _c_powers(ring, r + 1)
     acc = powers[r]
     for i, pair in enumerate(_chern_products(ring), 1):
         acc = acc + pair * powers[r - i]
@@ -134,8 +134,8 @@ def freeness_check(sigma: SwapInvolution) -> FreenessReport:
     """
     ring = sigma.algebra
     r, D, base = _rank(ring), ring.truncation, _base(ring)
-    powers = _c_powers(ring, r + 1)
-    checks = {d: _module_checks(sigma, base, d, powers[:r]) for d in range(D - 2 * r + 1)}
+    c_powers = _c_powers(ring, r)
+    checks = {d: _module_checks(sigma, base, d, c_powers) for d in range(D - 2 * r + 1)}
     mutated = _mutated(sigma)
     mutated_relation = relation_element(mutated.algebra)
     return FreenessReport(
@@ -145,7 +145,7 @@ def freeness_check(sigma: SwapInvolution) -> FreenessReport:
         spanning={d: spans for d, (spans, _) in checks.items()},
         freeness={d: free for d, (_, free) in checks.items()},
         module_rank=r,
-        relation_in_norms=sigma.norm_class(relation_element(ring, powers)).is_zero,
+        relation_in_norms=product_relation_check(sigma),
         mutation_rejected=not mutated.norm_class(mutated_relation).is_zero,
         mutation_witness=mutated_relation.to_pairs(),
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from chowlab.algebra import AlgebraPresentation
+from chowlab.algebra import AlgebraPresentation, Element
 
 
 class IndexedBases:
@@ -34,3 +34,17 @@ def indexed_bases(monkeypatch) -> IndexedBases:
 
     monkeypatch.setattr(AlgebraPresentation, "_basis_index", recorded)
     return seen
+
+
+@pytest.fixture
+def ring_products(monkeypatch) -> list:
+    """Count the ``Element.__mul__`` calls made during the test in ``ring_products[0]``."""
+    products = [0]
+    mul = Element.__mul__
+
+    def counted(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    return products
