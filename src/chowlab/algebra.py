@@ -32,12 +32,18 @@ F2 = "F2"
 Z = "Z"
 
 
+def _require(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``, so a bool is no int; else a PresentationError."""
+    if type(value) is not kind:
+        raise PresentationError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _freeze_monomial(mono) -> tuple[tuple[str, int], ...]:
-    if isinstance(mono, dict):
-        items = mono.items()
-    else:
-        items = mono
-    return tuple(sorted((str(n), int(e)) for n, e in items if int(e) != 0))
+    items = mono.items() if isinstance(mono, dict) else mono
+    checked = [(_require(n, str, "generator name"), _require(e, int, f"exponent of {n!r}"))
+               for n, e in items]
+    return tuple(sorted(item for item in checked if item[1]))
 
 
 class GeneratorSpec(namedtuple("GeneratorSpec", "name degree power_bound replacement")):
@@ -50,8 +56,14 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "name degree power_bound replace
     __slots__ = ()
 
     def __new__(cls, name: str, degree: int, power_bound: int | None = None, replacement=()):
-        replacement = tuple((int(c), _freeze_monomial(m)) for c, m in replacement)
-        if degree < 1:
+        _require(name, str, "generator name")
+        if power_bound is not None:
+            _require(power_bound, int, f"generator {name!r} power bound")
+        replacement = tuple(
+            (_require(c, int, f"generator {name!r} coefficient"), _freeze_monomial(m))
+            for c, m in replacement
+        )
+        if _require(degree, int, f"generator {name!r} degree") < 1:
             raise PresentationError(f"generator {name!r} must have positive degree")
         if power_bound is not None and power_bound < 1:
             raise PresentationError(f"generator {name!r} power bound must be >= 1")
@@ -70,7 +82,7 @@ class AlgebraPresentation:
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise PresentationError("generator names must be distinct")
-        if truncation is not None and truncation < 0:
+        if truncation is not None and _require(truncation, int, "truncation degree") < 0:
             raise PresentationError("truncation degree must be nonnegative")
         if truncation is None and any(g.power_bound is None for g in generators):
             raise ConfigurationError(
@@ -198,9 +210,9 @@ class AlgebraPresentation:
     def gen(self, name: str) -> "Element":
         return self.monomial({name: 1})
 
-    def monomial(self, mono, coeff: int = 1) -> "Element":
-        """Normal form of ``coeff * product(g^e)`` for a name-keyed monomial."""
-        return self.element([(coeff, mono)])
+    def monomial(self, mono) -> "Element":
+        """Normal form of ``product(g^e)`` for a name-keyed monomial."""
+        return self.element([(1, mono)])
 
     def element(self, pairs) -> "Element":
         """Build a normalized element from (coeff, name-monomial) pairs.
@@ -252,13 +264,9 @@ class AlgebraPresentation:
             out += [(e,) + rest for rest in self._tails[key]]
         return out
 
-    def poincare(self, up_to: int | None = None) -> PoincarePolynomial:
+    def poincare(self) -> PoincarePolynomial:
         """Poincare polynomial with coefficient |degree basis| at each degree."""
-        if up_to is None:
-            up_to = self.max_degree
-        if self.truncation is not None and up_to > self.truncation:
-            raise UsageError(f"degree {up_to} exceeds truncation {self.truncation}")
-        return PoincarePolynomial([len(self.degree_basis(d)) for d in range(up_to + 1)])
+        return PoincarePolynomial([len(self.degree_basis(d)) for d in range(self.max_degree + 1)])
 
     def basis_elements(self, d: int) -> list["Element"]:
         return [Element(self, {m: 1}) for m in self.degree_basis(d)]
@@ -350,9 +358,7 @@ class AlgebraPresentation:
                 name=g["name"],
                 degree=g["degree"],
                 power_bound=g.get("power_bound"),
-                replacement=tuple(
-                    (c, _freeze_monomial(m)) for c, m in g.get("replacement", [])
-                ),
+                replacement=g.get("replacement", ()),
             )
             for g in data["generators"]
         ]

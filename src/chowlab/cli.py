@@ -244,11 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("suite", choices=suites.SUITE_NAMES + ("all",))
     for name, default in suites.SuiteOptions._field_defaults.items():
-        flag = "--" + name.replace("_", "-")
-        if name == "parity":
-            p.add_argument(flag, choices=suites.SuiteOptions.PARITIES, default=default)
-        else:
-            p.add_argument(flag, dest=name, type=int, default=default)
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -217,9 +217,10 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
         if len(sub_basis) != rank_n + len(model_basis) or rank_total != len(sub_basis):
             model_consistent = False
 
-    # (iii) the canonical class, its uniqueness, its annihilator and the quotient
-    model_ring, cls = class_xr_odd(r)
-    quotient = _quotient_poincare(model_ring, cls)
+    # (iii) the canonical class, its uniqueness, its annihilator and the quotient,
+    # on the model whose degree bases (ii) indexed
+    model, cls = _canonical_class(model, 2 * r)
+    quotient = _quotient_poincare(model, cls)
 
     # (iv) compare against both printed readings and the motive recursion
     candidates = {
@@ -234,7 +235,7 @@ def odd_case_pipeline(r: int) -> OddCaseReport:
         norm_equals_ideal=norm_equals_ideal,
         model_consistent=model_consistent,
         class_nonzero=not cls.is_zero,
-        class_unique_in_codim=_unique_in_even_subring(model_ring, cls),
+        class_unique_in_codim=_unique_in_even_subring(model, cls),
         quotient_poincare=quotient,
         candidates=candidates,
         matches=matches,

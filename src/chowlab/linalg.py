@@ -84,8 +84,8 @@ class ZSpan:
     and membership queries can report integer witness coefficients.
     """
 
-    def __init__(self, rows=(), width: int | None = None):
-        self._width = width
+    def __init__(self, rows=()):
+        self._width: int | None = None  # set by the first row
         self._rows: list[tuple[int, list[int], dict[int, int]]] = []  # (pivot col, row, transform)
         self._count = 0
         self.kernel: list[dict[int, int]] = []

@@ -28,8 +28,8 @@ class PoincarePolynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "PoincarePolynomial":
-        return cls([0] * degree + [coeff])
+    def monomial(cls, degree: int) -> "PoincarePolynomial":
+        return cls([0] * degree + [1])
 
     @classmethod
     def exterior(cls, degrees) -> "PoincarePolynomial":

@@ -32,13 +32,9 @@ from .polynomials import PoincarePolynomial
 
 
 class SuiteOptions(
-    namedtuple(
-        "SuiteOptions", "max_n max_p max_degree max_r parity", defaults=(4, 3, 6, 3, "both")
-    )
+    namedtuple("SuiteOptions", "max_n max_p max_degree max_r", defaults=(4, 3, 6, 3))
 ):
     __slots__ = ()
-
-    PARITIES = ("even", "odd", "both")  # the kvadrika filters ``parity`` may name
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -53,8 +49,6 @@ class SuiteOptions(
             if value < low or (high is not None and value > high):
                 bound = f"{low} <= {name} <= {high}" if high is not None else f"{name} >= {low}"
                 raise UsageError(f"{name}={value} is out of range; need {bound}")
-        if self.parity not in self.PARITIES:
-            raise UsageError(f"parity must be one of {self.PARITIES}, got {self.parity!r}")
         return self
 
     def primes(self):
@@ -304,7 +298,6 @@ SUITES = {
             ("even", range(2, 11, 2), _kvadrika_even),
             ("odd", range(3, 10, 2), _kvadrika_odd),
         )
-        if o.parity in (parity, "both")
         for n in ns
     ],
     "dvamr": lambda o: [

@@ -182,9 +182,8 @@ def _module_checks(
     return spans, rank == len(images)
 
 
-def base_generation_check(sigma: SwapInvolution, max_degree: int | None = None):
-    """The base invariants modulo norms are generated by the products c_i c'_i."""
+def base_generation_check(sigma: SwapInvolution):
+    """The base invariants modulo norms, to degree D - 2r, are generated by the c_i c'_i."""
     base = _base(sigma.algebra)
-    if max_degree is None:
-        max_degree = base.algebra.truncation - 2 * _rank(base.algebra)
+    max_degree = base.algebra.truncation - 2 * _rank(base.algebra)
     return quotient_generation_check(base, _chern_products(base.algebra), max_degree)

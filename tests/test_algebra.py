@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -113,7 +114,7 @@ def test_poincare_examples():
     assert _maxorth(4).poincare().total == 8
     assert _maxorth(6).poincare().total == 32
     empty = AlgebraPresentation([], F2, truncation=4)
-    assert empty.poincare(4) == [1]
+    assert empty.poincare() == [1]
 
 
 def test_poincare_duality_maxorth():
@@ -195,7 +196,7 @@ def test_named_monomial_above_max_degree_is_zero():
     # rewriting e1^N one square at a time would take time linear in N
     ring = _maxorth(4)
     assert ring.monomial({"e1": 10**12}).is_zero
-    assert ring.element([(1, {"e1": 10**12}), (3, {"e2": 1})]) == ring.monomial({"e2": 1}, 3)
+    assert ring.element([(1, {"e1": 10**12}), (3, {"e2": 1})]) == ring.element([(3, {"e2": 1})])
     # below and above the top degree alike, the same normal form as plain rewriting
     for ring in (_maxorth(4), _maxorth(5), free_polynomial_ring([("a", 1)], Z, truncation=3)):
         for name in (g.name for g in ring.generators):
@@ -357,6 +358,47 @@ def test_presentation_json_roundtrip():
     assert clone.poincare() == ring.poincare()
     x = clone.gen("e1") * clone.gen("e1")
     assert x == clone.gen("e2")
+
+
+def _presentation_json():
+    # g^2 -> h over Z, truncated at degree 4
+    return {
+        "coefficients": "Z",
+        "truncation": 4,
+        "generators": [
+            {"name": "g", "degree": 1, "power_bound": 2, "replacement": [[1, {"h": 1}]]},
+            {"name": "h", "degree": 2, "power_bound": None, "replacement": []},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("generators", 0, "replacement", 0, 0), 1.5, "coefficient must be of type int, got 1.5"),
+        (("generators", 0, "replacement", 0, 1, "h"), 2.7, "'h' must be of type int, got 2.7"),
+        (("truncation",), True, "truncation degree must be of type int, got True"),
+        (("truncation",), "4", "truncation degree must be of type int, got '4'"),
+        (("generators", 0, "degree"), True, "'g' degree must be of type int, got True"),
+        (("generators", 0, "degree"), 1.5, "'g' degree must be of type int, got 1.5"),
+        (("generators", 0, "degree"), "2", "'g' degree must be of type int, got '2'"),
+        (("generators", 0, "power_bound"), 2.5, "'g' power bound must be of type int, got 2.5"),
+        (("generators", 1, "name"), 5, "generator name must be of type str, got 5"),
+    ],
+    ids=[
+        "coefficient-float", "exponent-float", "truncation-bool", "truncation-str",
+        "degree-bool", "degree-float", "degree-str", "power_bound-float", "name-int",
+    ],
+)
+def test_presentation_json_is_validated_not_coerced(path, value, message):
+    data = _presentation_json()
+    assert AlgebraPresentation.from_json(data).to_json() == data
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(PresentationError, match=re.escape(message)):
+        AlgebraPresentation.from_json(json.dumps(data))
 
 
 def test_element_canonical_pairs():

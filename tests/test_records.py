@@ -47,7 +47,6 @@ from chowlab.suites import CaseResult, SuiteOptions
         ),
         (lambda: SuiteOptions(max_r=0), UsageError, "max_r=0 is out of range; need max_r >= 1"),
         (lambda: SuiteOptions(max_p=5), UsageError, "need 2 <= max_p <= 3"),
-        (lambda: SuiteOptions(parity="all"), UsageError, "parity must be one of"),
     ],
 )
 def test_validated_records_raise_at_construction(build, error, message):
@@ -66,7 +65,7 @@ def test_validated_records_normalise_their_fields():
     assert H.diag == (1, 2) and H.n == 2
     spec = GeneratorSpec("g", 1, power_bound=2, replacement=[(1, {"h": 1, "k": 0})])
     assert spec.replacement == ((1, (("h", 1),)),)
-    assert SuiteOptions() == SuiteOptions(4, 3, 6, 3, "both")
+    assert SuiteOptions() == SuiteOptions(4, 3, 6, 3)
     assert repr(essential(4, 2)) == "Essential(4,2)" and repr(TATE) == "Tate"
     assert tuple(essential(4, 2)) == ("Essential", 4, 2)
 

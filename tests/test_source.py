@@ -4,9 +4,9 @@ No correctness check may live in a statement that ``python -O`` strips, every
 import sits at module top level, no module imports ``dataclasses`` or
 ``typing`` and importing the CLI loads neither (start-up cost), the row format
 of degree-wise linear algebra stays behind ``algebra.Span``, report JSON is
-written only by ``suites.report_json``, every name the benchmark's tracer
-wraps stays bound, and every package name the README spells out still
-resolves.
+written only by ``suites.report_json``, every defaulted parameter is passed
+by some caller in the package, every name the benchmark's tracer wraps
+stays bound, and every package name the README spells out still resolves.
 """
 
 import ast
@@ -115,6 +115,66 @@ def test_json_stays_in_report_layer():
             if isinstance(node, ast.FunctionDef) and node.name == "to_json"
         ]
     assert sorted(owners) == ["algebra.py:AlgebraPresentation", "motives.py:Motive"], owners
+
+
+# (module, function or class, parameter) whose default is for callers outside the package
+DEFAULT_ONLY_FROM_OUTSIDE = {("cli", "main", "argv")}
+
+
+def _defaulted_parameters():
+    """(module, callee name, parameter, position or None if keyword-only) of every default.
+
+    The callee name is the function's, or the class's for ``__init__`` and
+    ``__new__``; positions skip the ``self``/``cls`` of methods.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            owner = parents[node]
+            params = node.args.posonlyargs + node.args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            if isinstance(owner, ast.ClassDef) and not static:
+                params = params[1:]
+            name = owner.name if node.name in ("__init__", "__new__") else node.name
+            first = len(params) - len(node.args.defaults)
+            found += [(path.stem, name, a.arg, i) for i, a in enumerate(params) if i >= first]
+            found += [
+                (path.stem, name, a.arg, None)
+                for a, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if default is not None
+            ]
+    return found
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):  # None: a **mapping
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (starred or len(call.args) > position)
+
+
+def test_every_default_has_a_caller_that_sets_it():
+    # a setting earns its place only when some caller needs another value
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    defaulted = _defaulted_parameters()
+    assert len(defaulted) > 10
+    unset = [
+        f"{module}.{name}({param})"
+        for module, name, param, position in defaulted
+        if (module, name, param) not in DEFAULT_ONLY_FROM_OUTSIDE
+        and not any(_passes(call, param, position) for call in calls.get(name, ()))
+    ]
+    assert not unset, f"defaulted parameters that no call in src/chowlab sets: {unset}"
 
 
 def test_tracer_sites_resolve():

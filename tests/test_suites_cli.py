@@ -127,18 +127,49 @@ def test_verify_all_passes(capsys):
     assert any(c["id"].startswith("odd911/") for c in informational)
 
 
-def test_verify_all_matches_golden_report(capsys):
-    """Every case of a small `verify all`, details included, against a recorded report."""
-    argv = ["verify", "all", "--max-n", "3", "--max-r", "2", "--max-degree", "5"]
+DATA = Path(__file__).parent / "data"
+
+
+def _assert_matches_golden(capsys, argv, golden):
+    """Every case of a ``verify`` report, details included, against a recorded report."""
     code, out, _ = _run(capsys, argv)
     assert code == 0
     data = json.loads(out)
     data.pop("elapsed")
-    golden = json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text())
     assert [c["id"] for c in data["cases"]] == [c["id"] for c in golden["cases"]]
     for got, want in zip(data["cases"], golden["cases"]):
         assert got == want, got["id"]
     assert data == golden
+
+
+def test_verify_all_matches_golden_report(capsys):
+    argv = ["verify", "all", "--max-n", "3", "--max-r", "2", "--max-degree", "5"]
+    golden = json.loads((DATA / "verify_all_small.json").read_text())
+    _assert_matches_golden(capsys, argv, golden)
+
+
+# `verify all` at the defaults and at each rung of the stress ladder, keyed by argv
+LADDER = json.loads((DATA / "verify_ladder.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(LADDER))
+def test_verify_all_matches_golden_ladder(capsys, argv):
+    _assert_matches_golden(capsys, argv.split(), LADDER[argv])
+
+
+def test_kvadrika_has_no_parity_flag(capsys):
+    # both parities always run; the odd rows are informational residuals
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kvadrika", "--parity", "odd"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "usage:" in out.err and "unrecognized arguments: --parity odd" in out.err
+    code, out, _ = _run(capsys, ["verify", "kvadrika"])
+    cases = json.loads(out)["cases"]
+    assert code == 0 and len(cases) == 9
+    odd = [c for c in cases if c["id"].startswith("kvadrika/odd/")]
+    assert len(odd) == 4 and all(c.get("informational") for c in odd)
+    assert not any(c.get("informational") for c in cases if c not in odd)
 
 
 def test_decompose_cli(capsys):
