@@ -39,8 +39,24 @@ def _require(value, kind: type, what: str):
     return value
 
 
+def _pairs(value, what: str):
+    """``value`` if it is a list or tuple of 2-item lists or tuples; else a PresentationError."""
+    if type(value) not in (list, tuple) or any(type(v) not in (list, tuple) or len(v) != 2 for v in value):
+        raise PresentationError(f"{what} must be a list of pairs, got {value!r}")
+    return value
+
+
+def _entry(doc, key: str, what: str):
+    """``doc[key]`` for a JSON object ``doc`` that has ``key``; else a PresentationError."""
+    if type(doc) is not dict:
+        raise PresentationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise PresentationError(f"{what} has no {key!r}")
+    return doc[key]
+
+
 def _freeze_monomial(mono) -> tuple[tuple[str, int], ...]:
-    items = mono.items() if isinstance(mono, dict) else mono
+    items = mono.items() if isinstance(mono, dict) else _pairs(mono, "monomial")
     checked = [(_require(n, str, "generator name"), _require(e, int, f"exponent of {n!r}"))
                for n, e in items]
     return tuple(sorted(item for item in checked if item[1]))
@@ -61,7 +77,7 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "name degree power_bound replace
             _require(power_bound, int, f"generator {name!r} power bound")
         replacement = tuple(
             (_require(c, int, f"generator {name!r} coefficient"), _freeze_monomial(m))
-            for c, m in replacement
+            for c, m in _pairs(replacement, f"generator {name!r} replacement")
         )
         if _require(degree, int, f"generator {name!r} degree") < 1:
             raise PresentationError(f"generator {name!r} must have positive degree")
@@ -222,9 +238,10 @@ class AlgebraPresentation:
         top = self.max_degree
         raw = []
         for coeff, mono in pairs:
+            _require(coeff, int, "coefficient")
             exps = self._exps_from_named(_freeze_monomial(mono))
             if self.monomial_degree(exps) <= top:
-                raw.append((exps, int(coeff)))
+                raw.append((exps, coeff))
         return Element(self, self._normalize(raw))
 
     # -- bases and counting ----------------------------------------------------
@@ -355,14 +372,14 @@ class AlgebraPresentation:
             data = json.loads(data)
         gens = [
             GeneratorSpec(
-                name=g["name"],
-                degree=g["degree"],
+                name=_entry(g, "name", "generator"),
+                degree=_entry(g, "degree", "generator"),
                 power_bound=g.get("power_bound"),
                 replacement=g.get("replacement", ()),
             )
-            for g in data["generators"]
+            for g in _require(_entry(data, "generators", "presentation"), list, "generators")
         ]
-        return cls(gens, data["coefficients"], data.get("truncation"))
+        return cls(gens, _entry(data, "coefficients", "presentation"), data.get("truncation"))
 
     def __repr__(self) -> str:
         names = ",".join(g.name for g in self.generators)

@@ -200,39 +200,36 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chowlab",
-        description="Exact graded-ring, invariant-theory and finite-geometry workbench.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("poincare", help="print a Poincare polynomial as a coefficient list")
+def _poincare_arguments(p) -> None:
     p.add_argument("kind", choices=("essential", "maxorth", "quadric", "orthcount"))
     p.add_argument("a", type=int, help="n (essential/quadric), N (maxorth/orthcount)")
     p.add_argument("b", type=int, nargs="?", help="r (essential) or m (orthcount)")
     p.set_defaults(func=_cmd_poincare, needs_b=("essential", "orthcount"))
 
-    p = sub.add_parser("presentation", help="emit a ring presentation as JSON")
+
+def _presentation_arguments(p) -> None:
     p.add_argument("kind", choices=("maxorth", "prevmax", "oddquot", "weil"))
     p.add_argument("a", type=int, help="N (maxorth) or r (prevmax/oddquot/weil)")
     p.add_argument("b", type=int, nargs="?", help="truncation D (weil only)")
     p.add_argument("--coefficients", choices=(F2, Z), default=F2)
     p.set_defaults(func=_cmd_presentation, needs_b=("weil",))
 
-    p = sub.add_parser("decompose", help="motive decomposition data for (n, r)")
+
+def _decompose_arguments(p) -> None:
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("--witt", type=int, default=None, help="apply the whole-motive recursion this many times")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("annihilate", help="annihilator dimensions and quotient Poincare polynomial")
+
+def _annihilate_arguments(p) -> None:
     p.add_argument("ring", choices=("maxorth", "oddquot"))
     p.add_argument("param", type=int, help="N (maxorth) or r (oddquot)")
     p.add_argument("--element", default=None, help="product expression, e.g. 'e2*e4'")
     p.set_defaults(func=_cmd_annihilate)
 
-    p = sub.add_parser("count", help="count isotropic/singular subspaces of a diagonal form")
+
+def _count_arguments(p) -> None:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--diag", default=None, help="comma-separated diagonal entries")
@@ -241,17 +238,48 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="trace-form singular dimension")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("verify", help="run a named acceptance suite")
+
+def _verify_arguments(p) -> None:
     p.add_argument("suite", choices=suites.SUITE_NAMES + ("all",))
     for name, default in suites.SuiteOptions._field_defaults.items():
         p.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     p.set_defaults(func=_cmd_verify)
 
+
+# command name -> (help text, the function that adds its arguments and defaults)
+COMMANDS = {
+    "poincare": ("print a Poincare polynomial as a coefficient list", _poincare_arguments),
+    "presentation": ("emit a ring presentation as JSON", _presentation_arguments),
+    "decompose": ("motive decomposition data for (n, r)", _decompose_arguments),
+    "annihilate": ("annihilator dimensions and quotient Poincare polynomial", _annihilate_arguments),
+    "count": ("count isotropic/singular subspaces of a diagonal form", _count_arguments),
+    "verify": ("run a named acceptance suite", _verify_arguments),
+}
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser with every command's subparser, or with ``only``'s alone.
+
+    With ``only``, the metavar keeps every command in the top-level usage line
+    that argparse prints with an error.
+    """
+    parser = argparse.ArgumentParser(
+        prog="chowlab",
+        description="Exact graded-ring, invariant-theory and finite-geometry workbench.",
+    )
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if only in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a named command needs only its own subparser; help and bad input get the full tree
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     needs_b = getattr(args, "needs_b", ())
     if needs_b and args.kind in needs_b and args.b is None:

@@ -257,6 +257,12 @@ def _tables(field) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)  # one entry per field, like _tables
+def _conj_norm(K: QuadExtField) -> tuple:
+    """Conjugate and norm lookup tables of F_{p^2} with elements 0..size-1."""
+    return tuple(map(K.conj, K.elements())), tuple(map(K.norm, K.elements()))
+
+
+@functools.lru_cache(maxsize=None)  # one entry per field, like _tables
 def _line_zeros(field) -> tuple:
     """``zeros[c][x][beta]``: the t, in increasing order, where a form vanishes on u + t w.
 
@@ -267,9 +273,9 @@ def _line_zeros(field) -> tuple:
     """
     if isinstance(field, QuadExtField):
         K, p = field, field.base.p
-        products = [[K.mul(K.conj(t), beta) for beta in K.elements()] for t in K.elements()]
-        linear = [[K.add(s, K.conj(s)) for s in row] for row in products]  # traces
-        square = [K.norm(t) for t in K.elements()]
+        conj, square = _conj_norm(K)
+        products = [[K.mul(conj[t], beta) for beta in K.elements()] for t in K.elements()]
+        linear = [[K.add(s, conj[s]) for s in row] for row in products]  # traces
     else:
         p = field.p
         linear = [[t * beta % p for beta in range(p)] for t in range(p)]
@@ -418,8 +424,7 @@ def _hermitian_search(H: HermitianSpace, op: str) -> _SubspaceSearch:
     K = H.field
     p = K.base.p
     _, mul, _, _ = _tables(K)
-    conj = [K.conj(x) for x in K.elements()]
-    norm = [K.norm(x) for x in K.elements()]
+    conj, norm = _conj_norm(K)
     diag = H.diag
 
     def functional(u):

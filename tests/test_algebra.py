@@ -401,6 +401,59 @@ def test_presentation_json_is_validated_not_coerced(path, value, message):
         AlgebraPresentation.from_json(json.dumps(data))
 
 
+def _drop(*path):
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return data
+
+    return edit
+
+
+def _put(*path, value):
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return data
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_drop("generators"), "presentation has no 'generators'"),
+        (_drop("coefficients"), "presentation has no 'coefficients'"),
+        (_drop("generators", 0, "name"), "generator has no 'name'"),
+        (lambda data: [data], "presentation must be a JSON object, got list"),
+        (_put("generators", 0, value=["g", 1]), "generator must be a JSON object, got list"),
+        (_put("generators", value=5), "generators must be of type list, got 5"),
+        (_put("generators", 0, "replacement", value=[[1]]), "'g' replacement must be a list of pairs, got [[1]]"),
+        (_put("generators", 0, "replacement", 0, 1, value=["h"]), "monomial must be a list of pairs, got ['h']"),
+    ],
+    ids=[
+        "no-generators", "no-coefficients", "generator-no-name", "top-level-list",
+        "generator-list", "generators-int", "replacement-entry-short", "monomial-list",
+    ],
+)
+def test_presentation_json_of_the_wrong_shape_is_a_presentation_error(edit, message):
+    data = edit(_presentation_json())
+    with pytest.raises(PresentationError, match=re.escape(message)):
+        AlgebraPresentation.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("coeff", [1.5, True, "1"])
+def test_element_takes_int_coefficients_only(coeff):
+    ring = _maxorth(4)
+    assert ring.element([(1, {"e1": 1})]) == ring.gen("e1")
+    with pytest.raises(PresentationError, match=re.escape(f"coefficient must be of type int, got {coeff!r}")):
+        ring.element([(coeff, {"e1": 1})])
+
+
 def test_element_canonical_pairs():
     ring = _maxorth(4)
     x = ring.gen("e2") + ring.monomial({"e1": 1, "e2": 1}) + ring.gen("e1")

@@ -11,6 +11,7 @@ from chowlab.finitefields import (
     HermitianSpace,
     PrimeField,
     QuadExtField,
+    _conj_norm,
     _tables,
     count_isotropic,
     hermitian_space,
@@ -115,7 +116,9 @@ def test_records_with_equal_values_are_equal():
 def test_field_tables_cached_once_per_field():
     # each hermitian_space call builds a fresh QuadExtField over a fresh PrimeField
     _tables.cache_clear()
+    _conj_norm.cache_clear()
     for diag in itertools.product((1, 2), repeat=4):
         count_isotropic(hermitian_space(3, diag), 1)
-    info = _tables.cache_info()
-    assert info.misses == 1 and info.currsize == 1
+    for table in (_tables, _conj_norm):
+        info = table.cache_info()
+        assert info.misses == 1 and info.currsize == 1

@@ -1,6 +1,8 @@
 """Harness behaviour: exit codes, determinism, JSON round-trips, option validation."""
 
+import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,6 +157,44 @@ LADDER = json.loads((DATA / "verify_ladder.json").read_text())
 @pytest.mark.parametrize("argv", sorted(LADDER))
 def test_verify_all_matches_golden_ladder(capsys, argv):
     _assert_matches_golden(capsys, argv.split(), LADDER[argv])
+
+
+# stdout, stderr and exit code of help, usage errors and one call per command, keyed by argv
+TRANSCRIPTS = json.loads((DATA / "cli_transcripts.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(TRANSCRIPTS), ids=repr)
+def test_cli_matches_golden_transcript(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # help and usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    assert {"code": code, "stderr": out.err, "stdout": out.out} == TRANSCRIPTS[argv]
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    parsers_built = []  # the prog of every argparse.ArgumentParser built
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        parsers_built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["verify", "kvadrika"]) == 0
+    assert json.loads(capsys.readouterr().out)["suite"] == "kvadrika"
+    assert len(parsers_built) <= 2
+    parsers_built.clear()
+    monkeypatch.setattr(sys, "argv", ["chowlab", "poincare", "essential", "4", "2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out) == [1, 1, 0, 1, 1]
+    assert len(parsers_built) <= 2
+    parsers_built.clear()
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert len(parsers_built) == 7
 
 
 def test_kvadrika_has_no_parity_flag(capsys):
