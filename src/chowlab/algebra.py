@@ -11,7 +11,9 @@ Every normal form comes from one kernel, :meth:`AlgebraPresentation._normalize`:
 rules keep degrees, so it drops terms above the truncation once, on entry, and
 it looks for an exponent to rewrite among the bounded generators only.
 A degree's normal basis is enumerated the first time that degree is asked for
-(:meth:`AlgebraPresentation._basis_index`).
+(:meth:`AlgebraPresentation._basis_index`), and only while the presentation's
+indexed monomials, predicted from its Poincare series, stay within
+``_MONOMIAL_BUDGET``; whole-ring walks ask for every degree before the first.
 
 Coefficients are either ``"F2"`` or ``"Z"``.  Linear algebra in one degree goes
 through :class:`Span` (``span_solver``), which takes elements and answers with
@@ -24,12 +26,13 @@ import json
 from collections import namedtuple
 from operator import add, mul
 
-from .errors import ConfigurationError, PresentationError, UsageError
+from .errors import BudgetError, ConfigurationError, PresentationError, UsageError
 from .linalg import F2Span, ZSpan
 from .polynomials import PoincarePolynomial
 
 F2 = "F2"
 Z = "Z"
+_MONOMIAL_BUDGET = 1 << 19  # normal monomials one presentation may index: max_orth_ring(20)
 
 
 def _require(value, kind: type, what: str):
@@ -125,6 +128,7 @@ class AlgebraPresentation:
         self._hot = tuple((i, b) for i, b in enumerate(self._bounds) if b is not None)
         self._bases: dict[int, dict[tuple[int, ...], int]] = {}
         self._tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self._sizes = self._total = None  # predicted basis size per degree, and their sum
 
     # -- construction helpers ------------------------------------------------
 
@@ -260,8 +264,42 @@ class AlgebraPresentation:
         if self.truncation is not None and d > self.truncation:
             raise UsageError(f"degree {d} exceeds truncation {self.truncation}")
         if d not in self._bases:
+            self._admit((d,))
             self._bases[d] = {exps: k for k, exps in enumerate(self._tail(0, d))}
         return self._bases[d]
+
+    def _predicted_sizes(self) -> list[int]:
+        """``len(degree_basis(d))`` for d = 0..max_degree, read off the Poincare series.
+
+        The normal monomials are the exponent vectors below the power bounds, so
+        the series is the product of (1 - t^(b*g)) / (1 - t^g) over the generators
+        of degree g and bound b, times 1 / (1 - t^g) over the unbounded ones.
+        """
+        if self._sizes is None:
+            top = self.max_degree
+            sizes = [1] + [0] * top
+            for g, b in zip(self._degrees, self._bounds):
+                for d in range(g, top + 1):  # times 1 / (1 - t^g)
+                    sizes[d] += sizes[d - g]
+                if b is not None:  # times 1 - t^(b*g)
+                    for d in range(top, b * g - 1, -1):
+                        sizes[d] -= sizes[d - b * g]
+            self._sizes, self._total = sizes, sum(sizes)
+        return self._sizes
+
+    def _admit(self, degrees) -> None:
+        """Raise BudgetError unless indexing ``degrees`` too keeps within the monomial budget."""
+        sizes = self._predicted_sizes()
+        if self._total <= _MONOMIAL_BUDGET:  # the whole ring fits
+            return
+        needed = sum(map(len, self._bases.values())) + sum(
+            sizes[d] for d in degrees if d not in self._bases and d < len(sizes)
+        )
+        if needed > _MONOMIAL_BUDGET:
+            raise BudgetError(
+                f"monomial budget exceeded: {self!r} needs {needed} normal monomials "
+                f"indexed, limit {_MONOMIAL_BUDGET}"
+            )
 
     def _tail(self, i: int, left: int) -> list[tuple[int, ...]]:
         """Exponent vectors of generators i.. of degree ``left``, in canonical order.
@@ -282,8 +320,10 @@ class AlgebraPresentation:
         return out
 
     def poincare(self) -> PoincarePolynomial:
-        """Poincare polynomial with coefficient |degree basis| at each degree."""
-        return PoincarePolynomial([len(self.degree_basis(d)) for d in range(self.max_degree + 1)])
+        """Poincare polynomial with coefficient |degree basis| at each degree, enumerated."""
+        degrees = range(self.max_degree + 1)
+        self._admit(degrees)  # the whole ring, before any degree is indexed
+        return PoincarePolynomial([len(self.degree_basis(d)) for d in degrees])
 
     def basis_elements(self, d: int) -> list["Element"]:
         return [Element(self, {m: 1}) for m in self.degree_basis(d)]

@@ -5,21 +5,21 @@ lexicographically first monic irreducible quadratic is used as modulus);
 the associated quadratic form is h(v, v) read over the prime field.  Each
 job has one code path: linear solves are the Gauss-Jordan kernel of
 :mod:`chowlab.linalg` on the field's lookup tables, walks over an affine
-space are ``_points``, and examined candidates are counted by ``_Nodes``.
-Totally isotropic (singular) subspaces are found by a depth-first search
-over reduced-echelon bases that propagates constraints: each accepted row
-adds one linear orthogonality constraint, so the next row is enumerated
-only over the affine solution space of the constraints and then tested for
-its own isotropy.  The last row is counted a line at a time: on a line
-u + t w the form's value depends only on value(u), value(w) and the polar
-value b(u, w), so one lookup in the field's ``_line_zeros`` table lists the
-isotropic points of q candidates.  Counts are exact.  The hermitian Witt
-index is the largest r at which the search finds a subspace; the quadratic
-one comes from splitting off hyperbolic planes (Witt cancellation), so the
-two sides of the trace-form doubling are computed by independent
-algorithms.  Budgets are hard caps raising :class:`BudgetError`: on the
-dimension and prime, and on the number of candidate rows or vectors (search
-nodes) one call may examine, every candidate on a counted line included.
+space are ``_SubspaceSearch._isotropic_rows``, and examined candidates are
+counted by ``_Nodes``.  Totally isotropic (singular) subspaces are found by a
+depth-first search over reduced-echelon bases that propagates constraints:
+each accepted row adds one linear orthogonality constraint, so the next row
+is enumerated only over the affine solution space of the constraints.  Every
+row is read a line at a time: on a line u + t w the form's value depends
+only on value(u), value(w) and the polar value b(u, w), so one lookup in the
+field's ``_line_zeros`` table lists the isotropic points of q candidates.
+Counts are exact.  The hermitian Witt index is the largest r at which the
+search finds a subspace; the quadratic one comes from splitting off
+hyperbolic planes (Witt cancellation), so the two sides of the trace-form
+doubling are computed by independent algorithms.  Budgets are hard caps
+raising :class:`BudgetError`: on the dimension and prime, and on the number
+of candidate rows or vectors (search nodes) one call may examine, every
+candidate on a read line included.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ class QuadraticSpace:
             return False
         # characteristic 2: the form is nondegenerate iff q does not vanish
         # on a nonzero vector of the polar radical
-        points = _points(_tables(self.base), [0] * self.dim, radical)
-        return all(self.value(v) for v in points if any(v))
+        rows = _quadratic_search(self, "QuadraticSpace")._isotropic_rows([0] * self.dim, radical)
+        return not any(t or any(u) for u, t, _ in rows)
 
     def __repr__(self):
         return f"QuadraticSpace(p={self.base.p}, dim={self.dim})"
@@ -318,11 +318,6 @@ class _Nodes:
                 f"limit {_NODE_BUDGET}"
             )
 
-    def walk(self, candidates):
-        for v in candidates:
-            self.add(1)
-            yield v
-
 
 class _SubspaceSearch:
     """Depth-first search for the totally isotropic subspaces of one form.
@@ -334,9 +329,9 @@ class _SubspaceSearch:
     a with sum a_j v_j = 0 exactly when v is orthogonal to u) on every later
     row v, which is therefore enumerated only over the affine solution space
     of those constraints in its free coordinates; a row is isotropic when
-    ``value(v)``, the form's value in the prime field, is 0.  The last row is
-    counted a line at a time: on the line u + t w through the innermost
-    direction w the value depends only on value(u), value(w) and
+    ``value(v)``, the form's value in the prime field, is 0.  Rows are read
+    a line at a time (``_isotropic_rows``): on the line u + t w through the
+    innermost direction w the value depends only on value(u), value(w) and
     b(u, w) = ``functional(w)`` applied to u, so one ``_line_zeros`` lookup
     gives the isotropic t.  Every candidate row examined, or skipped along a
     line, is one node (``nodes``).
@@ -360,42 +355,50 @@ class _SubspaceSearch:
             space = self._solve(c, pivots, constraints)
             if space is None:
                 continue
-            if k == 1:
-                total += self._last_rows(*space, first_only)
-            else:
-                for v in self.nodes.walk(_points(self.tables, *space)):
-                    if self.value(v):
-                        continue
+            for row in self._isotropic_rows(*space):
+                if k == 1:
+                    total += 1
+                else:
+                    v = self._at(*row)
                     total += self._extend(
                         k - 1, c, pivots + (c,), constraints + (self.functional(v),), first_only
                     )
-                    if first_only and total:
-                        break
-            if first_only and total:
-                return total
+                if first_only and total:
+                    return total
         return total
 
-    def _last_rows(self, base, directions, first_only) -> int:
-        """Isotropic rows of base + span(directions), in ``_points`` order, a line at a time."""
-        if not directions:
+    def _isotropic_rows(self, base, directions):
+        """(u, t, w) for each isotropic row u + t w of base + span(directions), in _points order.
+
+        Read a line at a time along the innermost direction w (None if there is none); every
+        candidate up to a row yielded is one node, and so is the rest of a finished line.
+        """
+        if not directions:  # a single candidate
             self.nodes.add(1)
-            return int(self.value(base) == 0)
+            if not self.value(base):
+                yield base, 0, None
+            return
         *outer, w = directions
         add, mul, _, _ = self.tables
         zeros = self.zeros[self.value(w)]
         polar = [(j, mul[a]) for j, a in enumerate(self.functional(w)) if a]  # u -> b(u, w)
-        total = 0
         for u in _points(self.tables, base, outer):
             beta = 0
             for j, row in polar:
                 beta = add[beta][row[u[j]]]
-            hits = zeros[self.value(u)][beta]
-            if first_only and hits:
-                self.nodes.add(hits[0] + 1)
-                return 1
-            self.nodes.add(len(mul))
-            total += len(hits)
-        return total
+            seen = 0
+            for t in zeros[self.value(u)][beta]:
+                self.nodes.add(t + 1 - seen)
+                seen = t + 1
+                yield u, t, w
+            self.nodes.add(len(mul) - seen)
+
+    def _at(self, u, t, w):
+        """The row u + t w."""
+        if not t:
+            return u
+        add, scaled = self.tables[0], self.tables[1][t]
+        return [add[a][scaled[b]] for a, b in zip(u, w)]
 
     def _solve(self, c, pivots, constraints):
         """Rows e_c + sum x_j e_j over the free j > c that meet every constraint.
@@ -472,34 +475,30 @@ def witt_index_quadratic(Q: QuadraticSpace) -> int:
     By Witt cancellation (Elman-Karpenko-Merkurjev, *The Algebraic and
     Geometric Theory of Quadratic Forms*, sections 7-8) Q is an orthogonal
     sum of m hyperbolic planes and an anisotropic rest, and m is the Witt
-    index.  Starting from W = F_p^dim, the first singular vector v of W in
-    lexicographic coefficient order and a basis vector w of W with
-    b(v, w) != 0 span a hyperbolic plane; W becomes its polar complement in
-    W.  The split stops when an exhaustive pass finds W anisotropic, which
-    over F_p happens at dimension at most 2 (Chevalley-Warning).  Every
-    candidate vector is one node against the node budget.  The singular
-    vectors found are checked to span a totally singular subspace before the
-    index is returned.
+    index.  W, F_p^dim at the start, is the kernel of the polar functionals
+    b(., v), b(., w) of the planes split off so far.  The first nonzero
+    singular vector v of W (in the order of W's kernel basis, read a line at
+    a time) and a basis vector w of W with b(v, w) != 0 span the next plane.
+    The split stops when an exhaustive pass finds W anisotropic, which over
+    F_p happens at dimension at most 2 (Chevalley-Warning).  Every candidate
+    vector, zero included, is one node against the node budget.  The
+    singular vectors found are checked to span a totally singular subspace
+    before the index is returned.
     """
     op = "witt_index_quadratic"
     _check_budget(op, WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
-    p, tables, zero = Q.base.p, _tables(Q.base), [0] * Q.dim
-    basis = [[int(i == j) for j in range(Q.dim)] for i in range(Q.dim)]
-    singular = []
-    nodes = _Nodes(op)
+    search = _quadratic_search(Q, op)
+    zero, constraints, singular = [0] * Q.dim, [], []
     while True:
-        nonzero = (v for v in _points(tables, zero, basis) if any(v))
-        v = next((v for v in nodes.walk(nonzero) if Q.value(v) == 0), None)
+        W = field_kernel(constraints, Q.dim, search.tables)
+        rows = (search._at(*row) for row in search._isotropic_rows(zero, W))
+        v = next((v for v in rows if any(v)), None)
         if v is None:  # no singular vector left: W is anisotropic
             break
-        w = next((u for u in basis if Q.polar(v, u)), None)
+        w = next((u for u in W if Q.polar(v, u)), None)
         if w is None:
             raise ChowlabError(f"singular vector {v} has no polar partner: degenerate rest")
-        plane = [[Q.polar(u, v) for u in basis], [Q.polar(u, w) for u in basis]]
-        basis = [
-            [sum(map(operator.mul, a, column)) % p for column in zip(*basis)]
-            for a in modp_kernel(plane, p)
-        ]
+        constraints += [search.functional(v), search.functional(w)]
         singular.append(v)
     _check_totally_singular(Q, singular)
     return len(singular)

@@ -135,6 +135,7 @@ def _times_x(ambient: AlgebraPresentation, x: Element):
     codim = x.homogeneous_degree()
     if codim is None:
         raise UsageError("annihilator requires a homogeneous element")
+    ambient._admit(range(ambient.max_degree + 1))  # the whole ring, before any degree is indexed
     for d in range(ambient.max_degree + 1):
         basis = ambient.basis_elements(d)
         if d + codim <= ambient.max_degree:

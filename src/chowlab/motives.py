@@ -275,14 +275,38 @@ def cd2_identity_check(n: int) -> bool:
     )
 
 
+_SUMMAND_BUDGET = 1 << 20  # summands one witt_decompose_whole call may build
+
+
+@lru_cache(maxsize=None)
+def _whole_summands(n: int, r: int, witt_h: int) -> int:
+    """The number of summands ``witt_decompose_whole(n, r, witt_h)`` returns."""
+    if r < 0 or r > n // 2:
+        return 0
+    if r == 0 or witt_h == 0:
+        return 1
+    return 2 * _whole_summands(n - 2, r - 1, witt_h - 1) + _whole_summands(n - 2, r, witt_h - 1)
+
+
 def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
     """Whole-motive decomposition after splitting ``witt_h`` hyperbolic planes.
 
     Ends in explicit Tate and Essential summands plus an unspecified SpecK
-    residual bucket (individual SpecK shifts are never computed).
+    residual bucket (individual SpecK shifts are never computed).  The
+    summands are counted first, and more than ``_SUMMAND_BUDGET`` is refused.
     """
     if witt_h < 0 or witt_h > n // 2:
         raise UsageError(f"witt_h={witt_h} out of range for n={n}")
+    summands = _whole_summands(n, r, witt_h)
+    if summands > _SUMMAND_BUDGET:
+        raise BudgetError(
+            f"witt_decompose_whole budget exceeded: n={n}, r={r}, witt_h={witt_h} has "
+            f"{summands} summands, limit {_SUMMAND_BUDGET}"
+        )
+    return _witt_whole(n, r, witt_h)
+
+
+def _witt_whole(n: int, r: int, witt_h: int) -> Motive:
     if r < 0 or r > n // 2:
         return Motive()
     if r == 0:
@@ -290,6 +314,6 @@ def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
     if witt_h == 0:
         return Motive(((essential(n, r), 0),), speck_residual=True)
     i, j = _step_shifts(n, r)
-    lower = witt_decompose_whole(n - 2, r - 1, witt_h - 1)
-    out = lower + witt_decompose_whole(n - 2, r, witt_h - 1).shifted(i) + lower.shifted(j)
+    lower = _witt_whole(n - 2, r - 1, witt_h - 1)
+    out = lower + _witt_whole(n - 2, r, witt_h - 1).shifted(i) + lower.shifted(j)
     return Motive(out.summands, speck_residual=True)

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from chowlab import algebra, grassmann, weil
 from chowlab.algebra import (
     F2,
     Z,
@@ -15,8 +16,9 @@ from chowlab.algebra import (
     GeneratorSpec,
     free_polynomial_ring,
 )
-from chowlab.errors import ConfigurationError, PresentationError, UsageError
+from chowlab.errors import BudgetError, ConfigurationError, PresentationError, UsageError
 from chowlab.grassmann import max_orth_ring, odd_quotient_ring, prev_max_orth_ring
+from chowlab.invariants import swap_polynomial_ring
 from chowlab.weil import build as build_weil
 
 
@@ -546,3 +548,57 @@ def test_degree_basis_oracle_all_shipped_presentations(indexed_bases):
                 assert algebra.degree_basis(d) == expected[d], (ring, order, d)
                 # asking degree d indexes d alone, never a degree above it
                 assert indexed_bases.degrees(algebra) == sorted(order[: k + 1]), (ring, d)
+
+
+def _shipped_rings():
+    """Every presentation shape the package builds, at small parameters."""
+    for N in range(2, 10):
+        yield max_orth_ring(N)
+    for r in range(1, 4):
+        yield prev_max_orth_ring(r)
+        yield odd_quotient_ring(r)
+        for coefficients in (F2, Z):
+            sigma = build_weil(r, coefficients, 2 * r + 4)
+            yield from (sigma.algebra, sigma.classes, weil._mutated(sigma).algebra)
+            yield weil._base(sigma.algebra).algebra
+    for r, k in ((1, 0), (2, 1), (1, 2)):
+        ring, sigma = swap_polynomial_ring(r, k, Z, 6)
+        yield from (ring, sigma.classes)
+
+
+def test_predicted_basis_sizes_match_every_shipped_ring():
+    # the Poincare series read off the degrees and power bounds, against enumeration
+    rings = 0
+    for ring in _shipped_rings():
+        enumerated = [len(ring.degree_basis(d)) for d in range(ring.max_degree + 1)]
+        assert ring._predicted_sizes() == enumerated, ring
+        rings += 1
+    assert rings == 44
+
+
+def test_monomial_budget_refuses_before_indexing(monkeypatch):
+    # max_orth_ring(5) has 2^4 = 16 normal monomials, one or two per degree 0..10
+    monkeypatch.setattr(algebra, "_MONOMIAL_BUDGET", 16)
+    assert max_orth_ring(5).poincare().total == 16
+    monkeypatch.setattr(algebra, "_MONOMIAL_BUDGET", 15)
+    message = r"e4\], F2, truncation=None\) needs 16 normal monomials indexed, limit 15$"
+    ring = max_orth_ring(5)
+    for whole_ring in (ring.poincare, lambda: grassmann.annihilator(ring.gen("e2"), ring)):
+        with pytest.raises(BudgetError, match=message):
+            whole_ring()
+        assert ring._bases == {}
+    # degree by degree, the degree that would pass the budget is refused unindexed
+    for d in range(10):
+        ring.degree_basis(d)
+    with pytest.raises(BudgetError, match=message):
+        ring.degree_basis(10)
+    assert sorted(ring._bases) == list(range(10))
+
+
+def test_monomial_budget_admits_primerchik_r10_only():
+    # verify primerchik --max-r r walks max_orth_ring(2r), of 2^(2r-1) monomials
+    ring = max_orth_ring(20)
+    ring._admit(range(ring.max_degree + 1))
+    ring = max_orth_ring(22)
+    with pytest.raises(BudgetError, match=f"needs {1 << 21} normal monomials indexed, limit {1 << 19}"):
+        ring._admit(range(ring.max_degree + 1))

@@ -316,9 +316,11 @@ def test_node_budget_bounds_search_work(monkeypatch):
         count_singular(Q, 5)
 
 
-# candidate vectors the hyperbolic splitting examines on the same form: four
-# planes split off, then the three nonzero vectors of the anisotropic rest
-WITT_SPLIT_F2_N5_NODES = 17
+# candidate vectors the hyperbolic splitting examines on the same form, the
+# zero vector of each pass included: 18 up to the first nonzero singular
+# vector of each of the four planes split off, then the four vectors of the
+# anisotropic rest
+WITT_SPLIT_F2_N5_NODES = 22
 
 
 def test_node_budget_bounds_splitting_work(monkeypatch):
@@ -526,15 +528,12 @@ def test_line_zeros_against_the_form_on_the_line(field):
         assert zeros[value(w)][value(u)][polar(u, w)] == expected, (u, w)
 
 
-def _row_by_row(search, base, directions, first_only):
-    """The last row walked one candidate row at a time: the line count's reference."""
-    total = 0
-    for v in search.nodes.walk(finitefields._points(search.tables, base, directions)):
+def _row_by_row(search, base, directions):
+    """Isotropic rows walked one candidate at a time, one node each: the line walk's reference."""
+    for v in finitefields._points(search.tables, base, directions):
+        search.nodes.add(1)
         if search.value(v) == 0:
-            total += 1
-            if first_only:
-                break
-    return total
+            yield v, 0, None
 
 
 def _small_forms():
@@ -573,6 +572,6 @@ def test_line_count_matches_the_row_by_row_walk(monkeypatch):
         return out
 
     by_line = sweep()
-    monkeypatch.setattr(finitefields._SubspaceSearch, "_last_rows", _row_by_row)
+    monkeypatch.setattr(finitefields._SubspaceSearch, "_isotropic_rows", _row_by_row)
     assert sweep() == by_line
     assert (len(by_line), sum(nodes for _, nodes in by_line.values())) == (526, 201139)

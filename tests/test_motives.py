@@ -3,7 +3,7 @@
 import pytest
 
 from chowlab import motives
-from chowlab.errors import ChowlabError, UsageError
+from chowlab.errors import BudgetError, ChowlabError, UsageError
 from chowlab.motives import (
     Motive,
     TATE,
@@ -209,6 +209,24 @@ def test_witt_decompose_whole_matches_three_call_recursion():
         for r in range(-1, n // 2 + 2):
             for h in range(n // 2 + 1):
                 assert witt_decompose_whole(n, r, h) == _three_call_decompose(n, r, h), (n, r, h)
+
+
+def test_witt_decompose_whole_counts_its_summands_first(monkeypatch):
+    for n in range(13):
+        for r in range(-1, n // 2 + 2):
+            for h in range(n // 2 + 1):
+                summands = len(witt_decompose_whole(n, r, h).summands)
+                assert motives._whole_summands(n, r, h) == summands, (n, r, h)
+    assert motives._whole_summands(30, 12, 12) == 208896
+    # witt_decompose_whole(8, 2, 3) has 18 summands; one over the budget is
+    # refused before any summand is built
+    monkeypatch.setattr(motives, "_SUMMAND_BUDGET", 18)
+    assert len(witt_decompose_whole(8, 2, 3).summands) == 18
+    monkeypatch.setattr(motives, "_SUMMAND_BUDGET", 17)
+    monkeypatch.setattr(motives, "_witt_whole", None)
+    message = "n=8, r=2, witt_h=3 has 18 summands, limit 17$"
+    with pytest.raises(BudgetError, match=message):
+        witt_decompose_whole(8, 2, 3)
 
 
 def test_witt_decompose_full_split_matches_poincare():

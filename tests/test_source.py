@@ -5,8 +5,10 @@ import sits at module top level, no module imports ``dataclasses`` or
 ``typing`` and importing the CLI loads neither (start-up cost), the row format
 of degree-wise linear algebra stays behind ``algebra.Span``, report JSON is
 written only by ``suites.report_json``, every defaulted parameter is passed
-by some caller in the package, every name the benchmark's tracer wraps
-stays bound, and every package name the README spells out still resolves.
+by some caller in the package, every affine space of rows in
+``finitefields`` is read through one line walk, every name the benchmark's
+tracer wraps stays bound, and every package name the README spells out still
+resolves.
 """
 
 import ast
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 import chowlab
+from chowlab import finitefields
 
 SRC = Path(chowlab.__file__).parent
 
@@ -175,6 +178,25 @@ def test_every_default_has_a_caller_that_sets_it():
         and not any(_passes(call, param, position) for call in calls.get(name, ()))
     ]
     assert not unset, f"defaulted parameters that no call in src/chowlab sets: {unset}"
+
+
+def test_one_line_walk_reads_every_affine_space():
+    # the subspace search, the quadratic splitting and the char-2 radical test
+    # all read rows through _SubspaceSearch._isotropic_rows, the one caller of
+    # _points apart from its own recursion
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_points":
+                owner = parents[node]
+                while not isinstance(owner, (ast.FunctionDef, ast.Module)):
+                    owner = parents[owner]
+                callers.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
+    callers = [c for c in callers if c != "finitefields._points"]
+    assert callers == ["finitefields._isotropic_rows"], callers
+    assert not hasattr(finitefields._SubspaceSearch, "_last_rows")
 
 
 def test_tracer_sites_resolve():

@@ -3,11 +3,12 @@
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from chowlab import grassmann
+from chowlab import grassmann, suites
 from chowlab.algebra import AlgebraPresentation
 from chowlab.cli import main
 from chowlab.suites import SuiteOptions, run_suite
@@ -84,6 +85,38 @@ def test_essential_table_budget_exceeded_exits_1(capsys, command):
     code, out, err = _run(capsys, [*command.split(), "2000", "1000"])
     assert code == 1 and out == ""
     assert "resource error: essential_poincare budget exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("poincare maxorth 40", f"needs {1 << 39} normal monomials indexed, limit {1 << 19}"),
+        ("annihilate maxorth 40", f"needs {1 << 39} normal monomials indexed, limit {1 << 19}"),
+        ("annihilate oddquot 30", f"needs {1 << 59} normal monomials indexed, limit {1 << 19}"),
+        ("decompose 60 30 --witt 30", f"has {1 << 30} summands, limit {1 << 20}"),
+    ],
+)
+def test_whole_ring_and_whole_motive_walks_refuse_before_they_start(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv.split())
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert err.startswith("resource error: ") and err.endswith(message + "\n"), err
+
+
+def test_primerchik_past_r10_refuses_the_whole_ring():
+    # the rows that walk max_orth_ring(28) fail at once with the budget error;
+    # the uniqueness row indexes degree by degree until the budget stops it
+    rows = [row for row in suites.SUITES["primerchik"](SuiteOptions(max_r=14)) if row[1]["r"] == 14]
+    start = time.perf_counter()
+    results = {row[0]: suites._case(*row) for row in rows if "unique" not in row[0]}
+    assert time.perf_counter() - start < 2
+    assert sorted(results) == [f"primerchik/r14/{name}" for name in ("motive", "quotient", "squares")]
+    for name in ("motive", "quotient"):
+        case = results[f"primerchik/r14/{name}"]
+        assert not case.passed
+        assert case.details["error"].startswith("BudgetError: monomial budget exceeded: ")
+    assert results["primerchik/r14/squares"].passed
 
 
 def test_count_usage_error_exits_2(capsys):

@@ -176,10 +176,12 @@ def test_certificate_rejects_a_false_frame(vectors, message):
         finitefields._check_totally_singular(Q, vectors)
 
 
-# quadratic evaluations of `verify i2i --max-n 5 --max-p 3` (67 forms): 2061
-# split candidates plus 228 certificate evaluations, 2289 in all; the
-# exhaustive search this bound replaced ran for minutes
-I2I_N5_P3_EVALUATIONS = 2500
+# quadratic evaluations of `verify i2i --max-n 5 --max-p 3` (67 forms): 1159
+# in the splitting, which reads its candidates a line at a time (one value
+# per line and one per direction), plus 228 certificate evaluations, 1387 in
+# all; one evaluation per candidate made 2289, and the exhaustive search this
+# bound replaced ran for minutes
+I2I_N5_P3_EVALUATIONS = 1500
 
 
 def test_i2i_reaches_n5_p3_within_a_work_bound(monkeypatch):
