@@ -296,9 +296,11 @@ class AlgebraPresentation:
             sizes[d] for d in degrees if d not in self._bases and d < len(sizes)
         )
         if needed > _MONOMIAL_BUDGET:
+            first, last = self.generators[0].name, self.generators[-1].name
             raise BudgetError(
-                f"monomial budget exceeded: {self!r} needs {needed} normal monomials "
-                f"indexed, limit {_MONOMIAL_BUDGET}"
+                f"monomial budget exceeded: the {self.coefficients} ring on "
+                f"{len(self.generators)} generators {first}..{last} needs {needed} normal "
+                f"monomials indexed, limit {_MONOMIAL_BUDGET}"
             )
 
     def _tail(self, i: int, left: int) -> list[tuple[int, ...]]:

@@ -67,22 +67,23 @@ class SubringClosure:
     def __init__(self, ambient: AlgebraPresentation, generators):
         self.ambient = ambient
         self.generators = tuple(generators)
-        for g in self.generators:
-            d = g.homogeneous_degree()
-            if d is None or d < 1:
-                raise UsageError("subring generators must be homogeneous of positive degree")
-        self._cache: dict[int, list[Element]] = {}
+        self._degrees = [g.homogeneous_degree() for g in self.generators]
+        if any(d is None or d < 1 for d in self._degrees):
+            raise UsageError("subring generators must be homogeneous of positive degree")
+        self._cache: dict[int, list[Element]] = {0: [ambient.one()]}
 
     def basis(self, d: int) -> list[Element]:
-        """Basis of the degree-d component, built by iterated span closure."""
+        """Basis of the degree-d component, built by iterated span closure.
+
+        Every degree the closure reaches is admitted to the ambient monomial
+        budget before the first of them is indexed.
+        """
         if d < 0:
             return []
-        if d == 0:
-            return [self.ambient.one()]
         if d not in self._cache:
+            self.ambient._admit(self._reached(d))
             spanners: list[Element] = []
-            for g in self.generators:
-                gd = g.homogeneous_degree()
+            for g, gd in zip(self.generators, self._degrees):
                 for x in self.basis(d - gd):
                     y = g * x
                     if not y.is_zero:
@@ -90,6 +91,16 @@ class SubringClosure:
             span = self.ambient.span_solver([], d)
             self._cache[d] = [y for y in spanners if span.add(y)]
         return list(self._cache[d])
+
+    def _reached(self, d: int) -> list[int]:
+        """The degrees 0 < d' <= d with d - d' a sum of generator degrees."""
+        reached = [False] * d + [True]
+        for e in range(d, 0, -1):
+            if reached[e]:
+                for gd in self._degrees:
+                    if gd <= e:
+                        reached[e - gd] = True
+        return [e for e in range(1, d + 1) if reached[e]]
 
 
 def subring_basis(ambient: AlgebraPresentation, gens, d: int) -> list[Element]:

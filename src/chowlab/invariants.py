@@ -217,7 +217,10 @@ def uncovered_invariant(sigma: SwapInvolution, products: list[Element], d: int) 
     """
     C = sigma.classes
     span = C.span_solver([sigma.norm_class(x) for x in products], d)
-    for mono in C.degree_basis(d):
+    basis = C.degree_basis(d)
+    if span.rank == len(basis):  # the classes span every fixed monomial
+        return None
+    for mono in basis:
         if not span.contains(Element(C, {mono: 1})):
             return Element(sigma.algebra, {sigma.lift(mono): 1})
     return None

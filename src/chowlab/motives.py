@@ -14,7 +14,7 @@ with Essential(n, 0) the Tate unit and out-of-range atoms zero.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .errors import BudgetError, ChowlabError, UsageError
@@ -278,42 +278,39 @@ def cd2_identity_check(n: int) -> bool:
 _SUMMAND_BUDGET = 1 << 20  # summands one witt_decompose_whole call may build
 
 
-@lru_cache(maxsize=None)
-def _whole_summands(n: int, r: int, witt_h: int) -> int:
-    """The number of summands ``witt_decompose_whole(n, r, witt_h)`` returns."""
-    if r < 0 or r > n // 2:
-        return 0
-    if r == 0 or witt_h == 0:
-        return 1
-    return 2 * _whole_summands(n - 2, r - 1, witt_h - 1) + _whole_summands(n - 2, r, witt_h - 1)
-
-
 def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
     """Whole-motive decomposition after splitting ``witt_h`` hyperbolic planes.
 
     Ends in explicit Tate and Essential summands plus an unspecified SpecK
-    residual bucket (individual SpecK shifts are never computed).  The
-    summands are counted first, and more than ``_SUMMAND_BUDGET`` is refused.
+    residual bucket (individual SpecK shifts are never computed).  More than
+    ``_SUMMAND_BUDGET`` summands are refused before a repeated one is built.
     """
     if witt_h < 0 or witt_h > n // 2:
         raise UsageError(f"witt_h={witt_h} out of range for n={n}")
-    summands = _whole_summands(n, r, witt_h)
+    summands, distinct = _witt_whole(n, r, witt_h)
     if summands > _SUMMAND_BUDGET:
         raise BudgetError(
             f"witt_decompose_whole budget exceeded: n={n}, r={r}, witt_h={witt_h} has "
             f"{summands} summands, limit {_SUMMAND_BUDGET}"
         )
-    return _witt_whole(n, r, witt_h)
+    return Motive((s for s, m in distinct for _ in range(m)), speck_residual=1 <= r <= n // 2)
 
 
-def _witt_whole(n: int, r: int, witt_h: int) -> Motive:
+@lru_cache(maxsize=None)
+def _witt_whole(n: int, r: int, witt_h: int) -> tuple[int, tuple | None]:
+    """Summand count and distinct (atom, shift) summands with multiplicities, None past budget."""
     if r < 0 or r > n // 2:
-        return Motive()
+        return 0, ()
     if r == 0:
-        return Motive(((TATE, 0),))
+        return 1, (((TATE, 0), 1),)
     if witt_h == 0:
-        return Motive(((essential(n, r), 0),), speck_residual=True)
+        return 1, (((essential(n, r), 0), 1),)
+    lower, upper = _witt_whole(n - 2, r - 1, witt_h - 1), _witt_whole(n - 2, r, witt_h - 1)
+    summands = 2 * lower[0] + upper[0]
+    if summands > _SUMMAND_BUDGET:
+        return summands, None
     i, j = _step_shifts(n, r)
-    lower = _witt_whole(n - 2, r - 1, witt_h - 1)
-    out = lower + _witt_whole(n - 2, r, witt_h - 1).shifted(i) + lower.shifted(j)
-    return Motive(out.summands, speck_residual=True)
+    out = Counter()
+    for (_, distinct), shift in ((lower, 0), (upper, i), (lower, j)):
+        out.update({(atom, s + shift): m for (atom, s), m in distinct})
+    return summands, tuple(out.items())

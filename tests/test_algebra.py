@@ -581,7 +581,7 @@ def test_monomial_budget_refuses_before_indexing(monkeypatch):
     monkeypatch.setattr(algebra, "_MONOMIAL_BUDGET", 16)
     assert max_orth_ring(5).poincare().total == 16
     monkeypatch.setattr(algebra, "_MONOMIAL_BUDGET", 15)
-    message = r"e4\], F2, truncation=None\) needs 16 normal monomials indexed, limit 15$"
+    message = r"the F2 ring on 4 generators e1\.\.e4 needs 16 normal monomials indexed, limit 15$"
     ring = max_orth_ring(5)
     for whole_ring in (ring.poincare, lambda: grassmann.annihilator(ring.gen("e2"), ring)):
         with pytest.raises(BudgetError, match=message):

@@ -6,7 +6,7 @@ import pytest
 
 from chowlab import grassmann
 from chowlab.algebra import Element
-from chowlab.errors import UsageError
+from chowlab.errors import BudgetError, UsageError
 from chowlab.grassmann import (
     SubringClosure,
     annihilator,
@@ -90,6 +90,15 @@ def test_uniqueness_in_codim():
     # codimension 6 of the rank-8 model holds both e6 and e2*e4 in the even subring
     ring = max_orth_ring(8)
     assert not grassmann._unique_in_even_subring(ring, ring.gen("e6"))
+
+
+def test_subring_closure_admits_its_degrees_before_indexing():
+    # the even subring of max_orth_ring(24) reaches 1,848,458 monomials up to
+    # codimension 132, more than the budget: refused with no degree indexed
+    ring, cls = class_xr_even(12)
+    with pytest.raises(BudgetError, match="needs 1848458 normal monomials indexed"):
+        grassmann._unique_in_even_subring(ring, cls)
+    assert ring._bases == {}
 
 
 def test_annihilator_maxorth4():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chowlab import algebra
 from chowlab.algebra import F2, AlgebraPresentation, Element, GeneratorSpec, Z, free_polynomial_ring
 from chowlab.errors import ConfigurationError, UsageError
 from chowlab.grassmann import max_orth_ring, prev_max_orth_ring
@@ -355,6 +356,25 @@ def test_non_generation_witness():
         frozenset({("a1", 1), ("a2", 1), ("a3", 1)}),
         frozenset({("b1", 1), ("b2", 1), ("b3", 1)}),
     }
+
+
+def test_generation_check_tests_membership_only_when_the_span_falls_short(monkeypatch):
+    calls = []
+    contains = algebra.Span.contains
+    monkeypatch.setattr(algebra.Span, "contains", lambda self, x: calls.append(x) or contains(self, x))
+    assert codim_le2_generation_check(1, 3, 8, F2).passed
+    assert calls == []
+    # the first uncovered fixed monomial, past covered ones: t1 covers t1^2 but
+    # not a1*b1, and a1*b1 covers a1^2*b1^2 but not a1*b1*t1^2
+    ring, sigma = swap_polynomial_ring(1, 1, F2, 4)
+    a1, b1, t1 = ring.gen("a1"), ring.gen("b1"), ring.gen("t1")
+    for gens, expected in (
+        ([t1], [None, None, a1 * b1, a1 * b1 * t1, a1 * a1 * b1 * b1]),
+        ([a1 * b1], [None, t1, t1 * t1, a1 * b1 * t1, a1 * b1 * t1 * t1]),
+    ):
+        report = quotient_generation_check(sigma, gens, 4)
+        assert [dc.witness for dc in report.degrees] == expected, gens
+    assert calls
 
 
 def test_generation_report_json_schema():

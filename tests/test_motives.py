@@ -1,5 +1,7 @@
 """Motive recursion, dimension formulas and the reported comparisons."""
 
+import time
+
 import pytest
 
 from chowlab import motives
@@ -211,22 +213,55 @@ def test_witt_decompose_whole_matches_three_call_recursion():
                 assert witt_decompose_whole(n, r, h) == _three_call_decompose(n, r, h), (n, r, h)
 
 
+def _multiplicities(n, r, h):
+    summands, distinct = motives._witt_whole(n, r, h)
+    assert summands == sum(m for _, m in distinct)
+    return summands
+
+
 def test_witt_decompose_whole_counts_its_summands_first(monkeypatch):
     for n in range(13):
         for r in range(-1, n // 2 + 2):
             for h in range(n // 2 + 1):
                 summands = len(witt_decompose_whole(n, r, h).summands)
-                assert motives._whole_summands(n, r, h) == summands, (n, r, h)
-    assert motives._whole_summands(30, 12, 12) == 208896
+                assert _multiplicities(n, r, h) == summands, (n, r, h)
+    assert _multiplicities(30, 12, 12) == 208896
     # witt_decompose_whole(8, 2, 3) has 18 summands; one over the budget is
-    # refused before any summand is built
+    # refused before the multiplicities are expanded into a Motive
     monkeypatch.setattr(motives, "_SUMMAND_BUDGET", 18)
     assert len(witt_decompose_whole(8, 2, 3).summands) == 18
     monkeypatch.setattr(motives, "_SUMMAND_BUDGET", 17)
-    monkeypatch.setattr(motives, "_witt_whole", None)
+    monkeypatch.setattr(motives, "Motive", None)
+    motives._witt_whole.cache_clear()
     message = "n=8, r=2, witt_h=3 has 18 summands, limit 17$"
     with pytest.raises(BudgetError, match=message):
         witt_decompose_whole(8, 2, 3)
+    # a part past the budget keeps only its count
+    assert motives._witt_whole(8, 2, 3) == (18, None)
+    motives._witt_whole.cache_clear()  # drop the parts cut at the lowered budget
+
+
+def test_witt_decompose_whole_refuses_large_cases_at_once():
+    # the parts past the budget are counted, never merged, so refusing about
+    # 10^44 summands (200, 50, 100) is as quick as refusing 2^30
+    for n, r, h in ((60, 30, 30), (200, 50, 100), (400, 100, 200)):
+        motives._witt_whole.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"n={n}, r={r}, witt_h={h} has "):
+            witt_decompose_whole(n, r, h)
+        assert time.perf_counter() - start < 1, (n, r, h)
+    motives._witt_whole.cache_clear()
+
+
+def test_witt_decompose_whole_steps_once_per_distinct_part(monkeypatch):
+    # one recursion on distinct summands: 42 (n, r, h) steps at (30, 12, 12),
+    # where expanding every repeated summand took 793
+    calls = []
+    step_shifts = motives._step_shifts
+    monkeypatch.setattr(motives, "_step_shifts", lambda n, r: calls.append((n, r)) or step_shifts(n, r))
+    motives._witt_whole.cache_clear()
+    assert len(witt_decompose_whole(30, 12, 12).summands) == 208896
+    assert len(calls) <= 50, len(calls)
 
 
 def test_witt_decompose_full_split_matches_poincare():

@@ -6,7 +6,8 @@ import sits at module top level, no module imports ``dataclasses`` or
 of degree-wise linear algebra stays behind ``algebra.Span``, report JSON is
 written only by ``suites.report_json``, every defaulted parameter is passed
 by some caller in the package, every affine space of rows in
-``finitefields`` is read through one line walk, every name the benchmark's
+``finitefields`` is read through one line walk, the whole-motive
+decomposition is one recursion, every name the benchmark's
 tracer wraps stays bound, and every package name the README spells out still
 resolves.
 """
@@ -197,6 +198,23 @@ def test_one_line_walk_reads_every_affine_space():
     callers = [c for c in callers if c != "finitefields._points"]
     assert callers == ["finitefields._isotropic_rows"], callers
     assert not hasattr(finitefields._SubspaceSearch, "_last_rows")
+
+
+def test_whole_motive_decomposition_is_one_recursion():
+    # summands are counted from the multiplicities _witt_whole returns, so no
+    # twin recursion on witt_h counts them
+    tree = ast.parse((SRC / "motives.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "_whole_summands" not in {f.name for f in functions}
+    recursing = [
+        f.name
+        for f in functions
+        for call in ast.walk(f)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", None) == f.name
+        and any(getattr(n, "id", None) == "witt_h" for a in call.args for n in ast.walk(a))
+    ]
+    assert sorted(set(recursing)) == ["_witt_whole"], recursing
 
 
 def test_tracer_sites_resolve():

@@ -92,8 +92,16 @@ def test_essential_table_budget_exceeded_exits_1(capsys, command):
     [
         ("poincare maxorth 40", f"needs {1 << 39} normal monomials indexed, limit {1 << 19}"),
         ("annihilate maxorth 40", f"needs {1 << 39} normal monomials indexed, limit {1 << 19}"),
-        ("annihilate oddquot 30", f"needs {1 << 59} normal monomials indexed, limit {1 << 19}"),
+        (
+            "annihilate oddquot 30",
+            f"the F2 ring on 59 generators e2..e60 needs {1 << 59} normal monomials indexed, "
+            f"limit {1 << 19}",
+        ),
         ("decompose 60 30 --witt 30", f"has {1 << 30} summands, limit {1 << 20}"),
+        (
+            "decompose 200 50 --witt 100",
+            f"has 113593555425077806298992700032708703623839744 summands, limit {1 << 20}",
+        ),
     ],
 )
 def test_whole_ring_and_whole_motive_walks_refuse_before_they_start(capsys, argv, message):
@@ -105,18 +113,21 @@ def test_whole_ring_and_whole_motive_walks_refuse_before_they_start(capsys, argv
 
 
 def test_primerchik_past_r10_refuses_the_whole_ring():
-    # the rows that walk max_orth_ring(28) fail at once with the budget error;
-    # the uniqueness row indexes degree by degree until the budget stops it
+    # the rows that walk max_orth_ring(28) fail at once with the budget error,
+    # and so does the uniqueness row, whose subring closure is admitted whole
     rows = [row for row in suites.SUITES["primerchik"](SuiteOptions(max_r=14)) if row[1]["r"] == 14]
     start = time.perf_counter()
-    results = {row[0]: suites._case(*row) for row in rows if "unique" not in row[0]}
+    results = {row[0]: suites._case(*row) for row in rows}
     assert time.perf_counter() - start < 2
-    assert sorted(results) == [f"primerchik/r14/{name}" for name in ("motive", "quotient", "squares")]
-    for name in ("motive", "quotient"):
+    names = ("motive", "quotient", "squares", "unique")
+    assert sorted(results) == [f"primerchik/r14/{name}" for name in names]
+    for name in ("motive", "quotient", "unique"):
         case = results[f"primerchik/r14/{name}"]
         assert not case.passed
         assert case.details["error"].startswith("BudgetError: monomial budget exceeded: ")
     assert results["primerchik/r14/squares"].passed
+    # the largest closure within the budget still answers
+    assert grassmann.uniqueness_in_codim(11) is True
 
 
 def test_count_usage_error_exits_2(capsys):
