@@ -495,9 +495,6 @@ class Element:
             return degs.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        return len({self.algebra.monomial_degree(m) for m in self.terms}) <= 1
-
     def _check_compatible(self, other: "Element") -> None:
         if self.algebra is not other.algebra:
             raise UsageError("elements belong to different presentations")

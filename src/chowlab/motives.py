@@ -70,44 +70,40 @@ def essential(n: int, r: int) -> Atom:
 
 
 class Motive(namedtuple("Motive", "summands speck_residual")):
-    """A finite multiset of shifted atoms, plus an optional unspecified SpecK remainder."""
+    """Shifted atoms with multiplicities, plus an optional unspecified SpecK remainder.
+
+    Built from a mapping (atom, shift) -> multiplicity; ``summands`` holds its
+    ((atom, shift), multiplicity) items in (shift, atom) order.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, summands=(), speck_residual: bool = False):
-        ordered = tuple(sorted(summands, key=lambda s: (s[1], s[0])))
+    def __new__(cls, summands, speck_residual: bool = False):
+        ordered = tuple(sorted(dict(summands).items(), key=lambda e: (e[0][1], e[0][0])))
         return super().__new__(cls, ordered, speck_residual)
-
-    def shifted(self, i: int) -> "Motive":
-        return Motive(tuple((a, s + i) for a, s in self.summands), self.speck_residual)
-
-    def __add__(self, other: "Motive") -> "Motive":
-        return Motive(
-            self.summands + other.summands,
-            self.speck_residual or other.speck_residual,
-        )
 
     def poincare(self) -> PoincarePolynomial:
         """Tate realization; defined only when no SpecK content is present."""
-        if self.speck_residual or any(a.kind == "SpecK" for a, _ in self.summands):
+        if self.speck_residual or any(a.kind == "SpecK" for (a, _), _ in self.summands):
             raise UsageError("Poincare polynomial undefined with SpecK summands")
         acc = PoincarePolynomial()
-        for atom, shift in self.summands:
-            if atom.kind == "Tate":
-                acc = acc + PoincarePolynomial.monomial(shift)
-            else:
-                acc = acc + essential_poincare(atom.n, atom.r).shift(shift)
+        for (atom, shift), m in self.summands:
+            tate = atom.kind == "Tate"
+            unit = PoincarePolynomial.one() if tate else essential_poincare(atom.n, atom.r)
+            acc = acc + (unit * PoincarePolynomial((m,))).shift(shift)
         return acc
 
     def to_json(self) -> dict:
-        out = {"summands": [{"atom": repr(a), "shift": s} for a, s in self.summands]}
+        out = {"summands": [{"atom": repr(a), "shift": s, "multiplicity": m}
+                            for (a, s), m in self.summands]}
         if self.speck_residual:
             out["speck_residual"] = True
         return out
 
     def __repr__(self) -> str:
         parts = [
-            (repr(a) if s == 0 else f"{a!r}({s})") for a, s in self.summands
+            ("" if m == 1 else f"{m}*") + (repr(a) if s == 0 else f"{a!r}({s})")
+            for (a, s), m in self.summands
         ]
         if self.speck_residual:
             parts.append("SpecK-residual")
@@ -127,18 +123,16 @@ def _step_shifts(n: int, r: int) -> tuple[int, int]:
 def decompose_step(n: int, r: int) -> Motive:
     """One isotropic splitting step of the essential motive."""
     if r == 0:
-        return Motive(((essential(n, 0), 0),))
+        return Motive({(essential(n, 0), 0): 1})
     if n < 2 or not 1 <= r <= n // 2:
         raise UsageError(f"decompose_step needs n >= 2 and 1 <= r <= n/2; got n={n}, r={r}")
     i, j = _step_shifts(n, r)
-    summands = []
-    for rr, shift in ((r - 1, 0), (r, i), (r - 1, j)):
-        if 0 <= rr <= (n - 2) // 2:
-            summands.append((essential(n - 2, rr), shift))
-    return Motive(tuple(summands))
+    steps = ((r - 1, 0), (r, i), (r - 1, j))
+    return Motive({(essential(n - 2, rr), s): 1 for rr, s in steps if 0 <= rr <= (n - 2) // 2})
 
 
 _ESSENTIAL_BUDGET = 1 << 21  # table coefficients one essential_poincare call may fill
+_WITT_BUDGET = 1 << 20  # table entries one witt_decompose_whole call may fill
 
 
 @lru_cache(maxsize=None)
@@ -154,32 +148,36 @@ def _essential_coeffs(n: int, r: int) -> tuple[int, ...]:
     return acc.coeffs
 
 
-def _table(n: int, r: int):
-    """The entries (m, rr) with rr >= 1 that Essential(n, r) expands through, bottom up.
+def _table(n: int, r: int, levels: int):
+    """The parts (m, rr) with rr >= 1 that (n, r) reaches in ``levels`` splittings, bottom up.
 
-    Filled in this order, each entry recurses one level whatever n is; rr = 0
+    Filled in this order, each part recurses one level whatever n is; rr = 0
     is the unit and needs no entry.
     """
-    if r == 0:
-        return
-    for m in range(2 + n % 2, n + 1, 2):
+    for m in range(n - 2 * levels, n + 1, 2):
         for rr in range(max(1, r - (n - m) // 2), min(r, m // 2) + 1):
             yield m, rr
+
+
+def _admit(sizes, limit: int, unit: str, caller: str, **args) -> None:
+    """Refuse ``caller(**args)`` as soon as the running total of ``sizes`` passes ``limit``."""
+    needed = 0
+    for size in sizes:
+        needed += size
+        if needed > limit:
+            named = ", ".join(f"{k}={v}" for k, v in args.items())
+            raise BudgetError(
+                f"{caller} budget exceeded: {named} needs at least {needed} {unit}, limit {limit}"
+            )
 
 
 def essential_poincare(n: int, r: int) -> PoincarePolynomial:
     """Tate multiplicities of Essential(n, r), expanded through the split recursion."""
     if not 0 <= r <= n // 2:
         raise UsageError(f"r={r} out of range for n={n}")
-    needed = 0
-    for m, rr in _table(n, r):
-        needed += dim_unitary(m, rr) + 1
-        if needed > _ESSENTIAL_BUDGET:
-            raise BudgetError(
-                f"essential_poincare budget exceeded: n={n}, r={r} needs at least {needed} "
-                f"table coefficients, limit {_ESSENTIAL_BUDGET}"
-            )
-    for m, rr in _table(n, r):
+    sizes = (dim_unitary(m, rr) + 1 for m, rr in _table(n, r, n // 2))
+    _admit(sizes, _ESSENTIAL_BUDGET, "table coefficients", "essential_poincare", n=n, r=r)
+    for m, rr in _table(n, r, n // 2):
         _essential_coeffs(m, rr)
     return PoincarePolynomial(_essential_coeffs(n, r))
 
@@ -275,42 +273,38 @@ def cd2_identity_check(n: int) -> bool:
     )
 
 
-_SUMMAND_BUDGET = 1 << 20  # summands one witt_decompose_whole call may build
-
-
 def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
     """Whole-motive decomposition after splitting ``witt_h`` hyperbolic planes.
 
-    Ends in explicit Tate and Essential summands plus an unspecified SpecK
-    residual bucket (individual SpecK shifts are never computed).  More than
-    ``_SUMMAND_BUDGET`` summands are refused before a repeated one is built.
+    Ends in explicit Tate and Essential summands with multiplicities plus an
+    unspecified SpecK residual bucket (individual SpecK shifts are never
+    computed).  A part (m, rr) can hold only Tate and Essential(n - 2 witt_h, s)
+    with s <= rr, at shifts 0..dim_unitary(m, rr); the parts are filled bottom
+    up once that bound, summed over them, is within ``_WITT_BUDGET``.
     """
     if witt_h < 0 or witt_h > n // 2:
         raise UsageError(f"witt_h={witt_h} out of range for n={n}")
-    summands, distinct = _witt_whole(n, r, witt_h)
-    if summands > _SUMMAND_BUDGET:
-        raise BudgetError(
-            f"witt_decompose_whole budget exceeded: n={n}, r={r}, witt_h={witt_h} has "
-            f"{summands} summands, limit {_SUMMAND_BUDGET}"
-        )
-    return Motive((s for s, m in distinct for _ in range(m)), speck_residual=1 <= r <= n // 2)
+    atoms = 1 + (n - 2 * witt_h) // 2
+    sizes = (min(rr + 1, atoms) * (dim_unitary(m, rr) + 1) for m, rr in _table(n, r, witt_h))
+    _admit(sizes, _WITT_BUDGET, "table entries", "witt_decompose_whole", n=n, r=r, witt_h=witt_h)
+    for m, rr in _table(n, r, witt_h):
+        _witt_whole(m, rr, witt_h - (n - m) // 2)
+    return Motive(_witt_whole(n, r, witt_h), speck_residual=1 <= r <= n // 2)
 
 
 @lru_cache(maxsize=None)
-def _witt_whole(n: int, r: int, witt_h: int) -> tuple[int, tuple | None]:
-    """Summand count and distinct (atom, shift) summands with multiplicities, None past budget."""
+def _witt_whole(n: int, r: int, witt_h: int) -> tuple:
+    """The distinct (atom, shift) summands with their multiplicities, as mapping items."""
     if r < 0 or r > n // 2:
-        return 0, ()
+        return ()
     if r == 0:
-        return 1, (((TATE, 0), 1),)
+        return (((TATE, 0), 1),)
     if witt_h == 0:
-        return 1, (((essential(n, r), 0), 1),)
+        return (((essential(n, r), 0), 1),)
     lower, upper = _witt_whole(n - 2, r - 1, witt_h - 1), _witt_whole(n - 2, r, witt_h - 1)
-    summands = 2 * lower[0] + upper[0]
-    if summands > _SUMMAND_BUDGET:
-        return summands, None
     i, j = _step_shifts(n, r)
     out = Counter()
-    for (_, distinct), shift in ((lower, 0), (upper, i), (lower, j)):
-        out.update({(atom, s + shift): m for (atom, s), m in distinct})
-    return summands, tuple(out.items())
+    for part, shift in ((lower, 0), (upper, i), (lower, j)):
+        for (atom, s), m in part:
+            out[atom, s + shift] += m
+    return tuple(out.items())

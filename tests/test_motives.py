@@ -1,6 +1,7 @@
 """Motive recursion, dimension formulas and the reported comparisons."""
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -43,15 +44,15 @@ def test_dim_orthogonal_values():
             assert dim_orthogonal(n, 2 * r) == r * (4 * n - 6 * r - 1)
 
 
+def _once(*summands, speck_residual=False):
+    return Motive(dict.fromkeys(summands, 1), speck_residual)
+
+
 def test_decompose_step_examples():
-    assert decompose_step(2, 1) == Motive(
-        ((essential(0, 0), 0), (essential(0, 0), 1))
-    )
-    assert decompose_step(4, 2) == Motive(
-        ((essential(2, 1), 0), (essential(2, 1), 3))
-    )
-    assert decompose_step(4, 1) == Motive(
-        ((essential(2, 0), 0), (essential(2, 1), 2), (essential(2, 0), 5))
+    assert decompose_step(2, 1) == _once((essential(0, 0), 0), (essential(0, 0), 1))
+    assert decompose_step(4, 2) == _once((essential(2, 1), 0), (essential(2, 1), 3))
+    assert decompose_step(4, 1) == _once(
+        (essential(2, 0), 0), (essential(2, 1), 2), (essential(2, 0), 5)
     )
 
 
@@ -180,77 +181,116 @@ def test_j_min_and_cd2():
 
 
 def test_witt_decompose_whole_examples():
-    assert witt_decompose_whole(5, 1, 0) == Motive(
-        ((essential(5, 1), 0),), speck_residual=True
-    )
+    assert witt_decompose_whole(5, 1, 0) == _once((essential(5, 1), 0), speck_residual=True)
     m = witt_decompose_whole(3, 1, 1)
-    assert m == Motive(((TATE, 0), (TATE, 3)), speck_residual=True)
+    assert m == _once((TATE, 0), (TATE, 3), speck_residual=True)
     m = witt_decompose_whole(4, 1, 1)
-    assert m == Motive(
-        ((TATE, 0), (essential(2, 1), 2), (TATE, 5)), speck_residual=True
-    )
+    assert m == _once((TATE, 0), (essential(2, 1), 2), (TATE, 5), speck_residual=True)
+    # the first repeated summands: Tate(9) and Tate(11), each reached twice
+    m = witt_decompose_whole(8, 2, 3)
+    assert [mult for _, mult in m.summands] == [1] * 7 + [2, 1, 2] + [1] * 6
+    assert repr(m).startswith("Tate + Tate(2) + Essential(2,1)(4) + Tate(4) + ")
+    assert " + 2*Tate(9) + Essential(2,1)(11) + 2*Tate(11) + " in repr(m)
 
 
 def _three_call_decompose(n, r, h):
-    # the recursion as first written: the (n - 2, r - 1) branch is computed twice
+    # the recursion as first written: the (n - 2, r - 1) branch is computed
+    # twice, and every summand is listed once per copy
     if r < 0 or r > n // 2:
-        return Motive()
+        return []
     if r == 0:
-        return Motive(((TATE, 0),))
+        return [(TATE, 0)]
     if h == 0:
-        return Motive(((essential(n, r), 0),), speck_residual=True)
+        return [(essential(n, r), 0)]
     i, j = motives._step_shifts(n, r)
-    out = _three_call_decompose(n - 2, r - 1, h - 1)
-    out = out + _three_call_decompose(n - 2, r, h - 1).shifted(i)
-    out = out + _three_call_decompose(n - 2, r - 1, h - 1).shifted(j)
-    return Motive(out.summands, speck_residual=True)
+    return (
+        _three_call_decompose(n - 2, r - 1, h - 1)
+        + [(a, s + i) for a, s in _three_call_decompose(n - 2, r, h - 1)]
+        + [(a, s + j) for a, s in _three_call_decompose(n - 2, r - 1, h - 1)]
+    )
 
 
 def test_witt_decompose_whole_matches_three_call_recursion():
     for n in range(13):
         for r in range(-1, n // 2 + 2):
             for h in range(n // 2 + 1):
-                assert witt_decompose_whole(n, r, h) == _three_call_decompose(n, r, h), (n, r, h)
+                m = witt_decompose_whole(n, r, h)
+                assert dict(m.summands) == Counter(_three_call_decompose(n, r, h)), (n, r, h)
+                assert m.speck_residual == (1 <= r <= n // 2), (n, r, h)
 
 
-def _multiplicities(n, r, h):
-    summands, distinct = motives._witt_whole(n, r, h)
-    assert summands == sum(m for _, m in distinct)
-    return summands
+@pytest.mark.parametrize(
+    "n, r, h, distinct, summands",
+    [(30, 12, 12, 984, 208896), (60, 30, 30, 899, 1 << 30), (100, 5, 50, 836, 67800320)],
+)
+def test_witt_decompose_whole_lists_each_distinct_summand_once(n, r, h, distinct, summands):
+    m = witt_decompose_whole(n, r, h)
+    assert len(m.summands) == distinct
+    assert sum(mult for _, mult in m.summands) == summands
 
 
-def test_witt_decompose_whole_counts_its_summands_first(monkeypatch):
+def _predicted_entries(monkeypatch, n, r, h):
+    # the whole table-entry bound witt_decompose_whole hands to its budget check
+    def record(sizes, *budget, **args):
+        raise LookupError(sum(sizes))
+
+    monkeypatch.setattr(motives, "_admit", record)
+    with pytest.raises(LookupError) as exc:
+        witt_decompose_whole(n, r, h)
+    monkeypatch.undo()
+    return exc.value.args[0]
+
+
+def _built_entries(n, r, h):
+    # entries in every part (n - 2k, rr, h - k) the recursion reaches, with
+    # r - k <= rr <= r
+    witt_decompose_whole(n, r, h)
+    return sum(
+        len(motives._witt_whole(n - 2 * k, rr, h - k))
+        for k in range(h + 1)
+        for rr in range(max(1, r - k), min(r, (n - 2 * k) // 2) + 1)
+    )
+
+
+def test_witt_table_entry_bound_covers_the_entries_built(monkeypatch):
     for n in range(13):
         for r in range(-1, n // 2 + 2):
             for h in range(n // 2 + 1):
-                summands = len(witt_decompose_whole(n, r, h).summands)
-                assert _multiplicities(n, r, h) == summands, (n, r, h)
-    assert _multiplicities(30, 12, 12) == 208896
-    # witt_decompose_whole(8, 2, 3) has 18 summands; one over the budget is
-    # refused before the multiplicities are expanded into a Motive
-    monkeypatch.setattr(motives, "_SUMMAND_BUDGET", 18)
-    assert len(witt_decompose_whole(8, 2, 3).summands) == 18
-    monkeypatch.setattr(motives, "_SUMMAND_BUDGET", 17)
-    monkeypatch.setattr(motives, "Motive", None)
+                predicted = _predicted_entries(monkeypatch, n, r, h)
+                assert predicted >= _built_entries(n, r, h), (n, r, h)
+    # the unit parts (rr = 0) need no entry and are not counted
+    for n, r, h, predicted, built in ((60, 30, 30, 9485, 9428), (30, 12, 12, 17917, 8158)):
+        motives._witt_whole.cache_clear()
+        assert _predicted_entries(monkeypatch, n, r, h) == predicted
+        assert _built_entries(n, r, h) == built
+
+
+def test_witt_decompose_whole_refuses_before_any_part_is_filled(monkeypatch):
+    # (8, 2, 3) builds 35 table entries under a bound of 114
     motives._witt_whole.cache_clear()
-    message = "n=8, r=2, witt_h=3 has 18 summands, limit 17$"
+    assert _built_entries(8, 2, 3) == 35
+    monkeypatch.setattr(motives, "_WITT_BUDGET", 114)
+    motives._witt_whole.cache_clear()
+    assert sum(m for _, m in witt_decompose_whole(8, 2, 3).summands) == 18
+    monkeypatch.setattr(motives, "_WITT_BUDGET", 113)
+    motives._witt_whole.cache_clear()
+    message = "n=8, r=2, witt_h=3 needs at least 114 table entries, limit 113$"
     with pytest.raises(BudgetError, match=message):
         witt_decompose_whole(8, 2, 3)
-    # a part past the budget keeps only its count
-    assert motives._witt_whole(8, 2, 3) == (18, None)
-    motives._witt_whole.cache_clear()  # drop the parts cut at the lowered budget
+    assert motives._witt_whole.cache_info().currsize == 0
 
 
 def test_witt_decompose_whole_refuses_large_cases_at_once():
-    # the parts past the budget are counted, never merged, so refusing about
-    # 10^44 summands (200, 50, 100) is as quick as refusing 2^30
-    for n, r, h in ((60, 30, 30), (200, 50, 100), (400, 100, 200)):
+    # the bound is summed bottom up and stops at the limit, so refusing
+    # 8.6 * 10^8 predicted entries (2000, 10, 900) is as quick as refusing 2 * 10^6
+    cases = ((100, 40, 40), (200, 50, 100), (2000, 1, 1000), (2000, 10, 900), (1000, 400, 500))
+    for n, r, h in cases:
         motives._witt_whole.cache_clear()
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match=f"n={n}, r={r}, witt_h={h} has "):
+        with pytest.raises(BudgetError, match=f"n={n}, r={r}, witt_h={h} needs at least "):
             witt_decompose_whole(n, r, h)
         assert time.perf_counter() - start < 1, (n, r, h)
-    motives._witt_whole.cache_clear()
+        assert motives._witt_whole.cache_info().currsize == 0, (n, r, h)
 
 
 def test_witt_decompose_whole_steps_once_per_distinct_part(monkeypatch):
@@ -260,23 +300,28 @@ def test_witt_decompose_whole_steps_once_per_distinct_part(monkeypatch):
     step_shifts = motives._step_shifts
     monkeypatch.setattr(motives, "_step_shifts", lambda n, r: calls.append((n, r)) or step_shifts(n, r))
     motives._witt_whole.cache_clear()
-    assert len(witt_decompose_whole(30, 12, 12).summands) == 208896
+    assert len(witt_decompose_whole(30, 12, 12).summands) == 984
     assert len(calls) <= 50, len(calls)
 
 
 def test_witt_decompose_full_split_matches_poincare():
-    # fully split: only Tate summands remain and they realize the essential part
-    for n in range(2, 8):
-        for r in range(1, n // 2 + 1):
-            m = witt_decompose_whole(n, r, n // 2)
-            assert all(a.kind != "Essential" for a, _ in m.summands)
-            tate = Motive(m.summands)
-            assert tate.poincare() == essential_poincare(n, r)
+    # fully split: only Tate summands remain and they realize the essential
+    # part; h = 499 nests past the recursion limit unless filled bottom up
+    motives._witt_whole.cache_clear()
+    for n, r in [(n, r) for n in range(2, 8) for r in range(1, n // 2 + 1)] + [(998, 1)]:
+        m = witt_decompose_whole(n, r, n // 2)
+        assert all(a.kind != "Essential" for (a, _), _ in m.summands)
+        tate = Motive(m.summands)
+        assert tate.poincare() == essential_poincare(n, r)
+    assert len(m.summands) == 998 and all(mult == 1 for _, mult in m.summands)
+    motives._witt_whole.cache_clear()
 
 
 def test_motive_json():
     m = witt_decompose_whole(4, 1, 1)
     data = m.to_json()
     assert data["speck_residual"] is True
-    assert {"atom": "Tate", "shift": 0} in data["summands"]
-    assert {"atom": "Essential(2,1)", "shift": 2} in data["summands"]
+    assert {"atom": "Tate", "shift": 0, "multiplicity": 1} in data["summands"]
+    assert {"atom": "Essential(2,1)", "shift": 2, "multiplicity": 1} in data["summands"]
+    data = witt_decompose_whole(8, 2, 3).to_json()
+    assert {"atom": "Tate", "shift": 9, "multiplicity": 2} in data["summands"]

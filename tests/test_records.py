@@ -78,7 +78,7 @@ def test_validated_records_normalise_their_fields():
         (hermitian_space(3, [1, 1]), "diag"),
         (GeneratorSpec("g", 1), "degree"),
         (TATE, "kind"),
-        (Motive(((TATE, 0),)), "summands"),
+        (Motive({(TATE, 0): 1}), "summands"),
         (SuiteOptions(), "max_r"),
         (DegreeCheck(0, True, None), "passed"),
         (CaseResult("x", {}, True, {}, False), "passed"),
@@ -96,10 +96,12 @@ def test_records_take_no_new_attributes(record):
 
 
 def test_motive_sorts_its_summands():
-    m = Motive(((essential(4, 1), 3), (TATE, 2), (SPEC_K, 0), (TATE, 0)))
-    assert m.summands == ((SPEC_K, 0), (TATE, 0), (TATE, 2), (essential(4, 1), 3))
-    assert m == Motive(reversed(m.summands)) and hash(m) == hash(Motive(m.summands))
-    assert (m + m.shifted(1)).summands[:2] == ((SPEC_K, 0), (TATE, 0))
+    m = Motive({(essential(4, 1), 3): 1, (TATE, 2): 2, (SPEC_K, 0): 1, (TATE, 0): 3})
+    assert m.summands == (
+        ((SPEC_K, 0), 1), ((TATE, 0), 3), ((TATE, 2), 2), ((essential(4, 1), 3), 1)
+    )
+    assert m == Motive(reversed(m.summands)) and hash(m) == hash(Motive(dict(m.summands)))
+    assert repr(m) == "SpecK + 3*Tate + 2*Tate(2) + Essential(4,1)(3)"
 
 
 def test_records_with_equal_values_are_equal():

@@ -7,9 +7,9 @@ of degree-wise linear algebra stays behind ``algebra.Span``, report JSON is
 written only by ``suites.report_json``, every defaulted parameter is passed
 by some caller in the package, every affine space of rows in
 ``finitefields`` is read through one line walk, the whole-motive
-decomposition is one recursion, every name the benchmark's
-tracer wraps stays bound, and every package name the README spells out still
-resolves.
+decomposition is one recursion filled bottom up on multiplicity maps, every
+name the benchmark's tracer wraps stays bound, and every package name the
+README spells out still resolves.
 """
 
 import ast
@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 import chowlab
-from chowlab import finitefields
+from chowlab import finitefields, motives
 
 SRC = Path(chowlab.__file__).parent
 
@@ -215,6 +215,17 @@ def test_whole_motive_decomposition_is_one_recursion():
         and any(getattr(n, "id", None) == "witt_h" for a in call.args for n in ast.walk(a))
     ]
     assert sorted(set(recursing)) == ["_witt_whole"], recursing
+    # a motive is a multiplicity map: no summand list to concatenate or shift,
+    # and no budget on expanded summands
+    assert not {"__add__", "shifted"} & set(vars(motives.Motive)), vars(motives.Motive)
+    assert not hasattr(motives, "_SUMMAND_BUDGET")
+    # the parts are filled bottom up through _table before the whole is read
+    whole = next(f for f in functions if f.name == "witt_decompose_whole")
+    lines = {
+        name: min(n.lineno for n in ast.walk(whole) if getattr(n, "id", None) == name)
+        for name in ("_table", "_witt_whole")
+    }
+    assert lines["_table"] < lines["_witt_whole"], lines
 
 
 def test_tracer_sites_resolve():

@@ -97,10 +97,9 @@ def test_essential_table_budget_exceeded_exits_1(capsys, command):
             f"the F2 ring on 59 generators e2..e60 needs {1 << 59} normal monomials indexed, "
             f"limit {1 << 19}",
         ),
-        ("decompose 60 30 --witt 30", f"has {1 << 30} summands, limit {1 << 20}"),
         (
             "decompose 200 50 --witt 100",
-            f"has 113593555425077806298992700032708703623839744 summands, limit {1 << 20}",
+            f"n=200, r=50, witt_h=100 needs at least 1050645 table entries, limit {1 << 20}",
         ),
     ],
 )
@@ -110,6 +109,26 @@ def test_whole_ring_and_whole_motive_walks_refuse_before_they_start(capsys, argv
     assert time.perf_counter() - start < 2
     assert code == 1 and out == ""
     assert err.startswith("resource error: ") and err.endswith(message + "\n"), err
+
+
+@pytest.mark.parametrize("argv, summands", [("998 1 --witt 499", 998), ("60 30 --witt 30", 899)])
+def test_decompose_reaches_h_past_the_recursion_limit(capsys, argv, summands):
+    # the whole-motive parts are filled bottom up in h, one level per call
+    code, out, err = _run(capsys, ["decompose", *argv.split()])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["summands"]) == summands
+
+
+@pytest.mark.parametrize(
+    "argv", ["2000 1 --witt 1000", "1000 400 --witt 500", "2000 10 --witt 900", "200 50 --witt 100"]
+)
+def test_decompose_refuses_past_the_table_entry_budget(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["decompose", *argv.split()])
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("resource error: witt_decompose_whole budget exceeded: ")
+    assert err.endswith(f" table entries, limit {1 << 20}\n"), err
 
 
 def test_primerchik_past_r10_refuses_the_whole_ring():
@@ -262,7 +281,7 @@ def test_decompose_cli(capsys):
     assert code == 0
     assert data["dim"] == 4
     assert data["poincare"] == [1, 1, 0, 1, 1]
-    assert {"atom": "Essential(2,1)", "shift": 0} in data["summands"]
+    assert {"atom": "Essential(2,1)", "shift": 0, "multiplicity": 1} in data["summands"]
 
 
 def test_presentation_cli_roundtrip(capsys):
