@@ -72,15 +72,23 @@ def essential(n: int, r: int) -> Atom:
 class Motive(namedtuple("Motive", "summands speck_residual")):
     """Shifted atoms with multiplicities, plus an optional unspecified SpecK remainder.
 
-    Built from a mapping (atom, shift) -> multiplicity; ``summands`` holds its
+    Built from a dict (atom, shift) -> multiplicity; ``summands`` holds its
     ((atom, shift), multiplicity) items in (shift, atom) order.
     """
 
     __slots__ = ()
 
-    def __new__(cls, summands, speck_residual: bool = False):
-        ordered = tuple(sorted(dict(summands).items(), key=lambda e: (e[0][1], e[0][0])))
+    def __new__(cls, summands: dict, speck_residual: bool = False):
+        if not isinstance(summands, dict) or not all(
+            type(k) is tuple and len(k) == 2 and isinstance(k[0], Atom) and type(k[1]) is int
+            and type(m) is int and m > 0 for k, m in summands.items()
+        ):
+            raise TypeError("a Motive takes a dict (atom, shift) -> positive multiplicity")
+        ordered = tuple(sorted(summands.items(), key=lambda e: (e[0][1], e[0][0])))
         return super().__new__(cls, ordered, speck_residual)
+
+    def __add__(self, other):
+        raise TypeError("motives are not concatenated; merge their summands in a Counter")
 
     def poincare(self) -> PoincarePolynomial:
         """Tate realization; defined only when no SpecK content is present."""
@@ -151,12 +159,12 @@ def _essential_coeffs(n: int, r: int) -> tuple[int, ...]:
 def _table(n: int, r: int, levels: int):
     """The parts (m, rr) with rr >= 1 that (n, r) reaches in ``levels`` splittings, bottom up.
 
-    Filled in this order, each part recurses one level whatever n is; rr = 0
-    is the unit and needs no entry.
+    Each comes with the splittings left below it; filled in this order, each part
+    recurses one level whatever n is.  rr = 0 is the unit and needs no entry.
     """
     for m in range(n - 2 * levels, n + 1, 2):
         for rr in range(max(1, r - (n - m) // 2), min(r, m // 2) + 1):
-            yield m, rr
+            yield m, rr, levels - (n - m) // 2
 
 
 def _admit(sizes, limit: int, unit: str, caller: str, **args) -> None:
@@ -175,9 +183,9 @@ def essential_poincare(n: int, r: int) -> PoincarePolynomial:
     """Tate multiplicities of Essential(n, r), expanded through the split recursion."""
     if not 0 <= r <= n // 2:
         raise UsageError(f"r={r} out of range for n={n}")
-    sizes = (dim_unitary(m, rr) + 1 for m, rr in _table(n, r, n // 2))
+    sizes = (dim_unitary(m, rr) + 1 for m, rr, _ in _table(n, r, n // 2))
     _admit(sizes, _ESSENTIAL_BUDGET, "table coefficients", "essential_poincare", n=n, r=r)
-    for m, rr in _table(n, r, n // 2):
+    for m, rr, _ in _table(n, r, n // 2):
         _essential_coeffs(m, rr)
     return PoincarePolynomial(_essential_coeffs(n, r))
 
@@ -278,18 +286,20 @@ def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
 
     Ends in explicit Tate and Essential summands with multiplicities plus an
     unspecified SpecK residual bucket (individual SpecK shifts are never
-    computed).  A part (m, rr) can hold only Tate and Essential(n - 2 witt_h, s)
-    with s <= rr, at shifts 0..dim_unitary(m, rr); the parts are filled bottom
-    up once that bound, summed over them, is within ``_WITT_BUDGET``.
+    computed).  A part (m, rr) with hh splittings left holds at most 3^hh entries
+    Essential(b = n - 2 witt_h, s) (Tate for s = 0), rr - hh <= s <= rr, at shifts up to
+    dim_unitary(m, rr) - dim_unitary(b, s); parts are filled once these bounds sum within budget.
     """
     if witt_h < 0 or witt_h > n // 2:
         raise UsageError(f"witt_h={witt_h} out of range for n={n}")
-    atoms = 1 + (n - 2 * witt_h) // 2
-    sizes = (min(rr + 1, atoms) * (dim_unitary(m, rr) + 1) for m, rr in _table(n, r, witt_h))
+    b = n - 2 * witt_h
+    sizes = (min(3 ** hh, sum(dim_unitary(m, rr) - dim_unitary(b, s) + 1
+                              for s in range(max(0, rr - hh), min(rr, b // 2) + 1)))
+             for m, rr, hh in _table(n, r, witt_h))
     _admit(sizes, _WITT_BUDGET, "table entries", "witt_decompose_whole", n=n, r=r, witt_h=witt_h)
-    for m, rr in _table(n, r, witt_h):
-        _witt_whole(m, rr, witt_h - (n - m) // 2)
-    return Motive(_witt_whole(n, r, witt_h), speck_residual=1 <= r <= n // 2)
+    for part in _table(n, r, witt_h):
+        _witt_whole(*part)
+    return Motive(dict(_witt_whole(n, r, witt_h)), speck_residual=1 <= r <= n // 2)
 
 
 @lru_cache(maxsize=None)

@@ -229,16 +229,21 @@ def test_witt_decompose_whole_lists_each_distinct_summand_once(n, r, h, distinct
     assert sum(mult for _, mult in m.summands) == summands
 
 
-def _predicted_entries(monkeypatch, n, r, h):
-    # the whole table-entry bound witt_decompose_whole hands to its budget check
+def _predicted_sizes(monkeypatch, n, r, h):
+    # the per-part table-entry bounds witt_decompose_whole hands to its budget
+    # check, in the order of motives._table(n, r, h)
     def record(sizes, *budget, **args):
-        raise LookupError(sum(sizes))
+        raise LookupError(list(sizes))
 
     monkeypatch.setattr(motives, "_admit", record)
     with pytest.raises(LookupError) as exc:
         witt_decompose_whole(n, r, h)
     monkeypatch.undo()
     return exc.value.args[0]
+
+
+def _predicted_entries(monkeypatch, n, r, h):
+    return sum(_predicted_sizes(monkeypatch, n, r, h))
 
 
 def _built_entries(n, r, h):
@@ -253,28 +258,34 @@ def _built_entries(n, r, h):
 
 
 def test_witt_table_entry_bound_covers_the_entries_built(monkeypatch):
-    for n in range(13):
+    # part by part, so no part is filled past what was admitted
+    for n in range(15):
         for r in range(-1, n // 2 + 2):
             for h in range(n // 2 + 1):
-                predicted = _predicted_entries(monkeypatch, n, r, h)
-                assert predicted >= _built_entries(n, r, h), (n, r, h)
+                sizes = _predicted_sizes(monkeypatch, n, r, h)
+                witt_decompose_whole(n, r, h)
+                parts = list(motives._table(n, r, h))
+                assert len(sizes) == len(parts), (n, r, h)
+                for size, part in zip(sizes, parts):
+                    assert size >= len(motives._witt_whole(*part)), (n, r, h, part)
     # the unit parts (rr = 0) need no entry and are not counted
-    for n, r, h, predicted, built in ((60, 30, 30, 9485, 9428), (30, 12, 12, 17917, 8158)):
+    cases = ((60, 30, 30, 9485, 9428), (30, 12, 12, 10946, 8158), (100, 48, 14, 43509, 11250))
+    for n, r, h, predicted, built in cases:
         motives._witt_whole.cache_clear()
         assert _predicted_entries(monkeypatch, n, r, h) == predicted
         assert _built_entries(n, r, h) == built
 
 
 def test_witt_decompose_whole_refuses_before_any_part_is_filled(monkeypatch):
-    # (8, 2, 3) builds 35 table entries under a bound of 114
+    # (8, 2, 3) builds 35 table entries under a bound of 52
     motives._witt_whole.cache_clear()
     assert _built_entries(8, 2, 3) == 35
-    monkeypatch.setattr(motives, "_WITT_BUDGET", 114)
+    monkeypatch.setattr(motives, "_WITT_BUDGET", 52)
     motives._witt_whole.cache_clear()
     assert sum(m for _, m in witt_decompose_whole(8, 2, 3).summands) == 18
-    monkeypatch.setattr(motives, "_WITT_BUDGET", 113)
+    monkeypatch.setattr(motives, "_WITT_BUDGET", 51)
     motives._witt_whole.cache_clear()
-    message = "n=8, r=2, witt_h=3 needs at least 114 table entries, limit 113$"
+    message = "n=8, r=2, witt_h=3 needs at least 52 table entries, limit 51$"
     with pytest.raises(BudgetError, match=message):
         witt_decompose_whole(8, 2, 3)
     assert motives._witt_whole.cache_info().currsize == 0
@@ -282,7 +293,7 @@ def test_witt_decompose_whole_refuses_before_any_part_is_filled(monkeypatch):
 
 def test_witt_decompose_whole_refuses_large_cases_at_once():
     # the bound is summed bottom up and stops at the limit, so refusing
-    # 8.6 * 10^8 predicted entries (2000, 10, 900) is as quick as refusing 2 * 10^6
+    # 7.8 * 10^8 predicted entries (2000, 10, 900) is as quick as refusing 2 * 10^6
     cases = ((100, 40, 40), (200, 50, 100), (2000, 1, 1000), (2000, 10, 900), (1000, 400, 500))
     for n, r, h in cases:
         motives._witt_whole.cache_clear()
@@ -311,7 +322,7 @@ def test_witt_decompose_full_split_matches_poincare():
     for n, r in [(n, r) for n in range(2, 8) for r in range(1, n // 2 + 1)] + [(998, 1)]:
         m = witt_decompose_whole(n, r, n // 2)
         assert all(a.kind != "Essential" for (a, _), _ in m.summands)
-        tate = Motive(m.summands)
+        tate = Motive(dict(m.summands))
         assert tate.poincare() == essential_poincare(n, r)
     assert len(m.summands) == 998 and all(mult == 1 for _, mult in m.summands)
     motives._witt_whole.cache_clear()

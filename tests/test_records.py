@@ -100,8 +100,30 @@ def test_motive_sorts_its_summands():
     assert m.summands == (
         ((SPEC_K, 0), 1), ((TATE, 0), 3), ((TATE, 2), 2), ((essential(4, 1), 3), 1)
     )
-    assert m == Motive(reversed(m.summands)) and hash(m) == hash(Motive(dict(m.summands)))
+    assert m == Motive(dict(reversed(m.summands))) and hash(m) == hash(Motive(dict(m.summands)))
     assert repr(m) == "SpecK + 3*Tate + 2*Tate(2) + Essential(4,1)(3)"
+
+
+@pytest.mark.parametrize(
+    "summands",
+    [
+        ((TATE, 0), (TATE, 3)),  # (atom, shift) pairs, not a multiplicity map
+        [((TATE, 0), 1)],  # mapping items, not the mapping
+        {TATE: 1},  # an atom without its shift
+        {(TATE, "0"): 1},
+        {(TATE, 0): 0},
+        {(TATE, 0): True},
+    ],
+)
+def test_motive_refuses_anything_but_a_multiplicity_map(summands):
+    with pytest.raises(TypeError, match="a Motive takes a dict"):
+        Motive(summands)
+
+
+def test_motives_do_not_concatenate():
+    m = Motive({(TATE, 0): 1})
+    with pytest.raises(TypeError, match="not concatenated"):
+        m + m
 
 
 def test_records_with_equal_values_are_equal():

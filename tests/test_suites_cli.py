@@ -111,7 +111,16 @@ def test_whole_ring_and_whole_motive_walks_refuse_before_they_start(capsys, argv
     assert err.startswith("resource error: ") and err.endswith(message + "\n"), err
 
 
-@pytest.mark.parametrize("argv, summands", [("998 1 --witt 499", 998), ("60 30 --witt 30", 899)])
+@pytest.mark.parametrize(
+    "argv, summands",
+    [
+        ("998 1 --witt 499", 998),
+        ("60 30 --witt 30", 899),
+        # r near n / 2 with few splittings: each part is charged at most 3^h entries
+        ("240 120 --witt 0", 1),
+        ("240 120 --witt 1", 2),
+    ],
+)
 def test_decompose_reaches_h_past_the_recursion_limit(capsys, argv, summands):
     # the whole-motive parts are filled bottom up in h, one level per call
     code, out, err = _run(capsys, ["decompose", *argv.split()])
