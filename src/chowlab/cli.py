@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import grassmann, motives, suites
@@ -121,40 +120,14 @@ def _cmd_annihilate(args) -> int:
     return 0
 
 
-def _load_form(args):
-    if args.form is not None:
-        raw = args.form
-        try:
-            if os.path.exists(raw):
-                with open(raw, "r", encoding="utf-8") as fh:
-                    spec = json.load(fh)
-            else:
-                spec = json.loads(raw)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read form spec: {exc}") from None
-        if not (isinstance(spec, dict) and "p" in spec and isinstance(spec.get("diag"), list)):
-            raise UsageError('form spec must be a JSON object {"p": P, "diag": [...]}')
-        p, diag = spec["p"], spec["diag"]
-        if "n" in spec and spec["n"] != len(diag):
-            raise UsageError("form spec n does not match the diagonal length")
-        return p, diag
-    if args.p is None or args.diag is None:
-        raise UsageError("either --form or both --p and --diag are required")
+def _cmd_count(args) -> int:
     try:
-        diag = [int(x) for x in args.diag.split(",") if x.strip() != ""]
+        diag = [int(x) for x in args.diag.split(",")]
     except ValueError:
         raise UsageError(f"--diag must be comma-separated integers, got {args.diag!r}") from None
-    if args.n is not None and args.n != len(diag):
-        raise UsageError("--n does not match the diagonal length")
-    return args.p, diag
-
-
-def _cmd_count(args) -> int:
-    p, diag = _load_form(args)
+    p = args.p
     H = hermitian_space(p, diag)
     n = H.n
-    if (args.r is None) == (args.m is None):
-        raise UsageError("exactly one of --r and --m is required")
     if args.r is not None:
         key = "r"
         budget = {"max_n": WITT_HERMITIAN_BUDGET["n"], "p": list(WITT_HERMITIAN_BUDGET["p"])}
@@ -230,12 +203,11 @@ def _annihilate_arguments(p) -> None:
 
 
 def _count_arguments(p) -> None:
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--diag", default=None, help="comma-separated diagonal entries")
-    p.add_argument("--form", default=None, help="form-spec JSON (inline or a file path)")
-    p.add_argument("--r", type=int, default=None, help="hermitian isotropic dimension")
-    p.add_argument("--m", type=int, default=None, help="trace-form singular dimension")
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--diag", required=True, help="comma-separated diagonal entries")
+    dim = p.add_mutually_exclusive_group(required=True)
+    dim.add_argument("--r", type=int, help="hermitian isotropic dimension")
+    dim.add_argument("--m", type=int, help="trace-form singular dimension")
     p.set_defaults(func=_cmd_count)
 
 

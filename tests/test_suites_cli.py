@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -45,10 +46,10 @@ def test_unknown_suite_exits_2(capsys):
 
 
 def test_count_cli(capsys):
-    code, out, _ = _run(capsys, ["count", "--p", "2", "--n", "3", "--diag", "1,1,1", "--r", "1"])
+    code, out, _ = _run(capsys, ["count", "--p", "2", "--diag", "1,1,1", "--r", "1"])
     data = json.loads(out)
     assert code == 0 and data["count"] == 9 and data["predicted"] == 9
-    code, out, _ = _run(capsys, ["count", "--p", "2", "--n", "2", "--diag", "1,1", "--r", "1"])
+    code, out, _ = _run(capsys, ["count", "--p", "2", "--diag", "1,1", "--r", "1"])
     data = json.loads(out)
     assert code == 0 and data["count"] == 3 and data["predicted"] == 3
     code, out, _ = _run(capsys, ["count", "--p", "2", "--diag", "1,1", "--r", "0"])
@@ -56,12 +57,10 @@ def test_count_cli(capsys):
     assert code == 0 and data["count"] == 1 and data["predicted"] == 1
 
 
-def test_count_cli_form_spec(capsys, tmp_path):
-    code, out, _ = _run(capsys, ["count", "--form", '{"p":2,"n":2,"diag":[1,1]}', "--r", "1"])
+def test_count_cli_trace_form(capsys):
+    code, out, _ = _run(capsys, ["count", "--p", "2", "--diag", "1,1", "--r", "1"])
     assert code == 0 and json.loads(out)["count"] == 3
-    path = tmp_path / "form.json"
-    path.write_text('{"p":2,"n":2,"diag":[1,1]}')
-    code, out, _ = _run(capsys, ["count", "--form", str(path), "--m", "1"])
+    code, out, _ = _run(capsys, ["count", "--p", "2", "--diag", "1,1", "--m", "1"])
     data = json.loads(out)
     assert code == 0 and data["count"] == 9 and data["predicted"] == 9
 
@@ -159,8 +158,29 @@ def test_primerchik_past_r10_refuses_the_whole_ring():
 
 
 def test_count_usage_error_exits_2(capsys):
-    code, _, err = _run(capsys, ["count", "--p", "2", "--diag", "1,1"])
-    assert code == 2 and "usage" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--p", "2", "--diag", "1,1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "usage" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--diag 1,1 --r 1",
+        "--p 2 --r 1",
+        "--p 2 --diag 1,1 --r 1 --m 1",
+        "--p 2 --n 2 --diag 1,1 --r 1",
+        """--form '{"p":2,"diag":[1,1]}' --r 1""",
+    ],
+    ids=["no --p", "no --diag", "--r and --m", "--n", "--form"],
+)
+def test_count_flag_rules_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", *shlex.split(argv)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "usage: " in out.err
 
 
 def test_verify_cli_pass_and_json(capsys):
@@ -244,6 +264,34 @@ def test_cli_matches_golden_transcript(capsys, monkeypatch, argv):
         code = exc.code
     out = capsys.readouterr()
     assert {"code": code, "stderr": out.err, "stdout": out.out} == TRANSCRIPTS[argv]
+
+
+# the `chowlab ...` lines of README's "Other CLI commands" block
+README_COMMANDS = (
+    (Path(__file__).resolve().parents[1] / "README.md")
+    .read_text(encoding="utf-8")
+    .partition("## Other CLI commands\n\n```sh\n")[2]
+    .partition("```")[0]
+    .splitlines()
+)
+
+
+def test_readme_lists_cli_examples():
+    assert README_COMMANDS and all(line.startswith("chowlab ") for line in README_COMMANDS)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_cli_example_runs(capsys, line):
+    command, arrow, expected = line.partition("# ->")
+    code, out, _ = _run(capsys, shlex.split(command)[1:])
+    assert code == 0
+    if arrow:
+        data, expected = json.loads(out), expected.strip()
+        if expected.endswith(", ...}"):  # the listed keys must match; the rest is elided
+            want = json.loads(expected.removesuffix(", ...}") + "}")
+            assert {key: data[key] for key in want} == want
+        else:
+            assert data == json.loads(expected)
 
 
 def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
@@ -413,16 +461,16 @@ def test_verify_out_of_range_options_exit_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["count", "--form", "{bad", "--r", "1"],
-        ["count", "--form", '{"p":2}', "--r", "1"],
-        ["count", "--form", "[1,2]", "--r", "1"],
-        ["count", "--form", '{"p":2,"diag":5}', "--r", "1"],
-        ["count", "--form", "{tmp_path}", "--r", "1"],
-        ["count", "--form", '{"p":2,"diag":[1.5,1]}', "--r", "1"],
-        ["count", "--form", '{"p":"2","diag":[1,1]}', "--r", "1"],
-        ["count", "--form", '{"p":3.0,"diag":[1,1]}', "--r", "1"],
-        ["count", "--form", '{"p":2,"diag":[true,1]}', "--r", "1"],
         ["count", "--p", "2", "--diag", "1,x", "--r", "1"],
+        ["count", "--p", "2", "--diag", "1,,1", "--r", "1"],
+        ["count", "--p", "2", "--diag", ",", "--r", "1"],
+        ["count", "--p", "2", "--diag", "1,", "--r", "1"],
+        ["count", "--p", "2", "--diag", "", "--r", "1"],
+        ["count", "--p", "2", "--diag", "1, ,1", "--r", "1"],
+        ["count", "--p", "2", "--diag", "1.5,1", "--r", "1"],
+        ["count", "--p", "2", "--diag", "true,1", "--r", "1"],
+        ["count", "--p", "2", "--diag", "[1,1]", "--r", "1"],
+        ["count", "--p", "2", "--diag", "0,1", "--r", "1"],
         ["annihilate", "maxorth", "4", "--element", "e2^x"],
         ["annihilate", "maxorth", "4", "--element", "e2^"],
         ["annihilate", "maxorth", "4", "--element", "e9"],
@@ -435,8 +483,7 @@ def test_verify_out_of_range_options_exit_2(capsys, argv):
         ["presentation", "prevmax", "0"],
     ],
 )
-def test_malformed_cli_input_exits_2(capsys, tmp_path, argv):
-    argv = [str(tmp_path) if a == "{tmp_path}" else a for a in argv]
+def test_malformed_cli_input_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert "usage error" in err
