@@ -47,31 +47,8 @@ def _parse_element(ring, expr: str):
     return elt
 
 
-def _cmd_poincare(args) -> int:
-    kind = args.kind
-    if kind == "essential":
-        poly = motives.essential_poincare(args.a, args.b)
-    elif kind == "maxorth":
-        poly = grassmann.max_orth_ring(args.a).poincare()
-    elif kind == "quadric":
-        poly = motives.split_quadric_poincare(args.a)
-    else:  # orthcount
-        poly = orth_count_polynomial(args.a, args.b)
-    _emit(poly.to_list())
-    return 0
-
-
-def _cmd_presentation(args) -> int:
-    kind = args.kind
-    if kind == "maxorth":
-        ring = grassmann.max_orth_ring(args.a)
-    elif kind == "prevmax":
-        ring = grassmann.prev_max_orth_ring(args.a)
-    elif kind == "oddquot":
-        ring = grassmann.odd_quotient_ring(args.a)
-    else:  # weil
-        ring = build_weil(args.a, args.coefficients, args.b).algebra
-    _emit(ring.to_json())
+def _cmd_kind(args) -> int:
+    _emit(args.compute(args))
     return 0
 
 
@@ -173,21 +150,6 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
-def _poincare_arguments(p) -> None:
-    p.add_argument("kind", choices=("essential", "maxorth", "quadric", "orthcount"))
-    p.add_argument("a", type=int, help="n (essential/quadric), N (maxorth/orthcount)")
-    p.add_argument("b", type=int, nargs="?", help="r (essential) or m (orthcount)")
-    p.set_defaults(func=_cmd_poincare, needs_b=("essential", "orthcount"))
-
-
-def _presentation_arguments(p) -> None:
-    p.add_argument("kind", choices=("maxorth", "prevmax", "oddquot", "weil"))
-    p.add_argument("a", type=int, help="N (maxorth) or r (prevmax/oddquot/weil)")
-    p.add_argument("b", type=int, nargs="?", help="truncation D (weil only)")
-    p.add_argument("--coefficients", choices=(F2, Z), default=F2)
-    p.set_defaults(func=_cmd_presentation, needs_b=("weil",))
-
-
 def _decompose_arguments(p) -> None:
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
@@ -204,7 +166,7 @@ def _annihilate_arguments(p) -> None:
 
 def _count_arguments(p) -> None:
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--diag", required=True, help="comma-separated diagonal entries")
+    p.add_argument("--diag", required=True, help="comma-separated entries; --diag=-1,1 if the first is negative")
     dim = p.add_mutually_exclusive_group(required=True)
     dim.add_argument("--r", type=int, help="hermitian isotropic dimension")
     dim.add_argument("--m", type=int, help="trace-form singular dimension")
@@ -218,10 +180,29 @@ def _verify_arguments(p) -> None:
     p.set_defaults(func=_cmd_verify)
 
 
-# command name -> (help text, the function that adds its arguments and defaults)
+# kind -> (its operands, the function of the parsed operands that gives the coefficient list)
+POINCARE_KINDS = {
+    "essential": (("n", "r"), lambda a: motives.essential_poincare(a.n, a.r).to_list()),
+    "maxorth": (("N",), lambda a: grassmann.max_orth_ring(a.N).poincare().to_list()),
+    "quadric": (("n",), lambda a: motives.split_quadric_poincare(a.n).to_list()),
+    "orthcount": (("N", "m"), lambda a: orth_count_polynomial(a.N, a.m).to_list()),
+}
+
+# kind -> (its operands, the function of the parsed operands that gives the presentation's JSON)
+PRESENTATION_KINDS = {
+    "maxorth": (("N",), lambda a: grassmann.max_orth_ring(a.N).to_json()),
+    "prevmax": (("r",), lambda a: grassmann.prev_max_orth_ring(a.r).to_json()),
+    "oddquot": (("r",), lambda a: grassmann.odd_quotient_ring(a.r).to_json()),
+    "weil": (("r", "D", "--coefficients"), lambda a: build_weil(a.r, a.coefficients, a.D).algebra.to_json()),
+}
+
+# an operand is one integer unless it is named here
+OPERAND_OPTIONS = {"--coefficients": {"choices": (F2, Z), "default": F2}}
+
+# command name -> (help text, the function that adds its arguments and defaults, or its kinds)
 COMMANDS = {
-    "poincare": ("print a Poincare polynomial as a coefficient list", _poincare_arguments),
-    "presentation": ("emit a ring presentation as JSON", _presentation_arguments),
+    "poincare": ("print a Poincare polynomial as a coefficient list", POINCARE_KINDS),
+    "presentation": ("emit a ring presentation as JSON", PRESENTATION_KINDS),
     "decompose": ("motive decomposition data for (n, r)", _decompose_arguments),
     "annihilate": ("annihilator dimensions and quotient Poincare polynomial", _annihilate_arguments),
     "count": ("count isotropic/singular subspaces of a diagonal form", _count_arguments),
@@ -229,33 +210,52 @@ COMMANDS = {
 }
 
 
-def _build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser with every command's subparser, or with ``only``'s alone.
+def _subparsers(parser, dest, table, path):
+    """Add ``dest``'s subparser group; return it and the names to build in it: ``path[0]``
+    alone if it names an entry of ``table``, else every entry.
 
-    With ``only``, the metavar keeps every command in the top-level usage line
-    that argparse prints with an error.
+    Built alone, an entry keeps the others in the metavar, so the usage line
+    that argparse prints with an error does not depend on which were built.
     """
+    names = [path[0]] if path and path[0] in table else list(table)
+    metavar = "{" + ",".join(table) + "}" if len(names) < len(table) else None
+    return parser.add_subparsers(dest=dest, required=True, metavar=metavar), names
+
+
+def _kinds_arguments(p, kinds, path) -> None:
+    """Give each kind (or only the one on ``path``) a subparser taking exactly its operands."""
+    group, names = _subparsers(p, "kind", kinds, path)
+    for kind in names:
+        operands, compute = kinds[kind]
+        usage = (f"[{o}]" if o in OPERAND_OPTIONS else o for o in operands)
+        k = group.add_parser(kind, help=" ".join(usage))
+        for operand in operands:
+            k.add_argument(operand, **OPERAND_OPTIONS.get(operand, {"type": int}))
+        k.set_defaults(func=_cmd_kind, compute=compute)
+
+
+def _build_parser(path) -> argparse.ArgumentParser:
+    """The parser with only the subparsers on ``path`` (command, then kind), or the whole tree."""
     parser = argparse.ArgumentParser(
         prog="chowlab",
         description="Exact graded-ring, invariant-theory and finite-geometry workbench.",
     )
-    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        if only in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+    group, names = _subparsers(parser, "command", COMMANDS, path)
+    for name in names:
+        help_text, arguments = COMMANDS[name]
+        p = group.add_parser(name, help=help_text)
+        if isinstance(arguments, dict):
+            _kinds_arguments(p, arguments, path[1:])
+        else:
+            arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a named command needs only its own subparser; help and bad input get the full tree
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    needs_b = getattr(args, "needs_b", ())
-    if needs_b and args.kind in needs_b and args.b is None:
-        parser.error(f"{args.command} {args.kind} needs two integer arguments")
+    # a call needs only the subparsers on its path; help and bad input get the whole tree
+    args = _build_parser(argv[:2]).parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:

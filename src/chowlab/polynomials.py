@@ -28,10 +28,6 @@ class PoincarePolynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int) -> "PoincarePolynomial":
-        return cls([0] * degree + [1])
-
-    @classmethod
     def exterior(cls, degrees) -> "PoincarePolynomial":
         """Product of (1 + q^d) over the given degrees."""
         out = cls.one()

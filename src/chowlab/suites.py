@@ -249,12 +249,13 @@ def _i2i(p: int, n: int):
 
 
 def _counts(p: int, n: int):
+    # the prediction depends on (p, n, r) only, not on the diagonal
+    predictions = [motives.essential_poincare(n, r)(p) for r in range(n // 2 + 1)]
     results = {}
     for diag in _diagonals(p, n):
         H = hermitian_space(p, diag)
-        for r in range(n // 2 + 1):
+        for r, predicted in enumerate(predictions):
             count = count_isotropic(H, r)
-            predicted = motives.essential_poincare(n, r)(p)
             if count != predicted:
                 details = {"diag": list(diag), "r": r, "count": count, "predicted": predicted}
                 return False, details

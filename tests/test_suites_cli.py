@@ -39,6 +39,37 @@ def test_poincare_cli_missing_arg_exits_2(capsys):
     assert exc.value.code == 2
 
 
+# one accepted call per command and kind
+EVERY_KIND = [
+    ["poincare", "essential", "4", "2"],
+    ["poincare", "maxorth", "4"],
+    ["poincare", "quadric", "3"],
+    ["poincare", "orthcount", "3", "1"],
+    ["presentation", "maxorth", "3"],
+    ["presentation", "prevmax", "2"],
+    ["presentation", "oddquot", "2"],
+    ["presentation", "weil", "2", "8", "--coefficients", "Z"],
+    ["decompose", "4", "2"],
+    ["annihilate", "maxorth", "4"],
+    ["count", "--p", "2", "--diag", "1,1", "--r", "1"],
+    ["verify", "kvadrika"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [call + extra for call in EVERY_KIND for extra in (["7"], ["--bogus"])]
+    + [call + ["--coefficients", "Z"] for call in EVERY_KIND if call[1:2] != ["weil"]],
+    ids=" ".join,
+)
+def test_extra_operand_or_unknown_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "usage:" in out.err
+
+
 def test_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -310,11 +341,11 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["chowlab", "poincare", "essential", "4", "2"])
     assert main() == 0
     assert json.loads(capsys.readouterr().out) == [1, 1, 0, 1, 1]
-    assert len(parsers_built) <= 2
+    assert len(parsers_built) <= 3  # the top level, poincare and its essential kind
     parsers_built.clear()
     with pytest.raises(SystemExit):
         main(["-h"])
-    assert len(parsers_built) == 7
+    assert len(parsers_built) == 15  # the top level, 6 commands, 4 + 4 kinds
 
 
 def test_kvadrika_has_no_parity_flag(capsys):
