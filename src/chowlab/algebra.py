@@ -322,10 +322,9 @@ class AlgebraPresentation:
         return out
 
     def poincare(self) -> PoincarePolynomial:
-        """Poincare polynomial with coefficient |degree basis| at each degree, enumerated."""
-        degrees = range(self.max_degree + 1)
-        self._admit(degrees)  # the whole ring, before any degree is indexed
-        return PoincarePolynomial([len(self.degree_basis(d)) for d in degrees])
+        """Poincare polynomial with coefficient |degree basis| at each degree, from the series."""
+        self._admit(range(self.max_degree + 1))  # refused as if the whole ring were indexed
+        return PoincarePolynomial(self._predicted_sizes())
 
     def basis_elements(self, d: int) -> list["Element"]:
         return [Element(self, {m: 1}) for m in self.degree_basis(d)]

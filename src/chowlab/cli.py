@@ -115,7 +115,7 @@ def _cmd_count(args) -> int:
         budget = {"max_dim": WITT_QUADRATIC_BUDGET["dim"], "p": list(WITT_QUADRATIC_BUDGET["p"])}
         count = count_singular(trace_quadratic(H), args.m)
         predicted = None
-        if witt_index_hermitian(H) == n // 2 and n % 2 == 0:
+        if n % 2 == 0 and witt_index_hermitian(H) == n // 2:
             predicted = orth_count_polynomial(n, args.m)(p) if args.m <= n else 0
     _emit(
         {
@@ -212,14 +212,9 @@ COMMANDS = {
 
 def _subparsers(parser, dest, table, path):
     """Add ``dest``'s subparser group; return it and the names to build in it: ``path[0]``
-    alone if it names an entry of ``table``, else every entry.
-
-    Built alone, an entry keeps the others in the metavar, so the usage line
-    that argparse prints with an error does not depend on which were built.
-    """
+    alone if it names an entry of ``table``, else every entry."""
     names = [path[0]] if path and path[0] in table else list(table)
-    metavar = "{" + ",".join(table) + "}" if len(names) < len(table) else None
-    return parser.add_subparsers(dest=dest, required=True, metavar=metavar), names
+    return parser.add_subparsers(dest=dest, required=True), names
 
 
 def _kinds_arguments(p, kinds, path) -> None:
@@ -231,7 +226,7 @@ def _kinds_arguments(p, kinds, path) -> None:
         k = group.add_parser(kind, help=" ".join(usage))
         for operand in operands:
             k.add_argument(operand, **OPERAND_OPTIONS.get(operand, {"type": int}))
-        k.set_defaults(func=_cmd_kind, compute=compute)
+        k.set_defaults(func=_cmd_kind, compute=compute, parser=k)
 
 
 def _build_parser(path) -> argparse.ArgumentParser:
@@ -248,22 +243,26 @@ def _build_parser(path) -> argparse.ArgumentParser:
             _kinds_arguments(p, arguments, path[1:])
         else:
             arguments(p)
+            p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a call needs only the subparsers on its path; help and bad input get the whole tree
-    args = _build_parser(argv[:2]).parse_args(argv)
+    # a call needs only the subparsers on its path, and the parser at its end (the
+    # leaf) reports every usage error past the command; -h and no command or an
+    # unknown one get the whole tree
+    args, extra = _build_parser(argv[:2]).parse_known_args(argv)
     try:
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except BudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        args.parser.error(str(exc))  # raises SystemExit(2)
     except ChowlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -255,6 +255,27 @@ def test_odd_case_pipeline_small():
         assert not report.rank_matches["essential_motive"]
 
 
+def test_odd_squares_check_fails_for_a_class_they_do_not_kill(monkeypatch):
+    # with the unit as the class, e1^2 = e2 survives in the rank-4 model
+    real = grassmann.class_xr_even
+
+    def unit_class(r):
+        ring, _ = real(r)
+        return ring, ring.one()
+
+    monkeypatch.setattr(grassmann, "class_xr_even", unit_class)
+    assert odd_squares_vanish(2) is False
+
+
+def test_odd_case_pipeline_fails_when_sigma_is_the_identity(monkeypatch):
+    # every norm x + x vanishes over F2, so neither the ideal nor the model fits
+    monkeypatch.setattr(grassmann, "prev_max_sigma", lambda x: x)
+    for r in (1, 2):
+        report = odd_case_pipeline(r)
+        assert report.norm_equals_ideal is False and report.model_consistent is False
+        assert report.class_nonzero
+
+
 def test_odd_case_quotient_values():
     assert odd_case_pipeline(1).quotient_poincare == [1]
     assert odd_case_pipeline(2).quotient_poincare == [1, 0, 0, 1]

@@ -56,9 +56,12 @@ def test_validated_records_raise_at_construction(build, error, message):
 
 
 def test_out_of_range_suite_option_still_exits_2(capsys):
-    assert main(["verify", "weil", "--max-r", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "weil", "--max-r", "0"])
     out, err = capsys.readouterr()
-    assert out == "" and "usage error: max_r=0 is out of range" in err
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: chowlab verify ")
+    assert err.endswith("\nchowlab verify: error: max_r=0 is out of range; need max_r >= 1\n")
 
 
 def test_validated_records_normalise_their_fields():

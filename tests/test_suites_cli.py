@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from chowlab import grassmann, suites
+from chowlab import grassmann, motives, suites
 from chowlab.algebra import AlgebraPresentation
-from chowlab.cli import main
+from chowlab.cli import COMMANDS, main
+from chowlab.polynomials import PoincarePolynomial
 from chowlab.suites import SuiteOptions, run_suite
 
 
@@ -19,6 +20,31 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _command_path(argv):
+    """The command that argv names, and its kind for poincare and presentation."""
+    if not argv or argv[0] not in COMMANDS:
+        return []
+    kinds = COMMANDS[argv[0]][1]
+    return argv[:2] if isinstance(kinds, dict) and argv[1:2] and argv[1] in kinds else argv[:1]
+
+
+def _usage_error(capsys, argv):
+    """Run a call that must be refused as a usage error and return the message.
+
+    The refusal is SystemExit(2) with empty stdout; stderr is the usage of the parser
+    at the end of argv's command path, then one error line from that parser.
+    """
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and out.err.endswith("\n")
+    prog = " ".join(["chowlab", *_command_path(argv)])
+    *usage, error = out.err.splitlines()
+    assert usage[0].startswith(f"usage: {prog} [-h]") and error.startswith(f"{prog}: error: ")
+    assert not any(": error: " in line for line in usage)
+    return error.removeprefix(f"{prog}: error: ")
 
 
 def test_poincare_cli_examples(capsys):
@@ -63,11 +89,8 @@ EVERY_KIND = [
     ids=" ".join,
 )
 def test_extra_operand_or_unknown_flag_exits_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == ""
-    assert "usage:" in out.err
+    # the command's (or the kind's) own parser reports the leftover input
+    assert _usage_error(capsys, argv).startswith("unrecognized arguments: ")
 
 
 def test_unknown_suite_exits_2(capsys):
@@ -297,6 +320,22 @@ def test_cli_matches_golden_transcript(capsys, monkeypatch, argv):
     assert {"code": code, "stderr": out.err, "stdout": out.out} == TRANSCRIPTS[argv]
 
 
+@pytest.mark.parametrize("argv", sorted(a for a, t in TRANSCRIPTS.items() if t["code"] == 2), ids=repr)
+def test_transcript_usage_errors_come_from_their_own_parser(capsys, monkeypatch, argv):
+    # the usage block is the one that -h prints on argv's command path, so a top-level
+    # usage appears only for a call that names no command
+    monkeypatch.setenv("COLUMNS", "80")
+    path = _command_path(argv.split())
+    with pytest.raises(SystemExit):
+        main([*path, "-h"])
+    usage = capsys.readouterr().out.partition("\n\n")[0] + "\n"
+    transcript = TRANSCRIPTS[argv]
+    assert transcript["stdout"] == "" and transcript["stderr"].startswith(usage)
+    error = transcript["stderr"].removeprefix(usage)
+    assert error.startswith(" ".join(["chowlab", *path]) + ": error: ") and error.count("\n") == 1
+    assert error.endswith("\n")
+
+
 # the `chowlab ...` lines of README's "Other CLI commands" block
 README_COMMANDS = (
     (Path(__file__).resolve().parents[1] / "README.md")
@@ -393,9 +432,8 @@ def test_annihilate_cli(capsys):
 
 def test_annihilate_huge_power_is_rejected_as_zero(capsys):
     # e1^(10^12) lies above the top degree, so it is zero without being rewritten
-    code, out, err = _run(capsys, ["annihilate", "maxorth", "4", "--element", "e1^1000000000000"])
-    assert (code, out) == (2, "")
-    assert err == "usage error: annihilator of zero is everything; rejected\n"
+    argv = ["annihilate", "maxorth", "4", "--element", "e1^1000000000000"]
+    assert _usage_error(capsys, argv) == "annihilator of zero is everything; rejected"
 
 
 def test_presentation_prevmax_round_trips(capsys):
@@ -461,6 +499,33 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL" in out.err
 
 
+def test_motives_rows_report_their_first_failure(monkeypatch):
+    essential = motives.essential_poincare
+    wrong = PoincarePolynomial([1, 1])  # one degree too many everywhere
+    monkeypatch.setattr(motives, "essential_poincare", lambda n, r: essential(n, r) * wrong)
+    monkeypatch.setattr(motives, "j_min", lambda n: ())
+    cases = {c.id: c for c in run_suite("motives").cases}
+    assert not any(c.passed for c in cases.values())
+    assert cases["motives/poincare"].details == {"n": 0, "r": 0, "poincare": [1, 1]}
+    assert cases["motives/closed_forms"].details == {"r": 1, "parity": "even"}
+    assert cases["motives/jmin"].details == {"n": 2}
+
+
+def test_i2i_row_reports_the_mismatched_form(monkeypatch):
+    witt = suites.witt_index_quadratic
+    monkeypatch.setattr(suites, "witt_index_quadratic", lambda Q: witt(Q) + 1)
+    (case,) = run_suite("i2i", SuiteOptions(max_n=1, max_p=2)).cases
+    assert not case.passed and case.details == {"diag": [1], "i_h": 0, "i_q": 1}
+
+
+def test_counts_row_reports_the_mismatched_count(monkeypatch):
+    count = suites.count_isotropic
+    monkeypatch.setattr(suites, "count_isotropic", lambda H, r: count(H, r) + 1)
+    (case,) = run_suite("counts", SuiteOptions(max_n=1, max_p=2)).cases
+    assert not case.passed
+    assert case.details == {"diag": [1], "r": 0, "count": 2, "predicted": 1}
+
+
 def test_informational_case_records_outcome(monkeypatch):
     from chowlab import suites as suites_mod
 
@@ -484,9 +549,7 @@ def test_informational_case_records_outcome(monkeypatch):
     ],
 )
 def test_verify_out_of_range_options_exit_2(capsys, argv):
-    code, out, err = _run(capsys, argv)
-    assert code == 2 and out == ""
-    assert "usage error" in err and argv[2].lstrip("-").replace("-", "_") in err
+    assert argv[2].lstrip("-").replace("-", "_") in _usage_error(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -515,9 +578,7 @@ def test_verify_out_of_range_options_exit_2(capsys, argv):
     ],
 )
 def test_malformed_cli_input_exits_2(capsys, argv):
-    code, out, err = _run(capsys, argv)
-    assert code == 2 and out == ""
-    assert "usage error" in err
+    _usage_error(capsys, argv)
 
 
 def test_primerchik_computes_each_quotient_once(monkeypatch):
