@@ -3,23 +3,22 @@
 Hermitian forms live over the quadratic extension of a prime field (the
 lexicographically first monic irreducible quadratic is used as modulus);
 the associated quadratic form is h(v, v) read over the prime field.  Each
-job has one code path: linear solves are the Gauss-Jordan kernel of
-:mod:`chowlab.linalg` on the field's lookup tables, walks over an affine
-space are ``_SubspaceSearch._isotropic_rows``, and examined candidates are
-counted by ``_Nodes``.  Totally isotropic (singular) subspaces are found by a
-depth-first search over reduced-echelon bases that propagates constraints:
-each accepted row adds one linear orthogonality constraint, so the next row
-is enumerated only over the affine solution space of the constraints.  Every
-row is read a line at a time: on a line u + t w the form's value depends
-only on value(u), value(w) and the polar value b(u, w), so one lookup in the
+job has one code path: linear solves are one Gauss-Jordan kernel of
+:mod:`chowlab.linalg` per search node (``_SubspaceSearch._node``), walks
+over an affine space are ``_SubspaceSearch._isotropic_rows``, and candidate
+rows are counted by ``_Nodes``.  Totally isotropic (singular) subspaces are
+found by a depth-first search over reduced-echelon bases that propagates
+constraints: each accepted row adds one linear orthogonality constraint,
+and a node's kernel gives the next rows leading with 1 at each column.
+Every row is read a line at a time: on a line u + t w the form's value
+depends only on value(u), value(w) and b(u, w), so one lookup in the
 field's ``_line_zeros`` table lists the isotropic points of q candidates.
 Counts are exact.  The hermitian Witt index is the largest r at which the
 search finds a subspace; the quadratic one comes from splitting off
 hyperbolic planes (Witt cancellation), so the two sides of the trace-form
 doubling are computed by independent algorithms.  Budgets are hard caps
-raising :class:`BudgetError`: on the dimension and prime, and on the number
-of candidate rows or vectors (search nodes) one call may examine, every
-candidate on a read line included.
+raising :class:`BudgetError`: on the dimension and prime, and on the
+candidate rows one call may examine, every one on a read line included.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .polynomials import PoincarePolynomial, poly_divexact, poly_mul
 
 WITT_HERMITIAN_BUDGET = {"n": 5, "p": (2, 3, 5)}
 WITT_QUADRATIC_BUDGET = {"dim": 10, "p": (2, 3)}
-_NODE_BUDGET = 1 << 22  # candidate rows or vectors one public call may examine
+_NODE_BUDGET = 1 << 22  # candidate rows one public call may examine
 
 
 def _is_prime(p: int) -> bool:
@@ -206,15 +205,12 @@ class QuadraticSpace:
         return acc % self.base.p
 
     def _nondegenerate(self) -> bool:
-        radical = modp_kernel(self.gram, self.base.p)
-        if not radical:
-            return True
         if self.base.p != 2:
-            return False
+            return not modp_kernel(self.gram, self.base.p)
         # characteristic 2: the form is nondegenerate iff q does not vanish
-        # on a nonzero vector of the polar radical
-        rows = _quadratic_search(self, "QuadraticSpace")._isotropic_rows([0] * self.dim, radical)
-        return not any(t or any(u) for u, t, _ in rows)
+        # on a nonzero vector of the polar radical, the kernel of the Gram rows
+        search = _quadratic_search(self, "QuadraticSpace")
+        return search._first_row(search._node((), self.gram)) is None
 
     def __repr__(self):
         return f"QuadraticSpace(p={self.base.p}, dim={self.dim})"
@@ -303,7 +299,7 @@ def _points(tables, v, directions):
 
 
 class _Nodes:
-    """The candidates one public call examines, counted against ``_NODE_BUDGET``."""
+    """The candidate rows one public call examines, counted against ``_NODE_BUDGET``."""
 
     def __init__(self, op: str):
         self.op, self.visited = op, 0
@@ -327,14 +323,14 @@ class _SubspaceSearch:
     already fixed: zeros left of its pivot and at the pivots taken.  Each
     accepted row u adds the linear constraint ``functional(u)`` (coefficients
     a with sum a_j v_j = 0 exactly when v is orthogonal to u) on every later
-    row v, which is therefore enumerated only over the affine solution space
-    of those constraints in its free coordinates; a row is isotropic when
-    ``value(v)``, the form's value in the prime field, is 0.  Rows are read
-    a line at a time (``_isotropic_rows``): on the line u + t w through the
-    innermost direction w the value depends only on value(u), value(w) and
-    b(u, w) = ``functional(w)`` applied to u, so one ``_line_zeros`` lookup
-    gives the isotropic t.  Every candidate row examined, or skipped along a
-    line, is one node (``nodes``).
+    row v.  A search node solves its constraints once (``_node``), and its
+    candidates are the rows leading with 1 at each column; a row is isotropic
+    when ``value(v)``, the form's value in the prime field, is 0.  Rows are
+    read a line at a time (``_isotropic_rows``): on the line u + t w through
+    the innermost direction w the value depends only on value(u), value(w)
+    and b(u, w) = ``functional(w)`` applied to u, so one ``_line_zeros``
+    lookup gives the isotropic t.  Every candidate row, examined or skipped
+    along a line, is one node of work (``nodes``).
     """
 
     def __init__(self, op: str, field, dim: int, functional, value):
@@ -351,11 +347,10 @@ class _SubspaceSearch:
         if k == 0:
             return 1
         total = 0
-        for c in range(k - 1, top):
-            space = self._solve(c, pivots, constraints)
-            if space is None:
+        for c, base, directions in self._node(pivots, constraints):
+            if not k - 1 <= c < top:
                 continue
-            for row in self._isotropic_rows(*space):
+            for row in self._isotropic_rows(base, directions):
                 if k == 1:
                     total += 1
                 else:
@@ -366,6 +361,31 @@ class _SubspaceSearch:
                 if first_only and total:
                     return total
         return total
+
+    def _node(self, pivots, constraints):
+        """(c, v_c, directions) for each column c that some row leads at, c ascending.
+
+        One kernel of the constraints on the non-pivot columns, last column first: each v_c is
+        1 at c and 0 left of it, so the rows leading with 1 at c are v_c + span(directions),
+        the v_f with f > c, and a node has sum_c q^len(directions) candidate rows.
+        """
+        columns = [j for j in reversed(range(self.dim)) if j not in pivots]
+        rows = [[a[j] for j in columns] for a in constraints]
+        node, later = [], []
+        for x in field_kernel(rows, len(columns), self.tables):  # leading columns descending
+            v = [0] * self.dim
+            for j, a in zip(columns, x):
+                v[j] = a
+            node.append((v.index(1), v, later))
+            later = [v] + later
+        return node[::-1]
+
+    def _first_row(self, node):
+        """The first isotropic row of a node, or None when it has none."""
+        for _, base, directions in node:
+            for row in self._isotropic_rows(base, directions):
+                return self._at(*row)
+        return None
 
     def _isotropic_rows(self, base, directions):
         """(u, t, w) for each isotropic row u + t w of base + span(directions), in _points order.
@@ -399,26 +419,6 @@ class _SubspaceSearch:
             return u
         add, scaled = self.tables[0], self.tables[1][t]
         return [add[a][scaled[b]] for a, b in zip(u, w)]
-
-    def _solve(self, c, pivots, constraints):
-        """Rows e_c + sum x_j e_j over the free j > c that meet every constraint.
-
-        The kernel of the constraints on the free coordinates, with column c
-        last: when c is a free column, its kernel vector is the base row and
-        the others are the directions.  Returns (base, directions) as
-        full-length vectors, or None when no row qualifies.
-        """
-        free = [j for j in range(c + 1, self.dim) if j not in pivots] + [c]
-        kernel = field_kernel([[a[j] for j in free] for a in constraints], len(free), self.tables)
-        if not kernel or not kernel[-1][-1]:
-            return None
-        rows = []
-        for k in kernel:
-            w = [0] * self.dim
-            for j, x in zip(free, k):
-                w[j] = x
-            rows.append(w)
-        return rows[-1], rows[:-1]
 
 
 def _hermitian_search(H: HermitianSpace, op: str) -> _SubspaceSearch:
@@ -476,26 +476,26 @@ def witt_index_quadratic(Q: QuadraticSpace) -> int:
     Geometric Theory of Quadratic Forms*, sections 7-8) Q is an orthogonal
     sum of m hyperbolic planes and an anisotropic rest, and m is the Witt
     index.  W, F_p^dim at the start, is the kernel of the polar functionals
-    b(., v), b(., w) of the planes split off so far.  The first nonzero
-    singular vector v of W (in the order of W's kernel basis, read a line at
-    a time) and a basis vector w of W with b(v, w) != 0 span the next plane.
-    The split stops when an exhaustive pass finds W anisotropic, which over
-    F_p happens at dimension at most 2 (Chevalley-Warning).  Every candidate
-    vector, zero included, is one node against the node budget.  The
+    b(., v), b(., w) of the planes split off so far, solved once per pass as
+    one search node (``_SubspaceSearch._node``).  Its first singular row v
+    (rows leading with 1, read a line at a time) and the first of its kernel
+    vectors w with b(v, w) != 0 span the next plane.  The split stops when
+    an exhaustive pass finds W anisotropic, which over F_p happens at
+    dimension at most 2 (Chevalley-Warning).  Every candidate row is one
+    node against the node budget; the zero vector is no candidate.  The
     singular vectors found are checked to span a totally singular subspace
     before the index is returned.
     """
     op = "witt_index_quadratic"
     _check_budget(op, WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
     search = _quadratic_search(Q, op)
-    zero, constraints, singular = [0] * Q.dim, [], []
+    constraints, singular = [], []
     while True:
-        W = field_kernel(constraints, Q.dim, search.tables)
-        rows = (search._at(*row) for row in search._isotropic_rows(zero, W))
-        v = next((v for v in rows if any(v)), None)
+        node = search._node((), constraints)
+        v = search._first_row(node)
         if v is None:  # no singular vector left: W is anisotropic
             break
-        w = next((u for u in W if Q.polar(v, u)), None)
+        w = next((u for _, u, _ in node if Q.polar(v, u)), None)
         if w is None:
             raise ChowlabError(f"singular vector {v} has no polar partner: degenerate rest")
         constraints += [search.functional(v), search.functional(w)]

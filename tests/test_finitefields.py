@@ -1,5 +1,6 @@
 """Finite-field hermitian and quadratic form oracles."""
 
+import functools
 import itertools
 import random
 
@@ -163,6 +164,41 @@ def test_degenerate_diagonal_rejected():
         hermitian_space(3, [1, 3])
 
 
+def test_quadratic_space_nondegeneracy_against_enumeration():
+    # every upper-triangular form over F2 up to dimension 4 and over F3 up to
+    # dimension 2: degenerate exactly when a nonzero vector of the polar
+    # radical exists (odd p) or, over F2, one on which q vanishes too
+    forms = degenerate = 0
+    for p, top in ((2, 4), (3, 2)):
+        for dim in range(1, top + 1):
+            cells = [(i, j) for i in range(dim) for j in range(i, dim)]
+            vectors = list(itertools.product(range(p), repeat=dim))[1:]
+            units = [[int(k == m) for m in range(dim)] for k in range(dim)]
+            for entries in itertools.product(range(p), repeat=len(cells)):
+                upper = [[0] * dim for _ in range(dim)]
+                for (i, j), x in zip(cells, entries):
+                    upper[i][j] = x
+
+                def value(v):
+                    return sum(upper[i][j] * v[i] * v[j] for i, j in cells) % p
+
+                def in_radical(v):
+                    # b(v, e_k) = q(v + e_k) - q(v) - q(e_k) for every basis vector e_k
+                    return all(
+                        (value([a + b for a, b in zip(v, e)]) - value(v) - value(e)) % p == 0
+                        for e in units
+                    )
+
+                bad = any(in_radical(v) and (p != 2 or value(v) == 0) for v in vectors)
+                forms, degenerate = forms + 1, degenerate + bad
+                if bad:
+                    with pytest.raises(ChowlabError, match="degenerate quadratic space"):
+                        QuadraticSpace(PrimeField(p), upper)
+                else:
+                    assert QuadraticSpace(PrimeField(p), upper).dim == dim, upper
+    assert (forms, degenerate) == (1128, 627)
+
+
 def test_count_singular_brute_force_cross_check():
     # fully independent oracle: enumerate all vectors and count singular lines
     p = 3
@@ -316,11 +352,11 @@ def test_node_budget_bounds_search_work(monkeypatch):
         count_singular(Q, 5)
 
 
-# candidate vectors the hyperbolic splitting examines on the same form, the
-# zero vector of each pass included: 18 up to the first nonzero singular
-# vector of each of the four planes split off, then the four vectors of the
-# anisotropic rest
-WITT_SPLIT_F2_N5_NODES = 22
+# candidate rows the hyperbolic splitting examines on the same form, the
+# rows leading with 1 of each pass (the zero vector is no candidate): 6 up
+# to the first singular row of each of the four planes split off, then the
+# three rows of the anisotropic rest
+WITT_SPLIT_F2_N5_NODES = 9
 
 
 def test_node_budget_bounds_splitting_work(monkeypatch):
@@ -377,6 +413,35 @@ def test_node_budget_is_per_call(monkeypatch):
         assert count_isotropic(H, 2) == 112
     with pytest.raises(BudgetError, match="count_isotropic budget exceeded"):
         count_isotropic(hermitian_space(3, [1] * 5), 2)
+
+
+@pytest.mark.parametrize(
+    "trace, p, n, r, count, nodes",
+    [(False, 3, 4, 2, 112, 29), (True, 2, 5, 5, 0, 4663)],
+    ids=["hermitian-p3-n4-r2", "trace-p2-n5-m5"],
+)
+def test_one_kernel_per_search_node(monkeypatch, trace, p, n, r, count, nodes):
+    # each node of the depth-first search (a call of _extend with rows left
+    # to pick) solves its constraints once, whatever its leading columns
+    H = hermitian_space(p, [1] * n)
+    Q = trace_quadratic(H)
+    kernels = extends = 0
+    kernel, extend = finitefields.field_kernel, finitefields._SubspaceSearch._extend
+
+    def counted_kernel(*args):
+        nonlocal kernels
+        kernels += 1
+        return kernel(*args)
+
+    def counted_extend(self, k, *args):
+        nonlocal extends
+        extends += k > 0
+        return extend(self, k, *args)
+
+    monkeypatch.setattr(finitefields, "field_kernel", counted_kernel)
+    monkeypatch.setattr(finitefields._SubspaceSearch, "_extend", counted_extend)
+    assert (count_singular(Q, r) if trace else count_isotropic(H, r)) == count
+    assert kernels == extends == nodes
 
 
 # F_2, F_3 and their quadratic extensions F_4 and F_9; over F_2 negation is
@@ -455,25 +520,26 @@ def test_points_in_lexicographic_order_of_the_coefficients(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_solve_against_the_enumerated_affine_solutions(field):
-    # rows e_c + sum x_j e_j over the free j > c (not a pivot taken) with
-    # sum_j a_j v_j = 0 for every constraint a
+def test_node_against_the_enumerated_leading_rows(field):
+    # the node's columns are exactly the columns some solution (zero at the
+    # pivots) leads at, and v_c + span(directions) is the set of solutions
+    # leading with 1 at c
     size, add, mul = _field_ops(field)
+    add = functools.lru_cache(maxsize=None)(add)
+    mul = functools.lru_cache(maxsize=None)(mul)
     dim = 4
     search = finitefields._SubspaceSearch("test", field, dim, None, None)
     rng = random.Random(1320 + size)
     for _ in range(80):
-        c = rng.randrange(dim)
-        pivots = tuple(sorted(rng.sample(range(c + 1, dim), rng.randint(0, dim - c - 1))))
+        pivots = tuple(sorted(rng.sample(range(dim), rng.randint(0, dim - 1))))
         constraints = tuple(
             [rng.randrange(size) if rng.random() < 0.6 else 0 for _ in range(dim)]
             for _ in range(rng.randint(0, 3))
         )
-        free = [j for j in range(c + 1, dim) if j not in pivots]
-        expected = []
+        free = [j for j in range(dim) if j not in pivots]
+        leading = {}
         for xs in itertools.product(range(size), repeat=len(free)):
             v = [0] * dim
-            v[c] = 1
             for j, x in zip(free, xs):
                 v[j] = x
             dots = []
@@ -482,15 +548,17 @@ def test_solve_against_the_enumerated_affine_solutions(field):
                 for aj, vj in zip(a, v):
                     acc = add(acc, mul(aj, vj))
                 dots.append(acc)
-            if not any(dots):
-                expected.append(v)
-        space = search._solve(c, pivots, constraints)
-        if not expected:
-            assert space is None, (c, pivots, constraints)
-            continue
-        assert space is not None, (c, pivots, constraints)
-        got = list(finitefields._points(search.tables, *space))
-        assert sorted(got) == sorted(expected), (c, pivots, constraints)
+            if any(v) and not any(dots):
+                c = next(j for j, x in enumerate(v) if x)
+                leading.setdefault(c, [])
+                if v[c] == 1:
+                    leading[c].append(v)
+        node = search._node(pivots, constraints)
+        case = (pivots, constraints)
+        assert [c for c, _, _ in node] == sorted(leading), case
+        for c, base, directions in node:
+            got = list(finitefields._points(search.tables, base, directions))
+            assert sorted(got) == sorted(leading[c]), case
 
 
 def _random_form(field, dim, rng):

@@ -8,13 +8,15 @@ written only by ``suites.report_json``, every defaulted parameter is passed
 by some caller in the package, every affine space of rows in
 ``finitefields`` is read through one line walk, the whole-motive
 decomposition is one recursion filled bottom up on multiplicity maps, every
-name the benchmark's tracer wraps stays bound, and every package name the
-README spells out still resolves.
+name the benchmark's tracer wraps stays bound, every package name the
+README spells out still resolves, and every mutant of the ledger
+(``tests/mutants.py``) still applies.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import subprocess
@@ -198,6 +200,7 @@ def test_one_line_walk_reads_every_affine_space():
     callers = [c for c in callers if c != "finitefields._points"]
     assert callers == ["finitefields._isotropic_rows"], callers
     assert not hasattr(finitefields._SubspaceSearch, "_last_rows")
+    assert not hasattr(finitefields._SubspaceSearch, "_solve")
 
 
 def test_whole_motive_decomposition_is_one_recursion():
@@ -270,3 +273,21 @@ def test_readme_names_resolve():
         except (ImportError, AttributeError):
             unresolved.append(name)
     assert not unresolved, f"README names that do not resolve: {unresolved}"
+
+
+def test_mutant_ledger_snippets_occur_once():
+    # a refactor that moves mutated code must move its ledger entries with it
+    root = Path(__file__).resolve().parents[1]
+    entries = json.loads((root / "tests" / "data" / "mutants.json").read_text(encoding="utf-8"))
+    assert len(entries) >= 9
+    assert len({e["id"] for e in entries}) == len(entries)
+    for e in entries:
+        text = (root / e["file"]).read_text(encoding="utf-8")
+        assert text.count(e["old"]) == 1 and e["new"] != e["old"], e["id"]
+        if e["tests"] == "equivalent":
+            assert e["reason"], e["id"]
+            continue
+        assert e["tests"], e["id"]
+        for node_id in e["tests"]:
+            path, name = node_id.split("::")
+            assert f"def {name.split('[')[0]}(" in (root / path).read_text(encoding="utf-8"), node_id

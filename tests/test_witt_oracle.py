@@ -176,12 +176,13 @@ def test_certificate_rejects_a_false_frame(vectors, message):
         finitefields._check_totally_singular(Q, vectors)
 
 
-# quadratic evaluations of `verify i2i --max-n 5 --max-p 3` (67 forms): 1159
-# in the splitting, which reads its candidates a line at a time (one value
-# per line and one per direction), plus 228 certificate evaluations, 1387 in
-# all; one evaluation per candidate made 2289, and the exhaustive search this
-# bound replaced ran for minutes
-I2I_N5_P3_EVALUATIONS = 1500
+# quadratic evaluations of `verify i2i --max-n 5 --max-p 3` (67 forms): 645
+# in the splitting, which reads its candidate rows (those leading with 1) a
+# line at a time (one value per line and one per direction), plus 228
+# certificate evaluations, 873 in all; walking every vector of each pass
+# from zero made 1387, one evaluation per candidate 2289, and the
+# exhaustive search this bound replaced ran for minutes
+I2I_N5_P3_EVALUATIONS = 944
 
 
 def test_i2i_reaches_n5_p3_within_a_work_bound(monkeypatch):
