@@ -13,17 +13,19 @@ and a node's kernel gives the next rows leading with 1 at each column.
 Every row is read a line at a time: on a line u + t w the form's value
 depends only on value(u), value(w) and b(u, w), so one lookup in the
 field's ``_line_zeros`` table lists the isotropic points of q candidates.
-Counts are exact.  The hermitian Witt index is the largest r at which the
-search finds a subspace; the quadratic one comes from splitting off
-hyperbolic planes (Witt cancellation), so the two sides of the trace-form
-doubling are computed by independent algorithms.  Budgets are hard caps
-raising :class:`BudgetError`: on the dimension and prime, and on the
-candidate rows one call may examine, every one on a read line included.
+The search only counts, exactly.  The hermitian Witt index is one chain of
+first isotropic rows up to a maximal subspace (Witt's theorem); the quadratic
+one comes from splitting off hyperbolic planes (Witt cancellation), so the
+two sides of the trace-form doubling are computed by independent algorithms.
+Budgets are hard caps raising :class:`BudgetError`: on the dimension and
+prime, and on the candidate rows one call may examine, every one on a read
+line included.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import namedtuple
 
@@ -37,14 +39,7 @@ _NODE_BUDGET = 1 << 22  # candidate rows one public call may examine
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 class PrimeField(namedtuple("PrimeField", "p")):
@@ -117,10 +112,7 @@ class QuadExtField:
         return value
 
     def frobenius(self, x: int) -> int:
-        acc = 1
-        for _ in range(self.base.p):
-            acc = self.mul(acc, x)
-        return acc if x else 0
+        return functools.reduce(self.mul, [x] * self.base.p)
 
     def __eq__(self, other):
         return isinstance(other, QuadExtField) and other.base == self.base
@@ -338,11 +330,11 @@ class _SubspaceSearch:
         self.dim, self.functional, self.value = dim, functional, value
         self.nodes = _Nodes(op)
 
-    def count(self, r: int, first_only: bool = False) -> int:
-        """Number of isotropic r-subspaces; with first_only, stop at the first."""
-        return self._extend(r, self.dim, (), (), first_only)
+    def count(self, r: int) -> int:
+        """Number of isotropic r-subspaces."""
+        return self._extend(r, self.dim, (), ())
 
-    def _extend(self, k, top, pivots, constraints, first_only) -> int:
+    def _extend(self, k, top, pivots, constraints) -> int:
         # subspaces completing the chosen rows with k more rows, pivots below top
         if k == 0:
             return 1
@@ -356,10 +348,8 @@ class _SubspaceSearch:
                 else:
                     v = self._at(*row)
                     total += self._extend(
-                        k - 1, c, pivots + (c,), constraints + (self.functional(v),), first_only
+                        k - 1, c, pivots + (c,), constraints + (self.functional(v),)
                     )
-                if first_only and total:
-                    return total
         return total
 
     def _node(self, pivots, constraints):
@@ -458,33 +448,39 @@ def _check_budget(op: str, budget: dict, key: str, size: int, p: int) -> None:
 
 
 def witt_index_hermitian(H: HermitianSpace) -> int:
-    """Largest r with a totally isotropic r-dimensional subspace."""
-    _check_budget("witt_index_hermitian", WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
-    search = _hermitian_search(H, "witt_index_hermitian")
-    witt = 0
-    for r in range(1, H.n // 2 + 1):
-        if not search.count(r, first_only=True):
-            break
-        witt = r
-    return witt
+    """Dimension of a maximal totally isotropic subspace, by one chain of first rows.
+
+    By Witt's theorem all maximal totally isotropic subspaces of a nondegenerate hermitian
+    form have the same dimension (Taylor, *The Geometry of the Classical Groups*, ch. 10).
+    Each step takes the first isotropic row v of a search node (``_first_row``) and adds its
+    leading column to the pivots and h(., v) to the constraints; the chain is maximal at a
+    node with none.  More than n // 2 rows cannot be totally isotropic, and raise.
+    """
+    op = "witt_index_hermitian"
+    _check_budget(op, WITT_HERMITIAN_BUDGET, "n", H.n, H.field.base.p)
+    search, pivots, constraints = _hermitian_search(H, op), [], []
+    while (v := search._first_row(search._node(pivots, constraints))) is not None:
+        if len(constraints) == H.n // 2:
+            raise ChowlabError(f"{op}: chain of isotropic rows longer than n // 2 = {H.n // 2}")
+        pivots.append(v.index(1))
+        constraints.append(search.functional(v))
+    return len(pivots)
 
 
 def witt_index_quadratic(Q: QuadraticSpace) -> int:
     """Dimension of a maximal totally singular subspace, by hyperbolic splitting.
 
-    By Witt cancellation (Elman-Karpenko-Merkurjev, *The Algebraic and
-    Geometric Theory of Quadratic Forms*, sections 7-8) Q is an orthogonal
-    sum of m hyperbolic planes and an anisotropic rest, and m is the Witt
-    index.  W, F_p^dim at the start, is the kernel of the polar functionals
-    b(., v), b(., w) of the planes split off so far, solved once per pass as
-    one search node (``_SubspaceSearch._node``).  Its first singular row v
-    (rows leading with 1, read a line at a time) and the first of its kernel
-    vectors w with b(v, w) != 0 span the next plane.  The split stops when
-    an exhaustive pass finds W anisotropic, which over F_p happens at
-    dimension at most 2 (Chevalley-Warning).  Every candidate row is one
-    node against the node budget; the zero vector is no candidate.  The
-    singular vectors found are checked to span a totally singular subspace
-    before the index is returned.
+    By Witt cancellation (Elman-Karpenko-Merkurjev, *The Algebraic and Geometric Theory of
+    Quadratic Forms*, sections 7-8) Q is an orthogonal sum of m hyperbolic planes and an
+    anisotropic rest, and m is the Witt index.  W, F_p^dim at the start, is the kernel of the
+    polar functionals b(., v), b(., w) of the planes split off so far, solved once per pass
+    as one search node (``_SubspaceSearch._node``).  Its first singular row v (rows leading
+    with 1, read a line at a time) and the first of its kernel vectors w with b(v, w) != 0
+    span the next plane, which leaves W exactly two dimensions smaller (else this raises).
+    The split stops when an exhaustive pass finds W anisotropic, which over F_p happens at
+    dimension at most 2 (Chevalley-Warning).  Every candidate row is one node against the
+    node budget; the zero vector is no candidate.  The singular vectors found are checked to
+    span a totally singular subspace before the index is returned.
     """
     op = "witt_index_quadratic"
     _check_budget(op, WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
@@ -492,6 +488,8 @@ def witt_index_quadratic(Q: QuadraticSpace) -> int:
     constraints, singular = [], []
     while True:
         node = search._node((), constraints)
+        if len(node) != Q.dim - 2 * len(singular):  # one kernel vector per dimension of W
+            raise ChowlabError(f"{op}: W of dimension {len(node)} on pass {len(singular) + 1}")
         v = search._first_row(node)
         if v is None:  # no singular vector left: W is anisotropic
             break

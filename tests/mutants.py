@@ -9,8 +9,11 @@ files Tier-1 reads: ``demos``, ``perfbench``, ``README.md`` and
 runs ``python -m pytest -q -x`` on the named tests, expecting a test to
 fail (pytest exit code 1: a collection error does not count); an
 equivalent entry runs all of Tier-1 but the ledger's own snippet check
-(which reads the mutated copy) and expects a pass.  The checkout itself
-is never written.
+(which reads the mutated copy) and expects a pass.  An entry whose pytest
+run is still going after ``ENTRY_SECONDS`` is killed, with its process
+group, and reported as ``TIMEOUT``, which counts as unexpected: a mutant
+that makes the code spin ends its own entry, not the ledger.  The checkout
+itself is never written.
 
     python tests/mutants.py               # every entry
     python tests/mutants.py ID [ID ...]   # only these entries
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -33,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "data" / "mutants.json"
 COPIED = ("src", "tests", "demos", "perfbench", "README.md", "pyproject.toml")
 LEDGER_CHECK = "tests/test_source.py::test_mutant_ledger_snippets_occur_once"
+ENTRY_SECONDS = 180  # wall-clock limit of one entry's pytest run; Tier-1 takes about 20 s
 
 
 def load() -> list[dict]:
@@ -65,9 +70,19 @@ def run(entry: dict) -> bool:
         args = tier1 if equivalent else ["-x", *entry["tests"]]
         command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        result = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
-    summary = (result.stdout.strip().splitlines() or [""])[-1]
-    ok = result.returncode == (0 if equivalent else 1)  # 1: tests ran and some failed
+        with subprocess.Popen(
+            command, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        ) as proc:
+            try:
+                stdout, _ = proc.communicate(timeout=ENTRY_SECONDS)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)  # pytest and anything it started
+                proc.communicate()
+                print(f"{entry['id']}: TIMEOUT (still running after {ENTRY_SECONDS} s)")
+                return False
+    summary = (stdout.strip().splitlines() or [""])[-1]
+    ok = proc.returncode == (0 if equivalent else 1)  # 1: tests ran and some failed
     verdict = ("equivalent" if equivalent else "killed") if ok else "UNEXPECTED"
     print(f"{entry['id']}: {verdict} ({summary})")
     return ok

@@ -372,38 +372,52 @@ def test_node_budget_bounds_splitting_work(monkeypatch):
         witt_index_quadratic(Q)
 
 
-# (p, n, r, first_only, count, nodes) of the hermitian search on the form
-# [1] * n; a last row counts q nodes per line, or up to its first isotropic t
+# (p, n, r, chain, result, nodes) of the hermitian search on the form
+# [1] * n: the count of isotropic r-subspaces, or with chain the Witt index r
+# that witt_index_hermitian's chain of first rows reaches; a last row counts
+# q nodes per line, or up to its first isotropic t
 HERMITIAN_SEARCH_NODES = [
     (3, 4, 1, False, 280, 820),
     (3, 4, 2, False, 112, 347),
     (3, 5, 2, False, 6832, 23756),
-    (3, 5, 2, True, 1, 10),
+    (3, 5, 2, True, 2, 11),
     (5, 4, 2, False, 756, 3807),
-    (5, 4, 2, True, 1, 6),
+    (5, 4, 2, True, 2, 6),
 ]
 
 
-@pytest.mark.parametrize("p, n, r, first_only, count, nodes", HERMITIAN_SEARCH_NODES)
-def test_hermitian_search_node_counts(p, n, r, first_only, count, nodes):
-    search = finitefields._hermitian_search(hermitian_space(p, [1] * n), "test")
-    assert search.count(r, first_only) == count
+@pytest.mark.parametrize("p, n, r, chain, result, nodes", HERMITIAN_SEARCH_NODES)
+def test_hermitian_search_node_counts(monkeypatch, p, n, r, chain, result, nodes):
+    H = hermitian_space(p, [1] * n)
+    search = finitefields._hermitian_search(H, "test")
+    monkeypatch.setattr(finitefields, "_hermitian_search", lambda H, op: search)
+    assert (witt_index_hermitian(H) if chain else count_isotropic(H, r)) == result
     assert search.nodes.visited == nodes
 
 
-@pytest.mark.parametrize("first_only, count, nodes", [(False, 6832, 23756), (True, 1, 10)])
-def test_node_budget_cuts_a_line(monkeypatch, first_only, count, nodes):
-    # the full count overruns on the whole of its last line, the first-only
-    # search inside the line of its first isotropic row
+@pytest.mark.parametrize("chain, result, nodes", [(False, 6832, 23756), (True, 2, 11)])
+def test_node_budget_cuts_a_line(monkeypatch, chain, result, nodes):
+    # the full count overruns on the whole of its last line, the Witt-index
+    # chain on the one candidate of its last node, which is not isotropic
     H = hermitian_space(3, [1] * 5)
+    op = "witt_index_hermitian" if chain else "count_isotropic"
+    make, searches = finitefields._hermitian_search, []
+
+    def recorded(H, op):
+        searches.append(make(H, op))
+        return searches[-1]
+
+    def run():
+        return witt_index_hermitian(H) if chain else count_isotropic(H, 2)
+
+    monkeypatch.setattr(finitefields, "_hermitian_search", recorded)
     monkeypatch.setattr(finitefields, "_NODE_BUDGET", nodes)
-    assert finitefields._hermitian_search(H, "count_isotropic").count(2, first_only) == count
+    assert run() == result
     monkeypatch.setattr(finitefields, "_NODE_BUDGET", nodes - 1)
-    search = finitefields._hermitian_search(H, "count_isotropic")
-    message = f"count_isotropic budget exceeded: visited {nodes} nodes, limit {nodes - 1}$"
+    message = f"{op} budget exceeded: visited {nodes} nodes, limit {nodes - 1}$"
     with pytest.raises(BudgetError, match=message):
-        search.count(2, first_only)
-    assert search.nodes.visited == nodes
+        run()
+    assert [search.nodes.visited for search in searches] == [nodes, nodes]
 
 
 def test_node_budget_is_per_call(monkeypatch):
@@ -413,6 +427,49 @@ def test_node_budget_is_per_call(monkeypatch):
         assert count_isotropic(H, 2) == 112
     with pytest.raises(BudgetError, match="count_isotropic budget exceeded"):
         count_isotropic(hermitian_space(3, [1] * 5), 2)
+
+
+@pytest.mark.parametrize("stuck", ["_node", "_first_row"])
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 5), (3, 4), (5, 4)])
+def test_hermitian_chain_stops_past_half_the_dimension(monkeypatch, stuck, p, n):
+    # a node that never shrinks, or a first row that ignores its node, hands
+    # the chain the same row again; the step bound refuses row n // 2 + 1
+    # instead of looping until the node budget
+    H = hermitian_space(p, [1] * n)
+    node, first_row = finitefields._SubspaceSearch._node, finitefields._SubspaceSearch._first_row
+    steps = 0
+
+    def stuck_first_row(self, this_node):
+        nonlocal steps
+        steps += 1
+        return first_row(self, this_node if stuck == "_node" else node(self, (), ()))
+
+    monkeypatch.setattr(finitefields._SubspaceSearch, "_first_row", stuck_first_row)
+    if stuck == "_node":
+        monkeypatch.setattr(finitefields._SubspaceSearch, "_node", lambda s, *_: node(s, (), ()))
+    with pytest.raises(ChowlabError, match=f"longer than n // 2 = {n // 2}$"):
+        witt_index_hermitian(H)
+    assert steps == n // 2 + 1
+
+
+def test_splitting_stops_when_a_pass_does_not_shrink_w(monkeypatch):
+    # a node that ignores the planes split off shows the second pass all of
+    # F_p^dim again; the check that each plane takes two dimensions of W
+    # refuses it instead of splitting the same plane until the node budget
+    forms = [trace_quadratic(hermitian_space(2, [1] * 5)), QuadraticSpace.split(PrimeField(3), 3)]
+    node, passes = finitefields._SubspaceSearch._node, 0
+
+    def stuck_node(self, pivots, constraints):
+        nonlocal passes
+        passes += 1
+        return node(self, pivots, ())
+
+    monkeypatch.setattr(finitefields._SubspaceSearch, "_node", stuck_node)
+    for Q in forms:
+        passes = 0
+        with pytest.raises(ChowlabError, match=f"W of dimension {Q.dim} on pass 2$"):
+            witt_index_quadratic(Q)
+        assert passes == 2
 
 
 @pytest.mark.parametrize(
@@ -623,23 +680,21 @@ def _small_forms():
 
 
 def test_line_count_matches_the_row_by_row_walk(monkeypatch):
-    # same counts and node counts, first_only or not, at every r up to the
-    # first with no subspace
+    # same counts and node counts at every r up to the first with no subspace
     def sweep():
         out = {}
         for i, (form, top) in enumerate(_small_forms()):
             for r in range(top + 1):
-                for first_only in (False, True):
-                    if isinstance(form, HermitianSpace):
-                        search = finitefields._hermitian_search(form, "test")
-                    else:
-                        search = finitefields._quadratic_search(form, "test")
-                    out[i, r, first_only] = search.count(r, first_only), search.nodes.visited
-                if out[i, r, False][0] == 0:
+                if isinstance(form, HermitianSpace):
+                    search = finitefields._hermitian_search(form, "test")
+                else:
+                    search = finitefields._quadratic_search(form, "test")
+                out[i, r] = search.count(r), search.nodes.visited
+                if out[i, r][0] == 0:
                     break
         return out
 
     by_line = sweep()
     monkeypatch.setattr(finitefields._SubspaceSearch, "_isotropic_rows", _row_by_row)
     assert sweep() == by_line
-    assert (len(by_line), sum(nodes for _, nodes in by_line.values())) == (526, 201139)
+    assert (len(by_line), sum(nodes for _, nodes in by_line.values())) == (263, 197115)

@@ -16,6 +16,7 @@ README spells out still resolves, and every mutant of the ledger
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import pkgutil
 import re
@@ -203,6 +204,17 @@ def test_one_line_walk_reads_every_affine_space():
     assert not hasattr(finitefields._SubspaceSearch, "_solve")
 
 
+def test_hermitian_index_is_one_chain():
+    # the index follows one chain of first rows: it neither loops over r nor
+    # asks the search to count, and the search has no first-only mode
+    tree = ast.parse((SRC / "finitefields.py").read_text(encoding="utf-8"))
+    (witt,) = [n for n in ast.walk(tree) if getattr(n, "name", None) == "witt_index_hermitian"]
+    assert not any(isinstance(n, ast.For) for n in ast.walk(witt))
+    called = {getattr(n.func, "attr", None) for n in ast.walk(witt) if isinstance(n, ast.Call)}
+    assert {"_first_row", "_node"} <= called and "count" not in called, called
+    assert list(inspect.signature(finitefields._SubspaceSearch.count).parameters) == ["self", "r"]
+
+
 def test_whole_motive_decomposition_is_one_recursion():
     # summands are counted from the multiplicities _witt_whole returns, so no
     # twin recursion on witt_h counts them
@@ -279,7 +291,7 @@ def test_mutant_ledger_snippets_occur_once():
     # a refactor that moves mutated code must move its ledger entries with it
     root = Path(__file__).resolve().parents[1]
     entries = json.loads((root / "tests" / "data" / "mutants.json").read_text(encoding="utf-8"))
-    assert len(entries) >= 9
+    assert len(entries) >= 18
     assert len({e["id"] for e in entries}) == len(entries)
     for e in entries:
         text = (root / e["file"]).read_text(encoding="utf-8")

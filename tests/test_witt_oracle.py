@@ -4,7 +4,9 @@ The splitting (``witt_index_quadratic``) is checked against the singular
 subspace search (``count_singular``) and against the classification of
 quadratic forms over F_p: dimension 2m + 1 has index m, and dimension 2m has
 index m or m - 1, set by the discriminant (odd p) or the Arf invariant
-(p = 2).  The classification reads the form only through ``Q.value``.
+(p = 2).  The classification reads the form only through ``Q.value``.  The
+hermitian index (``witt_index_hermitian``) is checked against the largest r
+at which ``count_isotropic`` finds a subspace.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from chowlab.finitefields import (
     WITT_HERMITIAN_BUDGET,
     PrimeField,
     QuadraticSpace,
+    count_isotropic,
     count_singular,
     hermitian_space,
     trace_quadratic,
@@ -215,3 +218,22 @@ def test_hermitian_index_is_half_the_dimension():
                 assert witt_index_hermitian(H) == n // 2, (p, diag)
                 forms += 1
     assert forms == sum((p - 1) ** n for p in (2, 3, 5) for n in range(6))
+
+
+def test_hermitian_chain_reaches_the_largest_r_with_a_subspace():
+    # the index by its definition, the largest r at which count_isotropic
+    # finds a subspace, for every diagonal form the caps admit up to n = 4 and
+    # for the unit forms at n = 5; an index that skipped the orthogonality
+    # constraints would run past it
+    forms = [
+        hermitian_space(p, diag)
+        for p in WITT_HERMITIAN_BUDGET["p"]
+        for n in range(5)
+        for diag in itertools.product(range(1, p), repeat=n)
+    ] + [hermitian_space(p, [1] * 5) for p in WITT_HERMITIAN_BUDGET["p"]]
+    for H in forms:
+        r = 0
+        while count_isotropic(H, r + 1):  # an (r + 1)-subspace holds r-subspaces
+            r += 1
+        assert witt_index_hermitian(H) == r, (H.field.base.p, H.diag)
+    assert len(forms) == 380
