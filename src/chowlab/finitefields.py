@@ -4,15 +4,15 @@ Hermitian forms live over the quadratic extension of a prime field (the
 lexicographically first monic irreducible quadratic is used as modulus);
 the associated quadratic form is h(v, v) read over the prime field.  Each
 job has one code path: linear solves are one Gauss-Jordan kernel of
-:mod:`chowlab.linalg` per search node (``_SubspaceSearch._node``), walks
-over an affine space are ``_SubspaceSearch._isotropic_rows``, and candidate
-rows are counted by ``_Nodes``.  Totally isotropic (singular) subspaces are
-found by a depth-first search over reduced-echelon bases that propagates
-constraints: each accepted row adds one linear orthogonality constraint,
-and a node's kernel gives the next rows leading with 1 at each column.
-Every row is read a line at a time: on a line u + t w the form's value
-depends only on value(u), value(w) and b(u, w), so one lookup in the
-field's ``_line_zeros`` table lists the isotropic points of q candidates.
+:mod:`chowlab.linalg` per search node (``_SubspaceSearch._node``), and walks
+over an affine space are ``_SubspaceSearch._lines``.  Totally isotropic
+(singular) subspaces are found by a depth-first search over reduced-echelon
+bases that propagates constraints: each accepted row adds one linear
+orthogonality constraint, and a node's kernel gives the next rows leading
+with 1 at each column.  Every row is read a line at a time: on a line
+u + t w the form's value depends only on value(u), value(w) and b(u, w), so
+one lookup in the field's ``_line_zeros`` table lists the isotropic points
+of q candidates, and the line's q candidates are charged when it is read.
 The search only counts, exactly.  The hermitian Witt index is one chain of
 first isotropic rows up to a maximal subspace (Witt's theorem); the quadratic
 one comes from splitting off hyperbolic planes (Witt cancellation), so the
@@ -197,10 +197,7 @@ class QuadraticSpace:
         return acc % self.base.p
 
     def _nondegenerate(self) -> bool:
-        if self.base.p != 2:
-            return not modp_kernel(self.gram, self.base.p)
-        # characteristic 2: the form is nondegenerate iff q does not vanish
-        # on a nonzero vector of the polar radical, the kernel of the Gram rows
+        # iff q vanishes on no nonzero radical vector of b (at odd p, q = b(v, v) / 2 is 0 on all)
         search = _quadratic_search(self, "QuadraticSpace")
         return search._first_row(search._node((), self.gram)) is None
 
@@ -229,7 +226,7 @@ def trace_quadratic(H: HermitianSpace) -> QuadraticSpace:
 # -- constraint-propagating subspace search ------------------------------------
 
 
-@functools.lru_cache(maxsize=None)  # one entry per field; the budgets admit five
+@functools.lru_cache(maxsize=None)  # one entry per field of at most 25 elements
 def _tables(field) -> tuple:
     """Add, mul, neg and inv lookup tables of a field with elements 0..size-1."""
     if isinstance(field, QuadExtField):
@@ -237,6 +234,8 @@ def _tables(field) -> tuple:
     else:
         p = size = field.p
         add, mul = (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
+    if size > (cap := max(WITT_HERMITIAN_BUDGET["p"]) ** 2):  # F_25, the largest a budget admits
+        raise BudgetError(f"search tables budget exceeded: need size <= {cap}, got size={size}")
     add_t = tuple(tuple(add(x, y) for y in range(size)) for x in range(size))
     mul_t = tuple(tuple(mul(x, y) for y in range(size)) for x in range(size))
     neg = tuple(row.index(0) for row in add_t)
@@ -290,23 +289,6 @@ def _points(tables, v, directions):
         yield from _points(tables, [add[a][tw[b]] for a, b in zip(v, w)], rest)
 
 
-class _Nodes:
-    """The candidate rows one public call examines, counted against ``_NODE_BUDGET``."""
-
-    def __init__(self, op: str):
-        self.op, self.visited = op, 0
-
-    def add(self, n: int) -> None:
-        """Count n more candidates; past the budget, stop at the first one beyond it."""
-        self.visited += n
-        if self.visited > _NODE_BUDGET:
-            self.visited = _NODE_BUDGET + 1
-            raise BudgetError(
-                f"{self.op} budget exceeded: visited {self.visited} nodes, "
-                f"limit {_NODE_BUDGET}"
-            )
-
-
 class _SubspaceSearch:
     """Depth-first search for the totally isotropic subspaces of one form.
 
@@ -318,17 +300,26 @@ class _SubspaceSearch:
     row v.  A search node solves its constraints once (``_node``), and its
     candidates are the rows leading with 1 at each column; a row is isotropic
     when ``value(v)``, the form's value in the prime field, is 0.  Rows are
-    read a line at a time (``_isotropic_rows``): on the line u + t w through
-    the innermost direction w the value depends only on value(u), value(w)
-    and b(u, w) = ``functional(w)`` applied to u, so one ``_line_zeros``
-    lookup gives the isotropic t.  Every candidate row, examined or skipped
-    along a line, is one node of work (``nodes``).
+    read a line at a time (``_lines``): on the line u + t w through the
+    innermost direction w the value depends only on value(u), value(w) and
+    b(u, w) = ``functional(w)`` applied to u, so one ``_line_zeros`` lookup
+    gives the isotropic t.  A line's q candidates, q nodes of work, are
+    charged when it is read (``_charge``, ``visited``).
     """
 
     def __init__(self, op: str, field, dim: int, functional, value):
         self.tables, self.zeros = _tables(field), _line_zeros(field)
         self.dim, self.functional, self.value = dim, functional, value
-        self.nodes = _Nodes(op)
+        self.op, self.visited = op, 0
+
+    def _charge(self, n: int) -> None:
+        """Count n more candidates; past the budget, stop at the first one beyond it."""
+        self.visited += n
+        if self.visited > _NODE_BUDGET:
+            self.visited = _NODE_BUDGET + 1
+            raise BudgetError(
+                f"{self.op} budget exceeded: visited {self.visited} nodes, limit {_NODE_BUDGET}"
+            )
 
     def count(self, r: int) -> int:
         """Number of isotropic r-subspaces."""
@@ -342,18 +333,17 @@ class _SubspaceSearch:
         for c, base, directions in self._node(pivots, constraints):
             if not k - 1 <= c < top:
                 continue
-            for row in self._isotropic_rows(base, directions):
+            for u, ts, w in self._lines(base, directions):
                 if k == 1:
-                    total += 1
-                else:
-                    v = self._at(*row)
-                    total += self._extend(
-                        k - 1, c, pivots + (c,), constraints + (self.functional(v),)
-                    )
+                    total += len(ts)
+                    continue
+                for t in ts:
+                    a = self.functional(self._at(u, t, w))
+                    total += self._extend(k - 1, c, pivots + (c,), constraints + (a,))
         return total
 
     def _node(self, pivots, constraints):
-        """(c, v_c, directions) for each column c that some row leads at, c ascending.
+        """(c, v_c, directions) for each column c some row leads at, c strictly ascending or raise.
 
         One kernel of the constraints on the non-pivot columns, last column first: each v_c is
         1 at c and 0 left of it, so the rows leading with 1 at c are v_c + span(directions),
@@ -361,47 +351,47 @@ class _SubspaceSearch:
         """
         columns = [j for j in reversed(range(self.dim)) if j not in pivots]
         rows = [[a[j] for j in columns] for a in constraints]
-        node, later = [], []
+        node, later, last = [], [], self.dim
         for x in field_kernel(rows, len(columns), self.tables):  # leading columns descending
             v = [0] * self.dim
             for j, a in zip(columns, x):
                 v[j] = a
-            node.append((v.index(1), v, later))
-            later = [v] + later
+            c = v.index(1)
+            if c >= last:
+                raise ChowlabError(f"node kernel leads at column {c} after column {last}")
+            node.append((c, v, later))
+            later, last = [v] + later, c
         return node[::-1]
 
     def _first_row(self, node):
         """The first isotropic row of a node, or None when it has none."""
         for _, base, directions in node:
-            for row in self._isotropic_rows(base, directions):
-                return self._at(*row)
+            for u, ts, w in self._lines(base, directions):
+                if ts:
+                    return self._at(u, ts[0], w)
         return None
 
-    def _isotropic_rows(self, base, directions):
-        """(u, t, w) for each isotropic row u + t w of base + span(directions), in _points order.
+    def _lines(self, base, directions):
+        """(u, ts, w) for each line u + t w of base + span(directions), u in _points order.
 
-        Read a line at a time along the innermost direction w (None if there is none); every
-        candidate up to a row yielded is one node, and so is the rest of a finished line.
+        w is the innermost direction and ts the line's isotropic t, ascending, from one
+        ``_line_zeros`` lookup.  A line's q candidates are charged when it is read; an entry
+        with no directions is one line of one candidate, (base, (0,) or (), None).
         """
-        if not directions:  # a single candidate
-            self.nodes.add(1)
-            if not self.value(base):
-                yield base, 0, None
+        if not directions:
+            self._charge(1)
+            yield base, () if self.value(base) else (0,), None
             return
         *outer, w = directions
         add, mul, _, _ = self.tables
         zeros = self.zeros[self.value(w)]
         polar = [(j, mul[a]) for j, a in enumerate(self.functional(w)) if a]  # u -> b(u, w)
         for u in _points(self.tables, base, outer):
+            self._charge(len(mul))
             beta = 0
             for j, row in polar:
                 beta = add[beta][row[u[j]]]
-            seen = 0
-            for t in zeros[self.value(u)][beta]:
-                self.nodes.add(t + 1 - seen)
-                seen = t + 1
-                yield u, t, w
-            self.nodes.add(len(mul) - seen)
+            yield u, zeros[self.value(u)][beta], w
 
     def _at(self, u, t, w):
         """The row u + t w."""
@@ -414,8 +404,7 @@ class _SubspaceSearch:
 def _hermitian_search(H: HermitianSpace, op: str) -> _SubspaceSearch:
     # v -> h(v, u) = sum d_j v_j conj(u_j) is F_{p^2}-linear, and h(v, u) = 0
     # exactly when h(u, v) = 0; h(v, v) = sum d_j N(v_j) lies in the base field.
-    K = H.field
-    p = K.base.p
+    K, p = H.field, H.field.base.p
     _, mul, _, _ = _tables(K)
     conj, norm = _conj_norm(K)
     diag = H.diag
@@ -478,9 +467,9 @@ def witt_index_quadratic(Q: QuadraticSpace) -> int:
     with 1, read a line at a time) and the first of its kernel vectors w with b(v, w) != 0
     span the next plane, which leaves W exactly two dimensions smaller (else this raises).
     The split stops when an exhaustive pass finds W anisotropic, which over F_p happens at
-    dimension at most 2 (Chevalley-Warning).  Every candidate row is one node against the
-    node budget; the zero vector is no candidate.  The singular vectors found are checked to
-    span a totally singular subspace before the index is returned.
+    dimension at most 2 (Chevalley-Warning).  Each line read charges its q candidate rows to
+    the node budget (the zero vector is no candidate).  The singular vectors found are checked
+    to span a totally singular subspace before the index is returned.
     """
     op = "witt_index_quadratic"
     _check_budget(op, WITT_QUADRATIC_BUDGET, "dim", Q.dim, Q.base.p)
@@ -561,8 +550,7 @@ def jacobson_check(H1: HermitianSpace, H2: HermitianSpace) -> bool:
     if H1.field != H2.field:
         raise UsageError("spaces must live over the same field")
     _check_budget("jacobson_check", WITT_HERMITIAN_BUDGET, "n", H1.n, H1.field.base.p)
-    q_iso = witt_index_quadratic(trace_quadratic(H1)) == witt_index_quadratic(
-        trace_quadratic(H2)
-    )
+    Q1, Q2 = trace_quadratic(H1), trace_quadratic(H2)
+    q_iso = witt_index_quadratic(Q1) == witt_index_quadratic(Q2)
     h_iso = witt_index_hermitian(H1) == witt_index_hermitian(H2)
     return q_iso == h_iso

@@ -12,8 +12,10 @@ equivalent entry runs all of Tier-1 but the ledger's own snippet check
 (which reads the mutated copy) and expects a pass.  An entry whose pytest
 run is still going after ``ENTRY_SECONDS`` is killed, with its process
 group, and reported as ``TIMEOUT``, which counts as unexpected: a mutant
-that makes the code spin ends its own entry, not the ledger.  The checkout
-itself is never written.
+that makes the code spin ends its own entry, not the ledger.  Each verdict
+is printed with its entry's wall seconds, so a mutant that only slows the
+tests down shows in the ledger's own output.  The checkout itself is never
+written.
 
     python tests/mutants.py               # every entry
     python tests/mutants.py ID [ID ...]   # only these entries
@@ -70,6 +72,7 @@ def run(entry: dict) -> bool:
         args = tier1 if equivalent else ["-x", *entry["tests"]]
         command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        start = time.perf_counter()
         with subprocess.Popen(
             command, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, start_new_session=True,
@@ -81,10 +84,11 @@ def run(entry: dict) -> bool:
                 proc.communicate()
                 print(f"{entry['id']}: TIMEOUT (still running after {ENTRY_SECONDS} s)")
                 return False
+        seconds = time.perf_counter() - start
     summary = (stdout.strip().splitlines() or [""])[-1]
     ok = proc.returncode == (0 if equivalent else 1)  # 1: tests ran and some failed
     verdict = ("equivalent" if equivalent else "killed") if ok else "UNEXPECTED"
-    print(f"{entry['id']}: {verdict} ({summary})")
+    print(f"{entry['id']}: {verdict} in {seconds:.1f} s ({summary})")
     return ok
 
 

@@ -320,6 +320,18 @@ def test_count_singular_matches_naive_lister():
             assert count_singular(Q, m) == len(naive), (Q.upper, m)
 
 
+def test_radical_test_refuses_fields_past_the_largest_budget_field():
+    # the radical test reads the polar radical through the search's lookup
+    # tables, so it takes prime fields up to F_23 (the budgets reach F_25) and
+    # refuses larger ones at once instead of filling p^2 and p^3 table entries
+    assert QuadraticSpace.split(PrimeField(23), 2).dim == 4
+    with pytest.raises(ChowlabError, match="degenerate quadratic space"):
+        QuadraticSpace(PrimeField(23), [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    message = "search tables budget exceeded: need size <= 25, got size=1009$"
+    with pytest.raises(BudgetError, match=message):
+        trace_quadratic(hermitian_space(1009, [1, 1]))
+
+
 def test_no_isotropic_subspace_beyond_witt_index():
     # three rows, so the last one meets two constraints
     assert count_isotropic(hermitian_space(3, [1] * 5), 3) == 0
@@ -353,10 +365,10 @@ def test_node_budget_bounds_search_work(monkeypatch):
 
 
 # candidate rows the hyperbolic splitting examines on the same form, the
-# rows leading with 1 of each pass (the zero vector is no candidate): 6 up
-# to the first singular row of each of the four planes split off, then the
-# three rows of the anisotropic rest
-WITT_SPLIT_F2_N5_NODES = 9
+# rows leading with 1 of each pass (the zero vector is no candidate), a
+# line of q = 2 at a time: the line holding the first singular row of each
+# of the four planes split off, then the three rows of the anisotropic rest
+WITT_SPLIT_F2_N5_NODES = 11
 
 
 def test_node_budget_bounds_splitting_work(monkeypatch):
@@ -374,15 +386,15 @@ def test_node_budget_bounds_splitting_work(monkeypatch):
 
 # (p, n, r, chain, result, nodes) of the hermitian search on the form
 # [1] * n: the count of isotropic r-subspaces, or with chain the Witt index r
-# that witt_index_hermitian's chain of first rows reaches; a last row counts
-# q nodes per line, or up to its first isotropic t
+# that witt_index_hermitian's chain of first rows reaches; every line read
+# counts its q nodes, the line holding a chain's first row too
 HERMITIAN_SEARCH_NODES = [
     (3, 4, 1, False, 280, 820),
     (3, 4, 2, False, 112, 347),
     (3, 5, 2, False, 6832, 23756),
-    (3, 5, 2, True, 2, 11),
+    (3, 5, 2, True, 2, 19),
     (5, 4, 2, False, 756, 3807),
-    (5, 4, 2, True, 2, 6),
+    (5, 4, 2, True, 2, 50),
 ]
 
 
@@ -392,10 +404,10 @@ def test_hermitian_search_node_counts(monkeypatch, p, n, r, chain, result, nodes
     search = finitefields._hermitian_search(H, "test")
     monkeypatch.setattr(finitefields, "_hermitian_search", lambda H, op: search)
     assert (witt_index_hermitian(H) if chain else count_isotropic(H, r)) == result
-    assert search.nodes.visited == nodes
+    assert search.visited == nodes
 
 
-@pytest.mark.parametrize("chain, result, nodes", [(False, 6832, 23756), (True, 2, 11)])
+@pytest.mark.parametrize("chain, result, nodes", [(False, 6832, 23756), (True, 2, 19)])
 def test_node_budget_cuts_a_line(monkeypatch, chain, result, nodes):
     # the full count overruns on the whole of its last line, the Witt-index
     # chain on the one candidate of its last node, which is not isotropic
@@ -417,7 +429,7 @@ def test_node_budget_cuts_a_line(monkeypatch, chain, result, nodes):
     message = f"{op} budget exceeded: visited {nodes} nodes, limit {nodes - 1}$"
     with pytest.raises(BudgetError, match=message):
         run()
-    assert [search.nodes.visited for search in searches] == [nodes, nodes]
+    assert [search.visited for search in searches] == [nodes, nodes]
 
 
 def test_node_budget_is_per_call(monkeypatch):
@@ -470,6 +482,30 @@ def test_splitting_stops_when_a_pass_does_not_shrink_w(monkeypatch):
         with pytest.raises(ChowlabError, match=f"W of dimension {Q.dim} on pass 2$"):
             witt_index_quadratic(Q)
         assert passes == 2
+
+
+@pytest.mark.parametrize("order", ["ascending-elimination", "reversed-output"])
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 4), (5, 4)])
+def test_node_refuses_a_kernel_out_of_column_order(monkeypatch, order, p, n):
+    # a kernel eliminated from the first column, or handed back in the wrong
+    # order, leads its vectors at ascending columns; the node's certificate
+    # refuses it at the first node instead of letting the counts run on it
+    kernel, calls = finitefields.field_kernel, 0
+
+    def wrong(rows, ncols, tables):
+        nonlocal calls
+        calls += 1
+        if order == "reversed-output":
+            return kernel(rows, ncols, tables)[::-1]
+        return [x[::-1] for x in kernel([row[::-1] for row in rows], ncols, tables)]
+
+    monkeypatch.setattr(finitefields, "field_kernel", wrong)
+    H = hermitian_space(p, [1] * n)
+    for run in (lambda: count_isotropic(H, n // 2), lambda: witt_index_hermitian(H)):
+        calls = 0
+        with pytest.raises(ChowlabError, match="node kernel leads at column 1 after column 0$"):
+            run()
+        assert calls == 1
 
 
 @pytest.mark.parametrize(
@@ -654,11 +690,10 @@ def test_line_zeros_against_the_form_on_the_line(field):
 
 
 def _row_by_row(search, base, directions):
-    """Isotropic rows walked one candidate at a time, one node each: the line walk's reference."""
+    """Rows walked one candidate at a time, each a line of one node: the line walk's reference."""
     for v in finitefields._points(search.tables, base, directions):
-        search.nodes.add(1)
-        if search.value(v) == 0:
-            yield v, 0, None
+        search._charge(1)
+        yield v, () if search.value(v) else (0,), None
 
 
 def _small_forms():
@@ -689,12 +724,12 @@ def test_line_count_matches_the_row_by_row_walk(monkeypatch):
                     search = finitefields._hermitian_search(form, "test")
                 else:
                     search = finitefields._quadratic_search(form, "test")
-                out[i, r] = search.count(r), search.nodes.visited
+                out[i, r] = search.count(r), search.visited
                 if out[i, r][0] == 0:
                     break
         return out
 
     by_line = sweep()
-    monkeypatch.setattr(finitefields._SubspaceSearch, "_isotropic_rows", _row_by_row)
+    monkeypatch.setattr(finitefields._SubspaceSearch, "_lines", _row_by_row)
     assert sweep() == by_line
     assert (len(by_line), sum(nodes for _, nodes in by_line.values())) == (263, 197115)

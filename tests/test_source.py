@@ -185,9 +185,9 @@ def test_every_default_has_a_caller_that_sets_it():
 
 
 def test_one_line_walk_reads_every_affine_space():
-    # the subspace search, the quadratic splitting and the char-2 radical test
-    # all read rows through _SubspaceSearch._isotropic_rows, the one caller of
-    # _points apart from its own recursion
+    # the subspace search, the quadratic splitting and the radical test (for
+    # every p) all read rows through _SubspaceSearch._lines, the one caller of
+    # _points apart from its own recursion, and charge nodes there
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -199,9 +199,13 @@ def test_one_line_walk_reads_every_affine_space():
                     owner = parents[owner]
                 callers.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
     callers = [c for c in callers if c != "finitefields._points"]
-    assert callers == ["finitefields._isotropic_rows"], callers
-    assert not hasattr(finitefields._SubspaceSearch, "_last_rows")
-    assert not hasattr(finitefields._SubspaceSearch, "_solve")
+    assert callers == ["finitefields._lines"], callers
+    for gone in ("_last_rows", "_solve", "_isotropic_rows"):
+        assert not hasattr(finitefields._SubspaceSearch, gone), gone
+    assert not hasattr(finitefields, "_Nodes")
+    radical = ast.parse(inspect.getsource(finitefields.QuadraticSpace._nondegenerate).strip())
+    called = {getattr(n.func, "id", None) for n in ast.walk(radical) if isinstance(n, ast.Call)}
+    assert "modp_kernel" not in called, called
 
 
 def test_hermitian_index_is_one_chain():
@@ -291,7 +295,7 @@ def test_mutant_ledger_snippets_occur_once():
     # a refactor that moves mutated code must move its ledger entries with it
     root = Path(__file__).resolve().parents[1]
     entries = json.loads((root / "tests" / "data" / "mutants.json").read_text(encoding="utf-8"))
-    assert len(entries) >= 18
+    assert len(entries) >= 24
     assert len({e["id"] for e in entries}) == len(entries)
     for e in entries:
         text = (root / e["file"]).read_text(encoding="utf-8")
