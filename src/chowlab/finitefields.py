@@ -197,7 +197,10 @@ class QuadraticSpace:
         return acc % self.base.p
 
     def _nondegenerate(self) -> bool:
-        # iff q vanishes on no nonzero radical vector of b (at odd p, q = b(v, v) / 2 is 0 on all)
+        if self.base.p != 2:
+            return not modp_kernel(self.gram, self.base.p)
+        # characteristic 2: the form is nondegenerate iff q does not vanish
+        # on a nonzero vector of the polar radical, the kernel of the Gram rows
         search = _quadratic_search(self, "QuadraticSpace")
         return search._first_row(search._node((), self.gram)) is None
 
@@ -226,7 +229,7 @@ def trace_quadratic(H: HermitianSpace) -> QuadraticSpace:
 # -- constraint-propagating subspace search ------------------------------------
 
 
-@functools.lru_cache(maxsize=None)  # one entry per field of at most 25 elements
+@functools.lru_cache(maxsize=None)  # one entry per field; the budgets admit five
 def _tables(field) -> tuple:
     """Add, mul, neg and inv lookup tables of a field with elements 0..size-1."""
     if isinstance(field, QuadExtField):
@@ -234,8 +237,6 @@ def _tables(field) -> tuple:
     else:
         p = size = field.p
         add, mul = (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
-    if size > (cap := max(WITT_HERMITIAN_BUDGET["p"]) ** 2):  # F_25, the largest a budget admits
-        raise BudgetError(f"search tables budget exceeded: need size <= {cap}, got size={size}")
     add_t = tuple(tuple(add(x, y) for y in range(size)) for x in range(size))
     mul_t = tuple(tuple(mul(x, y) for y in range(size)) for x in range(size))
     neg = tuple(row.index(0) for row in add_t)
@@ -404,7 +405,8 @@ class _SubspaceSearch:
 def _hermitian_search(H: HermitianSpace, op: str) -> _SubspaceSearch:
     # v -> h(v, u) = sum d_j v_j conj(u_j) is F_{p^2}-linear, and h(v, u) = 0
     # exactly when h(u, v) = 0; h(v, v) = sum d_j N(v_j) lies in the base field.
-    K, p = H.field, H.field.base.p
+    K = H.field
+    p = K.base.p
     _, mul, _, _ = _tables(K)
     conj, norm = _conj_norm(K)
     diag = H.diag
@@ -550,7 +552,8 @@ def jacobson_check(H1: HermitianSpace, H2: HermitianSpace) -> bool:
     if H1.field != H2.field:
         raise UsageError("spaces must live over the same field")
     _check_budget("jacobson_check", WITT_HERMITIAN_BUDGET, "n", H1.n, H1.field.base.p)
-    Q1, Q2 = trace_quadratic(H1), trace_quadratic(H2)
-    q_iso = witt_index_quadratic(Q1) == witt_index_quadratic(Q2)
+    q_iso = witt_index_quadratic(trace_quadratic(H1)) == witt_index_quadratic(
+        trace_quadratic(H2)
+    )
     h_iso = witt_index_hermitian(H1) == witt_index_hermitian(H2)
     return q_iso == h_iso

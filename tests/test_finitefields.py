@@ -320,16 +320,14 @@ def test_count_singular_matches_naive_lister():
             assert count_singular(Q, m) == len(naive), (Q.upper, m)
 
 
-def test_radical_test_refuses_fields_past_the_largest_budget_field():
-    # the radical test reads the polar radical through the search's lookup
-    # tables, so it takes prime fields up to F_23 (the budgets reach F_25) and
-    # refuses larger ones at once instead of filling p^2 and p^3 table entries
-    assert QuadraticSpace.split(PrimeField(23), 2).dim == 4
+def test_quadratic_spaces_build_over_primes_past_the_search_budgets():
+    # a form's nondegeneracy test needs no search budget: odd p reads the
+    # Gram kernel, so a trace form over F_1009 builds and a degenerate F_23
+    # form is still refused
+    Q = trace_quadratic(hermitian_space(1009, [1, 1]))
+    assert (Q.dim, Q.base.p) == (4, 1009)
     with pytest.raises(ChowlabError, match="degenerate quadratic space"):
         QuadraticSpace(PrimeField(23), [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    message = "search tables budget exceeded: need size <= 25, got size=1009$"
-    with pytest.raises(BudgetError, match=message):
-        trace_quadratic(hermitian_space(1009, [1, 1]))
 
 
 def test_no_isotropic_subspace_beyond_witt_index():

@@ -185,9 +185,9 @@ def test_every_default_has_a_caller_that_sets_it():
 
 
 def test_one_line_walk_reads_every_affine_space():
-    # the subspace search, the quadratic splitting and the radical test (for
-    # every p) all read rows through _SubspaceSearch._lines, the one caller of
-    # _points apart from its own recursion, and charge nodes there
+    # the subspace search, the quadratic splitting and the char-2 radical test
+    # all read rows through _SubspaceSearch._lines, the one caller of _points
+    # apart from its own recursion, and charge nodes there
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -203,9 +203,6 @@ def test_one_line_walk_reads_every_affine_space():
     for gone in ("_last_rows", "_solve", "_isotropic_rows"):
         assert not hasattr(finitefields._SubspaceSearch, gone), gone
     assert not hasattr(finitefields, "_Nodes")
-    radical = ast.parse(inspect.getsource(finitefields.QuadraticSpace._nondegenerate).strip())
-    called = {getattr(n.func, "id", None) for n in ast.walk(radical) if isinstance(n, ast.Call)}
-    assert "modp_kernel" not in called, called
 
 
 def test_hermitian_index_is_one_chain():
