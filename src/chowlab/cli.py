@@ -82,16 +82,18 @@ def _cmd_annihilate(args) -> int:
         raise UsageError("the canonical class needs an even rank; pass --element")
     else:
         ring, elt = grassmann.class_xr_even(args.param // 2)
-    ann = grassmann.annihilator(elt, ring)
-    degrees = range(ring.max_degree + 1)
-    # rank-nullity: dim (ring/Ann(x))_d = dim ring_d - dim Ann(x)_d
-    quotient = PoincarePolynomial([len(ring.degree_basis(d)) - len(ann[d]) for d in degrees])
+    # rank-nullity on multiplication by x: dim Ann(x)_d = dim ring_d - rank, and the
+    # quotient ring/Ann(x) has the rank in degree d; no kernel element is built
+    degrees = [
+        (len(basis), 0 if span is None else span.rank)
+        for basis, span in grassmann._times_x(ring, elt)
+    ]
     _emit(
         {
             "ring": {"kind": args.ring, "param": args.param},
             "element": elt.to_pairs(),
-            "annihilator_dims": [len(ann[d]) for d in degrees],
-            "quotient_poincare": quotient.to_list(),
+            "annihilator_dims": [size - rank for size, rank in degrees],
+            "quotient_poincare": PoincarePolynomial([rank for _, rank in degrees]).to_list(),
         }
     )
     return 0

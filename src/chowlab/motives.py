@@ -10,16 +10,21 @@ plane off a rank-n space:
                       + Essential(n-2, r-1)(2n-2r-1)
 
 with Essential(n, 0) the Tate unit and out-of-range atoms zero.
+
+One memoised recursion splits h planes into dense shift tuples per bottom atom:
+``essential_poincare`` reads it at h = n // 2, ``witt_decompose_whole`` at any h,
+both under one charge and one budget of table entries.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import BudgetError, ChowlabError, UsageError
 from .finitefields import orth_count_polynomial
-from .polynomials import PoincarePolynomial, poly_divexact, poly_mul, poly_sub
+from .polynomials import PoincarePolynomial, poly_add, poly_divexact, poly_mul, poly_sub
 
 
 # -- dimensions ------------------------------------------------------------
@@ -88,7 +93,7 @@ class Motive(namedtuple("Motive", "summands speck_residual")):
         return super().__new__(cls, ordered, speck_residual)
 
     def __add__(self, other):
-        raise TypeError("motives are not concatenated; merge their summands in a Counter")
+        raise TypeError("motives are not concatenated; add their summands' multiplicities")
 
     def poincare(self) -> PoincarePolynomial:
         """Tate realization; defined only when no SpecK content is present."""
@@ -139,21 +144,7 @@ def decompose_step(n: int, r: int) -> Motive:
     return Motive({(essential(n - 2, rr), s): 1 for rr, s in steps if 0 <= rr <= (n - 2) // 2})
 
 
-_ESSENTIAL_BUDGET = 1 << 21  # table coefficients one essential_poincare call may fill
-_WITT_BUDGET = 1 << 20  # table entries one witt_decompose_whole call may fill
-
-
-@lru_cache(maxsize=None)
-def _essential_coeffs(n: int, r: int) -> tuple[int, ...]:
-    if r < 0 or r > n // 2:
-        return ()
-    if r == 0:
-        return (1,)
-    i, j = _step_shifts(n, r)
-    acc = PoincarePolynomial(_essential_coeffs(n - 2, r - 1))
-    acc = acc + PoincarePolynomial(_essential_coeffs(n - 2, r)).shift(i)
-    acc = acc + PoincarePolynomial(_essential_coeffs(n - 2, r - 1)).shift(j)
-    return acc.coeffs
+_TABLE_BUDGET = 1 << 21  # table entries one essential_poincare or witt_decompose_whole may fill
 
 
 def _table(n: int, r: int, levels: int):
@@ -179,15 +170,44 @@ def _admit(sizes, limit: int, unit: str, caller: str, **args) -> None:
             )
 
 
+def _filled(n: int, r: int, witt_h: int, unit: str, caller: str, /, **args) -> tuple:
+    """``_witt_whole(n, r, witt_h)``, its parts filled bottom up once their charge fits the budget.
+
+    A part (m, rr) with hh splittings left is charged one entry for each shift it can hold:
+    0..dim_unitary(m, rr) - dim_unitary(b, s), b = n - 2 witt_h, for each rr - hh <= s <= rr.
+    """
+    b = n - 2 * witt_h
+    sizes = (sum(dim_unitary(m, rr) - dim_unitary(b, s) + 1
+                 for s in range(max(0, rr - hh), min(rr, b // 2) + 1))
+             for m, rr, hh in _table(n, r, witt_h))
+    _admit(sizes, _TABLE_BUDGET, unit, caller, **args)
+    for part in _table(n, r, witt_h):
+        _witt_whole(*part)
+    return _witt_whole(n, r, witt_h)
+
+
+@lru_cache(maxsize=None)
+def _witt_whole(n: int, r: int, witt_h: int) -> tuple:
+    """By bottom rank s, the shifts of Essential(n - 2 witt_h, s) (Tate for s = 0) as one
+    dense coefficient tuple each: index shift, value multiplicity, () for none."""
+    if r < 0 or r > n // 2:
+        return ()
+    if r == 0 or witt_h == 0:
+        return ((),) * r + ((1,),)  # Tate (r = 0), or Essential(n, r) itself at s = r
+    lower, upper = _witt_whole(n - 2, r - 1, witt_h - 1), _witt_whole(n - 2, r, witt_h - 1)
+    i, j = _step_shifts(n, r)
+    return tuple(
+        tuple(poly_add(poly_add(lo, (0,) * i + up if up else ()), (0,) * j + lo if lo else ()))
+        for lo, up in zip_longest(lower, upper, fillvalue=())
+    )
+
+
 def essential_poincare(n: int, r: int) -> PoincarePolynomial:
-    """Tate multiplicities of Essential(n, r), expanded through the split recursion."""
+    """Tate multiplicities of Essential(n, r): the whole motive split n // 2 times."""
     if not 0 <= r <= n // 2:
         raise UsageError(f"r={r} out of range for n={n}")
-    sizes = (dim_unitary(m, rr) + 1 for m, rr, _ in _table(n, r, n // 2))
-    _admit(sizes, _ESSENTIAL_BUDGET, "table coefficients", "essential_poincare", n=n, r=r)
-    for m, rr, _ in _table(n, r, n // 2):
-        _essential_coeffs(m, rr)
-    return PoincarePolynomial(_essential_coeffs(n, r))
+    (tate,) = _filled(n, r, n // 2, "table coefficients", "essential_poincare", n=n, r=r)
+    return PoincarePolynomial(tate)
 
 
 def split_quadric_poincare(n: int) -> PoincarePolynomial:
@@ -284,37 +304,13 @@ def cd2_identity_check(n: int) -> bool:
 def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
     """Whole-motive decomposition after splitting ``witt_h`` hyperbolic planes.
 
-    Ends in explicit Tate and Essential summands with multiplicities plus an
-    unspecified SpecK residual bucket (individual SpecK shifts are never
-    computed).  A part (m, rr) with hh splittings left holds at most 3^hh entries
-    Essential(b = n - 2 witt_h, s) (Tate for s = 0), rr - hh <= s <= rr, at shifts up to
-    dim_unitary(m, rr) - dim_unitary(b, s); parts are filled once these bounds sum within budget.
+    Ends in explicit Tate and Essential(n - 2 witt_h, s) summands with multiplicities
+    plus an unspecified SpecK residual bucket (individual SpecK shifts are never
+    computed).
     """
     if witt_h < 0 or witt_h > n // 2:
         raise UsageError(f"witt_h={witt_h} out of range for n={n}")
-    b = n - 2 * witt_h
-    sizes = (min(3 ** hh, sum(dim_unitary(m, rr) - dim_unitary(b, s) + 1
-                              for s in range(max(0, rr - hh), min(rr, b // 2) + 1)))
-             for m, rr, hh in _table(n, r, witt_h))
-    _admit(sizes, _WITT_BUDGET, "table entries", "witt_decompose_whole", n=n, r=r, witt_h=witt_h)
-    for part in _table(n, r, witt_h):
-        _witt_whole(*part)
-    return Motive(dict(_witt_whole(n, r, witt_h)), speck_residual=1 <= r <= n // 2)
-
-
-@lru_cache(maxsize=None)
-def _witt_whole(n: int, r: int, witt_h: int) -> tuple:
-    """The distinct (atom, shift) summands with their multiplicities, as mapping items."""
-    if r < 0 or r > n // 2:
-        return ()
-    if r == 0:
-        return (((TATE, 0), 1),)
-    if witt_h == 0:
-        return (((essential(n, r), 0), 1),)
-    lower, upper = _witt_whole(n - 2, r - 1, witt_h - 1), _witt_whole(n - 2, r, witt_h - 1)
-    i, j = _step_shifts(n, r)
-    out = Counter()
-    for part, shift in ((lower, 0), (upper, i), (lower, j)):
-        for (atom, s), m in part:
-            out[atom, s + shift] += m
-    return tuple(out.items())
+    by_s = _filled(n, r, witt_h, "table entries", "witt_decompose_whole", n=n, r=r, witt_h=witt_h)
+    atoms = [TATE] + [essential(n - 2 * witt_h, s) for s in range(1, len(by_s))]
+    summands = {(a, k): m for a, coeffs in zip(atoms, by_s) for k, m in enumerate(coeffs) if m}
+    return Motive(summands, speck_residual=1 <= r <= n // 2)

@@ -230,8 +230,8 @@ def test_witt_decompose_whole_lists_each_distinct_summand_once(n, r, h, distinct
 
 
 def _predicted_sizes(monkeypatch, n, r, h):
-    # the per-part table-entry bounds witt_decompose_whole hands to its budget
-    # check, in the order of motives._table(n, r, h)
+    # the per-part charges witt_decompose_whole hands to its budget check, in
+    # the order of motives._table(n, r, h)
     def record(sizes, *budget, **args):
         raise LookupError(list(sizes))
 
@@ -246,19 +246,25 @@ def _predicted_entries(monkeypatch, n, r, h):
     return sum(_predicted_sizes(monkeypatch, n, r, h))
 
 
+def _entries(part):
+    # the coefficients in a part's dense tuples, one tuple per bottom rank s
+    return sum(len(coeffs) for coeffs in motives._witt_whole(*part))
+
+
 def _built_entries(n, r, h):
     # entries in every part (n - 2k, rr, h - k) the recursion reaches, with
     # r - k <= rr <= r
     witt_decompose_whole(n, r, h)
     return sum(
-        len(motives._witt_whole(n - 2 * k, rr, h - k))
+        _entries((n - 2 * k, rr, h - k))
         for k in range(h + 1)
         for rr in range(max(1, r - k), min(r, (n - 2 * k) // 2) + 1)
     )
 
 
 def test_witt_table_entry_bound_covers_the_entries_built(monkeypatch):
-    # part by part, so no part is filled past what was admitted
+    # part by part, so no part is filled past what was admitted; fully split,
+    # every part is charged exactly the entries it holds
     for n in range(15):
         for r in range(-1, n // 2 + 2):
             for h in range(n // 2 + 1):
@@ -267,9 +273,10 @@ def test_witt_table_entry_bound_covers_the_entries_built(monkeypatch):
                 parts = list(motives._table(n, r, h))
                 assert len(sizes) == len(parts), (n, r, h)
                 for size, part in zip(sizes, parts):
-                    assert size >= len(motives._witt_whole(*part)), (n, r, h, part)
+                    assert size >= _entries(part), (n, r, h, part)
+                    assert h < n // 2 or size == _entries(part), (n, r, h, part)
     # the unit parts (rr = 0) need no entry and are not counted
-    cases = ((60, 30, 30, 9485, 9428), (30, 12, 12, 10946, 8158), (100, 48, 14, 43509, 11250))
+    cases = ((60, 30, 30, 9485, 9485), (30, 12, 12, 11758, 11242), (100, 48, 14, 51857, 48069))
     for n, r, h, predicted, built in cases:
         motives._witt_whole.cache_clear()
         assert _predicted_entries(monkeypatch, n, r, h) == predicted
@@ -277,24 +284,24 @@ def test_witt_table_entry_bound_covers_the_entries_built(monkeypatch):
 
 
 def test_witt_decompose_whole_refuses_before_any_part_is_filled(monkeypatch):
-    # (8, 2, 3) builds 35 table entries under a bound of 52
+    # (8, 2, 3) builds 89 table entries under a charge of 101
     motives._witt_whole.cache_clear()
-    assert _built_entries(8, 2, 3) == 35
-    monkeypatch.setattr(motives, "_WITT_BUDGET", 52)
+    assert _built_entries(8, 2, 3) == 89
+    monkeypatch.setattr(motives, "_TABLE_BUDGET", 101)
     motives._witt_whole.cache_clear()
     assert sum(m for _, m in witt_decompose_whole(8, 2, 3).summands) == 18
-    monkeypatch.setattr(motives, "_WITT_BUDGET", 51)
+    monkeypatch.setattr(motives, "_TABLE_BUDGET", 100)
     motives._witt_whole.cache_clear()
-    message = "n=8, r=2, witt_h=3 needs at least 52 table entries, limit 51$"
+    message = "n=8, r=2, witt_h=3 needs at least 101 table entries, limit 100$"
     with pytest.raises(BudgetError, match=message):
         witt_decompose_whole(8, 2, 3)
     assert motives._witt_whole.cache_info().currsize == 0
 
 
 def test_witt_decompose_whole_refuses_large_cases_at_once():
-    # the bound is summed bottom up and stops at the limit, so refusing
-    # 7.8 * 10^8 predicted entries (2000, 10, 900) is as quick as refusing 2 * 10^6
-    cases = ((100, 40, 40), (200, 50, 100), (2000, 1, 1000), (2000, 10, 900), (1000, 400, 500))
+    # the charge is summed bottom up and stops at the limit, so refusing
+    # (2000, 10, 900) is as quick as refusing (200, 50, 100), which needs 2098349
+    cases = ((100, 40, 40), (200, 50, 100), (2000, 10, 900), (1000, 400, 500))
     for n, r, h in cases:
         motives._witt_whole.cache_clear()
         start = time.perf_counter()

@@ -217,28 +217,33 @@ def test_hermitian_index_is_one_chain():
 
 
 def test_whole_motive_decomposition_is_one_recursion():
-    # summands are counted from the multiplicities _witt_whole returns, so no
-    # twin recursion on witt_h counts them
+    # Essential(n, r) and the whole motive split planes through one memoised
+    # recursion: no other function of motives calls itself, and
+    # essential_poincare reads the whole motive's table
     tree = ast.parse((SRC / "motives.py").read_text(encoding="utf-8"))
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    assert "_whole_summands" not in {f.name for f in functions}
-    recursing = [
-        f.name
+    calls = {
+        f.name: {getattr(n.func, "id", None) for n in ast.walk(f) if isinstance(n, ast.Call)}
         for f in functions
-        for call in ast.walk(f)
-        if isinstance(call, ast.Call)
-        and getattr(call.func, "id", None) == f.name
-        and any(getattr(n, "id", None) == "witt_h" for a in call.args for n in ast.walk(a))
-    ]
-    assert sorted(set(recursing)) == ["_witt_whole"], recursing
+    }
+    assert [name for name, called in calls.items() if name in called] == ["_witt_whole"], calls
+    reached, todo = set(), ["essential_poincare"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo.extend(calls.get(name, set()) & calls.keys() - reached)
+    assert "_witt_whole" in reached, reached
+    # one budget for both, and no second table
+    assert [name for name in vars(motives) if name.endswith("_BUDGET")] == ["_TABLE_BUDGET"]
+    for gone in ("_essential_coeffs", "_whole_summands", "Counter"):
+        assert not hasattr(motives, gone), gone
     # a motive is a multiplicity map: no summand list to shift (test_records
-    # checks that + refuses), and no budget on expanded summands
+    # checks that + refuses)
     assert "shifted" not in vars(motives.Motive), vars(motives.Motive)
-    assert not hasattr(motives, "_SUMMAND_BUDGET")
     # the parts are filled bottom up through _table before the whole is read
-    whole = next(f for f in functions if f.name == "witt_decompose_whole")
+    filled = next(f for f in functions if f.name == "_filled")
     lines = {
-        name: min(n.lineno for n in ast.walk(whole) if getattr(n, "id", None) == name)
+        name: min(n.lineno for n in ast.walk(filled) if getattr(n, "id", None) == name)
         for name in ("_table", "_witt_whole")
     }
     assert lines["_table"] < lines["_witt_whole"], lines
@@ -292,7 +297,7 @@ def test_mutant_ledger_snippets_occur_once():
     # a refactor that moves mutated code must move its ledger entries with it
     root = Path(__file__).resolve().parents[1]
     entries = json.loads((root / "tests" / "data" / "mutants.json").read_text(encoding="utf-8"))
-    assert len(entries) >= 24
+    assert len(entries) >= 26
     assert len({e["id"] for e in entries}) == len(entries)
     for e in entries:
         text = (root / e["file"]).read_text(encoding="utf-8")

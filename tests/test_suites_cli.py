@@ -152,7 +152,7 @@ def test_essential_table_budget_exceeded_exits_1(capsys, command):
         ),
         (
             "decompose 200 50 --witt 100",
-            f"n=200, r=50, witt_h=100 needs at least 1050645 table entries, limit {1 << 20}",
+            f"n=200, r=50, witt_h=100 needs at least 2098349 table entries, limit {1 << 21}",
         ),
     ],
 )
@@ -168,8 +168,9 @@ def test_whole_ring_and_whole_motive_walks_refuse_before_they_start(capsys, argv
     "argv, summands",
     [
         ("998 1 --witt 499", 998),
+        ("2000 1 --witt 1000", 2000),
         ("60 30 --witt 30", 899),
-        # r near n / 2 with few splittings: each part is charged at most 3^h entries
+        # r near n / 2 with few splittings: (240, 120, 1) is charged 241 entries
         ("240 120 --witt 0", 1),
         ("240 120 --witt 1", 2),
     ],
@@ -181,16 +182,34 @@ def test_decompose_reaches_h_past_the_recursion_limit(capsys, argv, summands):
     assert len(json.loads(out)["summands"]) == summands
 
 
-@pytest.mark.parametrize(
-    "argv", ["2000 1 --witt 1000", "1000 400 --witt 500", "2000 10 --witt 900", "200 50 --witt 100"]
-)
+def test_decompose_answers_few_splittings_of_a_wide_range(capsys):
+    # (998, 2, 137) is charged 1087963 entries and builds 1012887; its summands,
+    # each Essential(724, s) expanded, realize Essential(998, 2)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["decompose", "998", "2", "--witt", "137"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    total = PoincarePolynomial()
+    for summand in data["summands"]:
+        atom, shift, m = summand["atom"], summand["shift"], summand["multiplicity"]
+        unit = PoincarePolynomial.one()
+        if atom != "Tate":
+            b, s = map(int, atom.removeprefix("Essential(").removesuffix(")").split(","))
+            assert b == 998 - 2 * 137
+            unit = motives.essential_poincare(b, s)
+        total = total + (unit * PoincarePolynomial((m,))).shift(shift)
+    assert total == data["poincare"] == motives.essential_poincare(998, 2)
+
+
+@pytest.mark.parametrize("argv", ["1000 400 --witt 500", "2000 10 --witt 900", "200 50 --witt 100"])
 def test_decompose_refuses_past_the_table_entry_budget(capsys, argv):
     start = time.perf_counter()
     code, out, err = _run(capsys, ["decompose", *argv.split()])
     assert time.perf_counter() - start < 2
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.startswith("resource error: witt_decompose_whole budget exceeded: ")
-    assert err.endswith(f" table entries, limit {1 << 20}\n"), err
+    assert err.endswith(f" table entries, limit {1 << 21}\n"), err
 
 
 def test_primerchik_past_r10_refuses_the_whole_ring():
@@ -459,8 +478,9 @@ ANNIHILATE_INPUTS = [
 
 @pytest.mark.parametrize("argv", ANNIHILATE_INPUTS, ids=" ".join)
 def test_annihilate_quotient_is_rank_of_multiplication(capsys, argv):
-    # the CLI reads the quotient off the annihilator dimensions (rank-nullity);
-    # the ranks of multiplication by the element must give the same polynomial
+    # the CLI reads both lists off the ranks of multiplication by the element;
+    # the annihilator's kernel elements must have the dimensions it prints, and
+    # the quotient is what they leave of each degree (rank-nullity)
     code, out, _ = _run(capsys, ["annihilate", *argv])
     data = json.loads(out)
     kind, param = argv[0], int(argv[1])
@@ -469,8 +489,23 @@ def test_annihilate_quotient_is_rank_of_multiplication(capsys, argv):
     else:
         ring = grassmann.odd_quotient_ring(param)
     elt = ring.element(data["element"])
+    ann = grassmann.annihilator(elt, ring)
+    degrees = range(ring.max_degree + 1)
     assert code == 0
-    assert data["quotient_poincare"] == grassmann._quotient_poincare(ring, elt).to_list()
+    assert data["annihilator_dims"] == [len(ann[d]) for d in degrees]
+    quotient = PoincarePolynomial([len(ring.degree_basis(d)) - len(ann[d]) for d in degrees])
+    assert data["quotient_poincare"] == quotient.to_list()
+
+
+def test_annihilate_builds_no_kernel_element(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("annihilate built the annihilator's kernel elements")
+
+    monkeypatch.setattr(grassmann, "annihilator", refuse)
+    for argv in ANNIHILATE_INPUTS:
+        code, out, err = _run(capsys, ["annihilate", *argv])
+        assert code == 0 and err == "", (argv, err)
+        assert sum(json.loads(out)["annihilator_dims"]) > 0, argv
 
 
 def test_suite_options_default_ranges():
