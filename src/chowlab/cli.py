@@ -24,7 +24,6 @@ from .finitefields import (
     trace_quadratic,
     witt_index_hermitian,
 )
-from .polynomials import PoincarePolynomial
 from .weil import build as build_weil
 
 
@@ -82,18 +81,16 @@ def _cmd_annihilate(args) -> int:
         raise UsageError("the canonical class needs an even rank; pass --element")
     else:
         ring, elt = grassmann.class_xr_even(args.param // 2)
-    # rank-nullity on multiplication by x: dim Ann(x)_d = dim ring_d - rank, and the
-    # quotient ring/Ann(x) has the rank in degree d; no kernel element is built
-    degrees = [
-        (len(basis), 0 if span is None else span.rank)
-        for basis, span in grassmann._times_x(ring, elt)
-    ]
+    # rank-nullity: ring/Ann(x) has the rank of multiplication by x in each degree,
+    # and Ann(x) the rest, so no kernel element is built
+    quotient = grassmann._quotient_poincare(ring, elt)
+    degrees = range(ring.max_degree + 1)
     _emit(
         {
             "ring": {"kind": args.ring, "param": args.param},
             "element": elt.to_pairs(),
-            "annihilator_dims": [size - rank for size, rank in degrees],
-            "quotient_poincare": PoincarePolynomial([rank for _, rank in degrees]).to_list(),
+            "annihilator_dims": [len(ring.degree_basis(d)) - quotient[d] for d in degrees],
+            "quotient_poincare": quotient.to_list(),
         }
     )
     return 0

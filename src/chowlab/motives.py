@@ -11,9 +11,8 @@ plane off a rank-n space:
 
 with Essential(n, 0) the Tate unit and out-of-range atoms zero.
 
-One memoised recursion splits h planes into dense shift tuples per bottom atom:
-``essential_poincare`` reads it at h = n // 2, ``witt_decompose_whole`` at any h,
-both under one charge and one budget of table entries.
+One memoised recursion splits h planes for ``essential_poincare`` (h = n // 2) and
+``witt_decompose_whole`` (any h), under one charge and one budget of table entries.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from itertools import zip_longest
 
 from .errors import BudgetError, ChowlabError, UsageError
 from .finitefields import orth_count_polynomial
-from .polynomials import PoincarePolynomial, poly_add, poly_divexact, poly_mul, poly_sub
+from .polynomials import PoincarePolynomial, poly_divexact, poly_mul, poly_sub
 
 
 # -- dimensions ------------------------------------------------------------
@@ -171,14 +170,14 @@ def _admit(sizes, limit: int, unit: str, caller: str, **args) -> None:
 
 
 def _filled(n: int, r: int, witt_h: int, unit: str, caller: str, /, **args) -> tuple:
-    """``_witt_whole(n, r, witt_h)``, its parts filled bottom up once their charge fits the budget.
-
-    A part (m, rr) with hh splittings left is charged one entry for each shift it can hold:
-    0..dim_unitary(m, rr) - dim_unitary(b, s), b = n - 2 witt_h, for each rr - hh <= s <= rr.
+    """``_witt_whole(n, r, witt_h)``, its parts filled bottom up once their charge fits the budget:
+    a part (m, rr) with hh splittings left holds at most 3^hh entries Essential(b, s),
+    b = n - 2 witt_h, rr - hh <= s <= rr, at shifts 0..dim_unitary(m, rr) - dim_unitary(b, s),
+    and is charged the smaller of 3^hh and the number of shifts.
     """
     b = n - 2 * witt_h
-    sizes = (sum(dim_unitary(m, rr) - dim_unitary(b, s) + 1
-                 for s in range(max(0, rr - hh), min(rr, b // 2) + 1))
+    sizes = (min(3 ** hh, sum(dim_unitary(m, rr) - dim_unitary(b, s) + 1
+                              for s in range(max(0, rr - hh), min(rr, b // 2) + 1)))
              for m, rr, hh in _table(n, r, witt_h))
     _admit(sizes, _TABLE_BUDGET, unit, caller, **args)
     for part in _table(n, r, witt_h):
@@ -188,18 +187,22 @@ def _filled(n: int, r: int, witt_h: int, unit: str, caller: str, /, **args) -> t
 
 @lru_cache(maxsize=None)
 def _witt_whole(n: int, r: int, witt_h: int) -> tuple:
-    """By bottom rank s, the shifts of Essential(n - 2 witt_h, s) (Tate for s = 0) as one
-    dense coefficient tuple each: index shift, value multiplicity, () for none."""
+    """By bottom rank s, the distinct shifts of Essential(n - 2 witt_h, s) (Tate for s = 0)
+    and their multiplicities, as one pair (shifts, multiplicities) of equal-length tuples."""
     if r < 0 or r > n // 2:
         return ()
     if r == 0 or witt_h == 0:
-        return ((),) * r + ((1,),)  # Tate (r = 0), or Essential(n, r) itself at s = r
+        return (((), ()),) * r + (((0,), (1,)),)  # Tate (r = 0), or Essential(n, r) at s = r
     lower, upper = _witt_whole(n - 2, r - 1, witt_h - 1), _witt_whole(n - 2, r, witt_h - 1)
     i, j = _step_shifts(n, r)
-    return tuple(
-        tuple(poly_add(poly_add(lo, (0,) * i + up if up else ()), (0,) * j + lo if lo else ()))
-        for lo, up in zip_longest(lower, upper, fillvalue=())
-    )
+    by_s = []
+    for lo, up in zip_longest(lower, upper, fillvalue=((), ())):
+        acc = dict(zip(*lo))
+        for shift, (ks, ms) in ((i, up), (j, lo)):
+            for k, m in zip(ks, ms):
+                acc[k + shift] = acc.get(k + shift, 0) + m
+        by_s.append((tuple(acc), tuple(acc.values())))
+    return tuple(by_s)
 
 
 def essential_poincare(n: int, r: int) -> PoincarePolynomial:
@@ -207,7 +210,8 @@ def essential_poincare(n: int, r: int) -> PoincarePolynomial:
     if not 0 <= r <= n // 2:
         raise UsageError(f"r={r} out of range for n={n}")
     (tate,) = _filled(n, r, n // 2, "table coefficients", "essential_poincare", n=n, r=r)
-    return PoincarePolynomial(tate)
+    multiplicity = dict(zip(*tate))
+    return PoincarePolynomial([multiplicity.get(k, 0) for k in range(dim_unitary(n, r) + 1)])
 
 
 def split_quadric_poincare(n: int) -> PoincarePolynomial:
@@ -312,5 +316,5 @@ def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
         raise UsageError(f"witt_h={witt_h} out of range for n={n}")
     by_s = _filled(n, r, witt_h, "table entries", "witt_decompose_whole", n=n, r=r, witt_h=witt_h)
     atoms = [TATE] + [essential(n - 2 * witt_h, s) for s in range(1, len(by_s))]
-    summands = {(a, k): m for a, coeffs in zip(atoms, by_s) for k, m in enumerate(coeffs) if m}
+    summands = {(a, k): m for a, (ks, ms) in zip(atoms, by_s) for k, m in zip(ks, ms)}
     return Motive(summands, speck_residual=1 <= r <= n // 2)

@@ -170,7 +170,7 @@ def test_whole_ring_and_whole_motive_walks_refuse_before_they_start(capsys, argv
         ("998 1 --witt 499", 998),
         ("2000 1 --witt 1000", 2000),
         ("60 30 --witt 30", 899),
-        # r near n / 2 with few splittings: (240, 120, 1) is charged 241 entries
+        # r near n / 2 with few splittings: each part is charged at most 3^h entries
         ("240 120 --witt 0", 1),
         ("240 120 --witt 1", 2),
     ],
@@ -183,7 +183,7 @@ def test_decompose_reaches_h_past_the_recursion_limit(capsys, argv, summands):
 
 
 def test_decompose_answers_few_splittings_of_a_wide_range(capsys):
-    # (998, 2, 137) is charged 1087963 entries and builds 1012887; its summands,
+    # (998, 2, 137) is charged 1055423 entries and builds 93437; its summands,
     # each Essential(724, s) expanded, realize Essential(998, 2)
     start = time.perf_counter()
     code, out, err = _run(capsys, ["decompose", "998", "2", "--witt", "137"])
