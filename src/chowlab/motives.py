@@ -1,29 +1,33 @@
-"""Formal motive bookkeeping: isotropic decomposition recursion and its arithmetic.
+"""Formal motive bookkeeping: the motive of X_r(h) and the comparisons built on it.
 
 Atoms are Tate, SpecK (the class of the quadratic extension point) and
 Essential(n, r) (the part of the rank-r isotropic grassmannian motive
-complementary to all SpecK shifts).  The recursion splits one hyperbolic
-plane off a rank-n space:
+complementary to all SpecK shifts).  Split h hyperbolic planes off a rank-n
+space and let b = n - 2h, s the bottom rank, k = r - s and e = h - k >= 0: the
+shifts of Essential(b, s) (Tate for s = 0) have the generating polynomial
 
-    Essential(n, r) = Essential(n-2, r-1)
-                      + Essential(n-2, r)(2r)
-                      + Essential(n-2, r-1)(2n-2r-1)
+    P_s(t) = t^(2se) [h; k]_{t^2} prod_{i<k} (1 + t^(2(b-s+e)+2i+1)),
 
-with Essential(n, 0) the Tate unit and out-of-range atoms zero.
-
-One memoised recursion splits h planes for ``essential_poincare`` (h = n // 2) and
-``witt_decompose_whole`` (any h), under one charge and one budget of table entries.
+from the sigma-fixed Schubert words and the q-binomial theorem.
+``witt_decompose_whole`` names the atoms of every P_s, ``essential_poincare`` is
+P_0 at h = n // 2, and ``decompose_step`` splits one plane (h = 1).  The products
+are refused, before their first pass, past one budget of coefficient updates.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
-from itertools import zip_longest
 
 from .errors import BudgetError, ChowlabError, UsageError
 from .finitefields import orth_count_polynomial
-from .polynomials import PoincarePolynomial, poly_divexact, poly_mul, poly_sub
+from .polynomials import (
+    PoincarePolynomial,
+    gaussian_binomial,
+    poly_divexact,
+    poly_mul,
+    poly_mul_binomial,
+    poly_sub,
+)
 
 
 # -- dimensions ------------------------------------------------------------
@@ -143,75 +147,40 @@ def decompose_step(n: int, r: int) -> Motive:
     return Motive({(essential(n - 2, rr), s): 1 for rr, s in steps if 0 <= rr <= (n - 2) // 2})
 
 
-_TABLE_BUDGET = 1 << 21  # table entries one essential_poincare or witt_decompose_whole may fill
+_MOTIVE_BUDGET = 1 << 24  # coefficient updates one call's motive products may make
 
 
-def _table(n: int, r: int, levels: int):
-    """The parts (m, rr) with rr >= 1 that (n, r) reaches in ``levels`` splittings, bottom up.
+def _shift_polynomials(n: int, r: int, h: int, label: str) -> list:
+    """By bottom rank s, (atom, 2se, coefficients of P_s / t^(2se)) for the motive of X_r(h).
 
-    Each comes with the splittings left below it; filled in this order, each part
-    recurses one level whatever n is.  rr = 0 is the unit and needs no entry.
+    P_s takes 2 min(k, e) + k + 1 passes (the Gaussian binomial's, its spread into t^2,
+    the k products), each over at most its deg P_s + 1 coefficients.  Their sum over s is
+    charged first; past the budget the call is refused with ``label`` before any pass.
     """
-    for m in range(n - 2 * levels, n + 1, 2):
-        for rr in range(max(1, r - (n - m) // 2), min(r, m // 2) + 1):
-            yield m, rr, levels - (n - m) // 2
-
-
-def _admit(sizes, limit: int, unit: str, caller: str, **args) -> None:
-    """Refuse ``caller(**args)`` as soon as the running total of ``sizes`` passes ``limit``."""
-    needed = 0
-    for size in sizes:
-        needed += size
-        if needed > limit:
-            named = ", ".join(f"{k}={v}" for k, v in args.items())
-            raise BudgetError(
-                f"{caller} budget exceeded: {named} needs at least {needed} {unit}, limit {limit}"
-            )
-
-
-def _filled(n: int, r: int, witt_h: int, unit: str, caller: str, /, **args) -> tuple:
-    """``_witt_whole(n, r, witt_h)``, its parts filled bottom up once their charge fits the budget:
-    a part (m, rr) with hh splittings left holds at most 3^hh entries Essential(b, s),
-    b = n - 2 witt_h, rr - hh <= s <= rr, at shifts 0..dim_unitary(m, rr) - dim_unitary(b, s),
-    and is charged the smaller of 3^hh and the number of shifts.
-    """
-    b = n - 2 * witt_h
-    sizes = (min(3 ** hh, sum(dim_unitary(m, rr) - dim_unitary(b, s) + 1
-                              for s in range(max(0, rr - hh), min(rr, b // 2) + 1)))
-             for m, rr, hh in _table(n, r, witt_h))
-    _admit(sizes, _TABLE_BUDGET, unit, caller, **args)
-    for part in _table(n, r, witt_h):
-        _witt_whole(*part)
-    return _witt_whole(n, r, witt_h)
-
-
-@lru_cache(maxsize=None)
-def _witt_whole(n: int, r: int, witt_h: int) -> tuple:
-    """By bottom rank s, the distinct shifts of Essential(n - 2 witt_h, s) (Tate for s = 0)
-    and their multiplicities, as one pair (shifts, multiplicities) of equal-length tuples."""
-    if r < 0 or r > n // 2:
-        return ()
-    if r == 0 or witt_h == 0:
-        return (((), ()),) * r + (((0,), (1,)),)  # Tate (r = 0), or Essential(n, r) at s = r
-    lower, upper = _witt_whole(n - 2, r - 1, witt_h - 1), _witt_whole(n - 2, r, witt_h - 1)
-    i, j = _step_shifts(n, r)
-    by_s = []
-    for lo, up in zip_longest(lower, upper, fillvalue=((), ())):
-        acc = dict(zip(*lo))
-        for shift, (ks, ms) in ((i, up), (j, lo)):
-            for k, m in zip(ks, ms):
-                acc[k + shift] = acc.get(k + shift, 0) + m
-        by_s.append((tuple(acc), tuple(acc.values())))
-    return tuple(by_s)
+    b = n - 2 * h
+    ranks = [(s, r - s, h - r + s) for s in range(max(0, r - h), min(r, b // 2) + 1)]
+    needed = sum(
+        (2 * min(k, e) + k + 1) * (2 * k * (b - s + 2 * e) + k * k + 1) for s, k, e in ranks
+    )
+    if needed > _MOTIVE_BUDGET:
+        raise BudgetError(f"{label} needs {needed} coefficient updates, limit {_MOTIVE_BUDGET}")
+    polys = []
+    for s, k, e in ranks:
+        coeffs = [0] * (2 * k * e + 1)
+        coeffs[::2] = gaussian_binomial(h, k)
+        for i in range(k):
+            poly_mul_binomial(coeffs, 2 * (b - s + e) + 2 * i + 1)
+        polys.append((essential(b, s) if s else TATE, 2 * s * e, coeffs))
+    return polys
 
 
 def essential_poincare(n: int, r: int) -> PoincarePolynomial:
-    """Tate multiplicities of Essential(n, r): the whole motive split n // 2 times."""
+    """Tate multiplicities of Essential(n, r): P_0 of the whole motive split n // 2 times."""
     if not 0 <= r <= n // 2:
         raise UsageError(f"r={r} out of range for n={n}")
-    (tate,) = _filled(n, r, n // 2, "table coefficients", "essential_poincare", n=n, r=r)
-    multiplicity = dict(zip(*tate))
-    return PoincarePolynomial([multiplicity.get(k, 0) for k in range(dim_unitary(n, r) + 1)])
+    label = f"essential_poincare budget exceeded: n={n}, r={r}"
+    ((_, _, coeffs),) = _shift_polynomials(n, r, n // 2, label)
+    return PoincarePolynomial(coeffs)
 
 
 def split_quadric_poincare(n: int) -> PoincarePolynomial:
@@ -314,7 +283,9 @@ def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
     """
     if witt_h < 0 or witt_h > n // 2:
         raise UsageError(f"witt_h={witt_h} out of range for n={n}")
-    by_s = _filled(n, r, witt_h, "table entries", "witt_decompose_whole", n=n, r=r, witt_h=witt_h)
-    atoms = [TATE] + [essential(n - 2 * witt_h, s) for s in range(1, len(by_s))]
-    summands = {(a, k): m for a, (ks, ms) in zip(atoms, by_s) for k, m in zip(ks, ms)}
+    label = f"witt_decompose_whole budget exceeded: n={n}, r={r}, witt_h={witt_h}"
+    polys = _shift_polynomials(n, r, witt_h, label)
+    summands = {
+        (atom, shift + d): m for atom, shift, coeffs in polys for d, m in enumerate(coeffs) if m
+    }
     return Motive(summands, speck_residual=1 <= r <= n // 2)

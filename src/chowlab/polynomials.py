@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate
+
 from .errors import ExactDivisionError, UsageError
 
 
@@ -151,3 +154,33 @@ def poly_divexact(num, den) -> list[int]:
     if any(num):
         raise ExactDivisionError("non-zero remainder in exact division")
     return out
+
+
+def poly_mul_binomial(coeffs: list, j: int, sign: int = 1) -> None:
+    """Multiply ``coeffs`` in place by 1 + sign * t^j (j >= 0, sign = +-1): one pass."""
+    coeffs += [0] * j
+    op = operator.add if sign > 0 else operator.sub
+    coeffs[j:] = map(op, coeffs[j:], coeffs[: len(coeffs) - j])
+
+
+def poly_div_one_minus(coeffs: list, j: int) -> None:
+    """Divide ``coeffs`` in place exactly by 1 - t^j (j >= 1): one pass; a remainder raises."""
+    # in each residue class mod j the quotient is the prefix sums; exact when the top j vanish
+    for a in range(j):
+        coeffs[a::j] = accumulate(coeffs[a::j])
+    if any(coeffs[-j:]):
+        raise ExactDivisionError(f"non-zero remainder in division by 1 - t^{j}")
+    del coeffs[-j:]
+
+
+def gaussian_binomial(n: int, k: int) -> list[int]:
+    """Coefficients of the Gaussian binomial [n; k]_t (0 <= k <= n): 2 min(k, n - k) passes.
+
+    Step i leaves [n - k + i; i]_t, so each division is exact.
+    """
+    k = min(k, n - k)
+    coeffs = [1]
+    for i in range(1, k + 1):
+        poly_mul_binomial(coeffs, n - k + i, -1)
+        poly_div_one_minus(coeffs, i)
+    return coeffs

@@ -1,12 +1,15 @@
-"""Motive recursion, dimension formulas and the reported comparisons."""
+"""Motive products and their recursion oracle, dimension formulas and the reported comparisons."""
 
+import functools
+import random
+import re
 import time
 from collections import Counter
 
 import pytest
 
-from chowlab import motives
-from chowlab.errors import BudgetError, ChowlabError, UsageError
+from chowlab import motives, polynomials
+from chowlab.errors import BudgetError, ChowlabError, ExactDivisionError, UsageError
 from chowlab.motives import (
     Motive,
     TATE,
@@ -22,7 +25,15 @@ from chowlab.motives import (
     split_quadric_poincare,
     witt_decompose_whole,
 )
-from chowlab.polynomials import PoincarePolynomial, poly_divexact, poly_mul
+from chowlab.polynomials import (
+    PoincarePolynomial,
+    gaussian_binomial,
+    poly_add,
+    poly_div_one_minus,
+    poly_divexact,
+    poly_mul,
+    poly_mul_binomial,
+)
 
 
 def test_dim_unitary_values():
@@ -210,13 +221,36 @@ def _three_call_decompose(n, r, h):
     )
 
 
+@functools.cache
+def _recursion(n, r, h):
+    # _three_call_decompose on distinct summands, each (n, r, h) built once:
+    # (atom, shift) -> multiplicity
+    if r < 0 or r > n // 2:
+        return Counter()
+    if r == 0:
+        return Counter({(TATE, 0): 1})
+    if h == 0:
+        return Counter({(essential(n, r), 0): 1})
+    i, j = motives._step_shifts(n, r)
+    out = Counter(_recursion(n - 2, r - 1, h - 1))
+    for shift, part in ((i, _recursion(n - 2, r, h - 1)), (j, _recursion(n - 2, r - 1, h - 1))):
+        for (atom, s), m in part.items():
+            out[atom, s + shift] += m
+    return out
+
+
 def test_witt_decompose_whole_matches_three_call_recursion():
-    for n in range(13):
+    # the product against the recursion it replaces: as first written up to
+    # n = 12, memoised on distinct summands up to n = 30 (about a second)
+    for n in range(31):
         for r in range(-1, n // 2 + 2):
             for h in range(n // 2 + 1):
                 m = witt_decompose_whole(n, r, h)
-                assert dict(m.summands) == Counter(_three_call_decompose(n, r, h)), (n, r, h)
+                assert dict(m.summands) == _recursion(n, r, h), (n, r, h)
                 assert m.speck_residual == (1 <= r <= n // 2), (n, r, h)
+                if n <= 12:
+                    assert _recursion(n, r, h) == Counter(_three_call_decompose(n, r, h))
+    _recursion.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -225,8 +259,6 @@ def test_witt_decompose_whole_matches_three_call_recursion():
         (30, 12, 12, 984, 208896),
         (60, 30, 30, 899, 1 << 30),
         (100, 5, 50, 836, 67800320),
-        # few splittings of a wide shift range: one entry per possible shift would
-        # pass the budget (2.5 to 3.8 million), at most 3^h a part does not
         (2000, 400, 10, 1551, 3 ** 10),
         (998, 400, 12, 3094, 3 ** 12),
         (1000, 250, 11, 2223, 3 ** 11),
@@ -238,108 +270,154 @@ def test_witt_decompose_whole_lists_each_distinct_summand_once(n, r, h, distinct
     assert sum(mult for _, mult in m.summands) == summands
 
 
-def _predicted_sizes(monkeypatch, n, r, h):
-    # the per-part charges witt_decompose_whole hands to its budget check, in
-    # the order of motives._table(n, r, h)
-    def record(sizes, *budget, **args):
-        raise LookupError(list(sizes))
-
-    monkeypatch.setattr(motives, "_admit", record)
-    with pytest.raises(LookupError) as exc:
-        witt_decompose_whole(n, r, h)
-    monkeypatch.undo()
-    return exc.value.args[0]
-
-
-def _predicted_entries(monkeypatch, n, r, h):
-    return sum(_predicted_sizes(monkeypatch, n, r, h))
-
-
-def _entries(part):
-    # the distinct shifts a part holds over all bottom ranks s
-    return sum(len(shifts) for shifts, _ in motives._witt_whole(*part))
+def _expanded(motive) -> list[int]:
+    # the motive's Tate realization, each Essential(b, s) expanded through the
+    # unitary count prod (1 - (-t)^i) / prod (1 - t^(2i)), one kernel pass a factor
+    by_atom = {}
+    for (atom, shift), m in motive.summands:
+        by_atom.setdefault(atom, {})[shift] = m
+    total = []
+    for atom, shifts in by_atom.items():
+        coeffs = [shifts.get(d, 0) for d in range(max(shifts) + 1)]
+        if atom.kind == "Essential":
+            for i in range(atom.n - 2 * atom.r + 1, atom.n + 1):
+                poly_mul_binomial(coeffs, i, (-1) ** (i + 1))
+            for i in range(1, atom.r + 1):
+                poly_div_one_minus(coeffs, 2 * i)
+        total = poly_add(total, coeffs)
+    return total
 
 
-def _built_entries(n, r, h):
-    # entries in every part (n - 2k, rr, h - k) the recursion reaches, with
-    # r - k <= rr <= r
-    witt_decompose_whole(n, r, h)
-    return sum(
-        _entries((n - 2 * k, rr, h - k))
-        for k in range(h + 1)
-        for rr in range(max(1, r - k), min(r, (n - 2 * k) // 2) + 1)
-    )
+@pytest.mark.parametrize(
+    "n, r, h, distinct, summands",
+    [
+        (998, 2, 300, 2393, 180001),
+        (200, 50, 100, 12401, 113593555425077806298992700032708703623839744),
+        (100, 40, 40, 32092, 2084251666294505472),
+        (2000, 10, 900, 196341, 94105080907592896204715601),
+    ],
+)
+def test_witt_decompose_whole_answers_what_the_table_charge_refused(n, r, h, distinct, summands):
+    start = time.perf_counter()
+    m = witt_decompose_whole(n, r, h)
+    assert time.perf_counter() - start < 2
+    assert len(m.summands) == distinct
+    assert sum(mult for _, mult in m.summands) == summands
+    assert _expanded(m) == essential_poincare(n, r).to_list()
 
 
-def test_witt_table_entry_bound_covers_the_entries_built(monkeypatch):
-    # part by part, so no part is filled past what was admitted
+@pytest.mark.parametrize("n, r", [(1000, 3), (400, 10)])
+def test_essential_poincare_answers_what_the_table_charge_refused(n, r):
+    start = time.perf_counter()
+    p = essential_poincare(n, r)
+    assert time.perf_counter() - start < 2
+    assert p.to_list() == _unitary_count(n, r)
+
+
+def test_binomial_passes_match_dense_arithmetic():
+    rng = random.Random(5)
+    for _ in range(200):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))] + [1]
+        j = rng.randint(0, 6)
+        for sign in (1, -1):
+            coeffs = list(a)
+            poly_mul_binomial(coeffs, j, sign)
+            factor = poly_add([1], [0] * j + [sign])
+            assert coeffs == poly_mul(a, factor), (a, j, sign)
+        if j:
+            coeffs = poly_mul(a, [1] + [0] * (j - 1) + [-1])
+            poly_div_one_minus(coeffs, j)
+            assert coeffs == a
+            coeffs = poly_add(poly_mul(a, [1] + [0] * (j - 1) + [-1]), [0] * (j - 1) + [1])
+            with pytest.raises(ExactDivisionError):
+                poly_div_one_minus(coeffs, j)
+    for n in range(12):
+        for k in range(n + 1):
+            num, den = [1], [1]
+            for i in range(1, k + 1):
+                num = poly_mul(num, [1] + [0] * (n - k + i - 1) + [-1])
+                den = poly_mul(den, [1] + [0] * (i - 1) + [-1])
+            assert gaussian_binomial(n, k) == poly_divexact(num, den), (n, k)
+
+
+def _charge(monkeypatch, n, r, h):
+    # the coefficient updates witt_decompose_whole is charged, read off its refusal
+    with monkeypatch.context() as patch:
+        patch.setattr(motives, "_MOTIVE_BUDGET", 0)
+        with pytest.raises(BudgetError) as exc:
+            witt_decompose_whole(n, r, h)
+    return int(re.search(r"needs (\d+) coefficient updates", str(exc.value)).group(1))
+
+
+def _counted_passes(monkeypatch) -> list[int]:
+    # the coefficients each kernel pass runs over, one entry a pass
+    passes = []
+    mul, div = polynomials.poly_mul_binomial, polynomials.poly_div_one_minus
+
+    def counted_mul(coeffs, j, sign=1):
+        mul(coeffs, j, sign)
+        passes.append(len(coeffs))
+
+    def counted_div(coeffs, j):
+        passes.append(len(coeffs))
+        div(coeffs, j)
+
+    monkeypatch.setattr(polynomials, "poly_mul_binomial", counted_mul)
+    monkeypatch.setattr(motives, "poly_mul_binomial", counted_mul)
+    monkeypatch.setattr(polynomials, "poly_div_one_minus", counted_div)
+    return passes
+
+
+def test_motive_charge_covers_the_coefficient_updates(monkeypatch):
+    passes = _counted_passes(monkeypatch)
     for n in range(15):
-        for r in range(-1, n // 2 + 2):
+        for r in range(n // 2 + 1):
             for h in range(n // 2 + 1):
-                sizes = _predicted_sizes(monkeypatch, n, r, h)
+                needed = _charge(monkeypatch, n, r, h)
+                passes.clear()
                 witt_decompose_whole(n, r, h)
-                parts = list(motives._table(n, r, h))
-                assert len(sizes) == len(parts), (n, r, h)
-                for size, part in zip(sizes, parts):
-                    assert size >= _entries(part), (n, r, h, part)
-    # the unit parts (rr = 0) need no entry and are not counted
-    cases = ((60, 30, 30, 9485, 9428), (30, 12, 12, 10946, 8158), (100, 48, 14, 43509, 11250))
-    for n, r, h, predicted, built in cases:
-        motives._witt_whole.cache_clear()
-        assert _predicted_entries(monkeypatch, n, r, h) == predicted
-        assert _built_entries(n, r, h) == built
+                assert sum(passes) <= needed, (n, r, h, passes, needed)
+    # (300, 150, 150): b = 0 and e = 0, so [150; 150] takes no pass and the 150
+    # products run over at most 22501 coefficients each
+    needed = _charge(monkeypatch, 300, 150, 150)
+    passes.clear()
+    witt_decompose_whole(300, 150, 150)
+    assert (needed, len(passes), max(passes), sum(passes)) == (151 * 22501, 150, 22501, 1136425)
 
 
-def test_witt_decompose_whole_refuses_before_any_part_is_filled(monkeypatch):
-    # (8, 2, 3) builds 35 table entries under a charge of 52
-    motives._witt_whole.cache_clear()
-    assert _built_entries(8, 2, 3) == 35
-    monkeypatch.setattr(motives, "_TABLE_BUDGET", 52)
-    motives._witt_whole.cache_clear()
+def test_witt_decompose_whole_refuses_before_any_pass(monkeypatch):
+    passes = _counted_passes(monkeypatch)
+    needed = _charge(monkeypatch, 8, 2, 3)
+    monkeypatch.setattr(motives, "_MOTIVE_BUDGET", needed)
     assert sum(m for _, m in witt_decompose_whole(8, 2, 3).summands) == 18
-    monkeypatch.setattr(motives, "_TABLE_BUDGET", 51)
-    motives._witt_whole.cache_clear()
-    message = "n=8, r=2, witt_h=3 needs at least 52 table entries, limit 51$"
+    assert passes
+    passes.clear()
+    monkeypatch.setattr(motives, "_MOTIVE_BUDGET", needed - 1)
+    message = f"n=8, r=2, witt_h=3 needs {needed} coefficient updates, limit {needed - 1}$"
     with pytest.raises(BudgetError, match=message):
         witt_decompose_whole(8, 2, 3)
-    assert motives._witt_whole.cache_info().currsize == 0
+    assert passes == []
 
 
-def test_witt_decompose_whole_refuses_large_cases_at_once():
-    # the charge is summed bottom up and stops at the limit, so refusing
-    # (2000, 10, 900) is as quick as refusing (200, 50, 100), which needs 2098349
-    cases = ((100, 40, 40), (200, 50, 100), (2000, 10, 900), (1000, 400, 500))
-    for n, r, h in cases:
-        motives._witt_whole.cache_clear()
-        start = time.perf_counter()
-        with pytest.raises(BudgetError, match=f"n={n}, r={r}, witt_h={h} needs at least "):
-            witt_decompose_whole(n, r, h)
-        assert time.perf_counter() - start < 1, (n, r, h)
-        assert motives._witt_whole.cache_info().currsize == 0, (n, r, h)
-
-
-def test_witt_decompose_whole_steps_once_per_distinct_part(monkeypatch):
-    # one recursion on distinct summands: 42 (n, r, h) steps at (30, 12, 12),
-    # where expanding every repeated summand took 793
-    calls = []
-    step_shifts = motives._step_shifts
-    monkeypatch.setattr(motives, "_step_shifts", lambda n, r: calls.append((n, r)) or step_shifts(n, r))
-    motives._witt_whole.cache_clear()
-    assert len(witt_decompose_whole(30, 12, 12).summands) == 984
-    assert len(calls) <= 50, len(calls)
+def test_witt_decompose_whole_refuses_large_cases_at_once(monkeypatch):
+    # the charge is a sum over the bottom ranks, known before any pass
+    passes = _counted_passes(monkeypatch)
+    start = time.perf_counter()
+    message = "n=1000, r=400, witt_h=500 needs 192320601 coefficient updates, limit 16777216$"
+    with pytest.raises(BudgetError, match=message):
+        witt_decompose_whole(1000, 400, 500)
+    assert time.perf_counter() - start < 1
+    assert passes == []
 
 
 def test_witt_decompose_full_split_matches_poincare():
-    # fully split: only Tate summands remain and they realize the essential
-    # part; h = 499 nests past the recursion limit unless filled bottom up
-    motives._witt_whole.cache_clear()
+    # fully split: only Tate summands remain and they realize the essential part
     for n, r in [(n, r) for n in range(2, 8) for r in range(1, n // 2 + 1)] + [(998, 1)]:
         m = witt_decompose_whole(n, r, n // 2)
         assert all(a.kind != "Essential" for (a, _), _ in m.summands)
         tate = Motive(dict(m.summands))
         assert tate.poincare() == essential_poincare(n, r)
     assert len(m.summands) == 998 and all(mult == 1 for _, mult in m.summands)
-    motives._witt_whole.cache_clear()
 
 
 def test_motive_json():

@@ -6,8 +6,8 @@ import sits at module top level, no module imports ``dataclasses`` or
 of degree-wise linear algebra stays behind ``algebra.Span``, report JSON is
 written only by ``suites.report_json``, every defaulted parameter is passed
 by some caller in the package, every affine space of rows in
-``finitefields`` is read through one line walk, the whole-motive
-decomposition is one recursion filled bottom up on multiplicity maps, every
+``finitefields`` is read through one line walk, the whole motive is one
+closed product per bottom rank with no recursion and no cache, every
 name the benchmark's tracer wraps stays bound, every package name the
 README spells out still resolves, and every mutant of the ledger
 (``tests/mutants.py``) still applies.
@@ -216,37 +216,28 @@ def test_hermitian_index_is_one_chain():
     assert list(inspect.signature(finitefields._SubspaceSearch.count).parameters) == ["self", "r"]
 
 
-def test_whole_motive_decomposition_is_one_recursion():
-    # Essential(n, r) and the whole motive split planes through one memoised
-    # recursion: no other function of motives calls itself, and
-    # essential_poincare reads the whole motive's table
+def test_whole_motive_is_one_closed_product():
+    # Essential(n, r) and the whole motive are read off one product per bottom
+    # rank: no function of motives calls itself, nothing is cached between calls,
+    # and one budget charges both
     tree = ast.parse((SRC / "motives.py").read_text(encoding="utf-8"))
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     calls = {
         f.name: {getattr(n.func, "id", None) for n in ast.walk(f) if isinstance(n, ast.Call)}
         for f in functions
     }
-    assert [name for name, called in calls.items() if name in called] == ["_witt_whole"], calls
-    reached, todo = set(), ["essential_poincare"]
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        todo.extend(calls.get(name, set()) & calls.keys() - reached)
-    assert "_witt_whole" in reached, reached
-    # one budget for both, and no second table
-    assert [name for name in vars(motives) if name.endswith("_BUDGET")] == ["_TABLE_BUDGET"]
-    for gone in ("_essential_coeffs", "_whole_summands", "Counter"):
+    assert [name for name, called in calls.items() if name in called] == [], calls
+    for public in ("essential_poincare", "witt_decompose_whole"):
+        assert "_shift_polynomials" in calls[public], calls[public]
+    assert not any(f.decorator_list for f in functions)
+    held = [k for k, v in vars(motives).items() if isinstance(v, (dict, list, set))]
+    assert held == ["__builtins__"], held
+    assert [name for name in vars(motives) if name.endswith("_BUDGET")] == ["_MOTIVE_BUDGET"]
+    for gone in ("_witt_whole", "_table", "_admit", "_filled", "lru_cache", "zip_longest", "Counter"):
         assert not hasattr(motives, gone), gone
     # a motive is a multiplicity map: no summand list to shift (test_records
     # checks that + refuses)
     assert "shifted" not in vars(motives.Motive), vars(motives.Motive)
-    # the parts are filled bottom up through _table before the whole is read
-    filled = next(f for f in functions if f.name == "_filled")
-    lines = {
-        name: min(n.lineno for n in ast.walk(filled) if getattr(n, "id", None) == name)
-        for name in ("_table", "_witt_whole")
-    }
-    assert lines["_table"] < lines["_witt_whole"], lines
 
 
 def test_tracer_sites_resolve():
