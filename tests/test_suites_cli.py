@@ -154,8 +154,8 @@ def test_essential_table_budget_exceeded_exits_1(capsys, command):
             f"limit {1 << 19}",
         ),
         (
-            "decompose 1000 400 --witt 500",
-            f"n=1000, r=400, witt_h=500 needs 192320601 coefficient updates, limit {1 << 24}",
+            "decompose 1000 500 --witt 500",
+            f"n=1000, r=500, witt_h=500 needs 125250501 coefficient updates, limit {1 << 24}",
         ),
     ],
 )
@@ -202,6 +202,19 @@ def test_decompose_answers_few_splittings_of_a_wide_range(capsys):
             unit = motives.essential_poincare(b, s)
         total = total + (unit * PoincarePolynomial((m,))).shift(shift)
     assert total == data["poincare"] == motives.essential_poincare(998, 2)
+
+
+@pytest.mark.parametrize("argv", ["1000 400 --witt 500"])
+def test_decompose_refuses_past_the_table_entry_budget(capsys, argv):
+    # the whole motive's charge, summed over the bottom ranks, is past its budget
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["decompose", *argv.split()])
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == (
+        "resource error: witt_decompose_whole budget exceeded: n=1000, r=400, witt_h=500 "
+        f"needs 192320601 coefficient updates, limit {1 << 24}\n"
+    )
 
 
 def test_primerchik_past_r10_refuses_the_whole_ring():
