@@ -30,7 +30,7 @@ report = quotient_generation_check(sigma, gens, max_degree=6)
 print(f"\ngenerated modulo norms by a_i*b_i up to degree 6: {report.passed}")
 
 for k_fixed in (0, 1):
-    rep = codim_le2_generation_check(k_fixed, 3, 6)
+    rep = codim_le2_generation_check(k_fixed, 3, 6, "Z")
     label = "with a fixed degree-1 variable" if k_fixed else "pairs only"
     print(f"generation by codimension <= 2 ({label}): {rep.passed}")
 

@@ -39,7 +39,9 @@ from .grassmann import (
 )
 from .invariants import (
     SwapInvolution,
+    class_generator_certificate,
     codim_le2_generation_check,
+    codim_le2_generators,
     invariant_basis,
     non_generation_witness,
     norm_image_basis,

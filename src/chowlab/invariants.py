@@ -18,6 +18,17 @@ question on those classes, on the generators' products of every degree built
 in one walk (``generator_products``); the integer lattice of products and
 norms, which answers the same questions, is the reference the tests compare
 against.
+
+On a ring without rewrite rules the question has a certificate that needs no
+degree at all (``class_generator_certificate``).  Norms form an ideal of the
+invariants, so ``norm_class`` is a ring map from the invariants onto
+``classes``, and without rules ``classes`` is the truncated polynomial ring on
+its generators.  When each stated generator's class is one of those
+generators, in its own degree, and every one of them is hit, the products of
+the stated generators reach every fixed-monomial class in every degree up to
+the truncation.  The free swap rings of the ``codim2`` and ``lemmaS`` rows
+(``codim_le2_generators``) pass it by construction; the degreewise check stays
+their oracle.
 """
 
 from __future__ import annotations
@@ -178,6 +189,16 @@ def norm_image_basis(sigma: SwapInvolution, d: int) -> list[Element]:
     return out
 
 
+def _degrees(generators) -> list[int]:
+    degrees = []
+    for g in generators:
+        gd = g.homogeneous_degree()
+        if gd is None or gd < 1:
+            raise UsageError("generators must be homogeneous of positive degree")
+        degrees.append(gd)
+    return degrees
+
+
 def generator_products(A: AlgebraPresentation, generators, top: int) -> list[list[Element]]:
     """The nonzero products of the given homogeneous elements, by degree 0..top.
 
@@ -186,14 +207,8 @@ def generator_products(A: AlgebraPresentation, generators, top: int) -> list[lis
     and a zero one is never extended.  Within a degree the products are in
     lexicographic order of their exponent vectors.
     """
-    degrees = []
-    for g in generators:
-        gd = g.homogeneous_degree()
-        if gd is None or gd < 1:
-            raise UsageError("generators must be homogeneous of positive degree")
-        degrees.append(gd)
     walk = [(0, A.one())]
-    for g, gd in zip(generators, degrees):
+    for g, gd in zip(generators, _degrees(generators)):
         extended = []
         for deg, power in walk:
             extended.append((deg, power))
@@ -254,15 +269,54 @@ def quotient_generation_check(
     return GenerationReport(degrees=tuple(results))
 
 
-def codim_le2_generation_check(
-    k_fixed: int, r_pairs: int, max_degree: int, coefficients: str = "Z"
-) -> GenerationReport:
-    """Generation by the fixed degree-1 variables and the degree-2 orbit products."""
+def class_generator_certificate(sigma: SwapInvolution, generators) -> bool:
+    """True when the generators' norm classes are exactly the generators of ``sigma.classes``.
+
+    Each generator must be invariant (else ConfigurationError, as the
+    degreewise check raises) and its class a single ``classes`` generator,
+    exponent 1, of the generator's own degree; every ``classes`` generator
+    must be hit; and the ring must have no rewrite rule.  Then, since
+    ``norm_class`` is a ring map onto the truncated polynomial ring
+    ``classes``, the products of the generators reach every fixed-monomial
+    class up to the truncation: the certificate implies
+    ``quotient_generation_check(sigma, generators, truncation).passed``.  It
+    is sufficient, not necessary (t1 together with t1^2 is refused).  A row
+    decided by it still reports the degrees its ring is truncated at, since
+    that is the claim the row makes.
+    """
+    degrees = _degrees(generators)  # refuses what generator_products refuses
+    if sigma.algebra._replacements:
+        return False
+    C = sigma.classes
+    hit = set()
+    for g, gd in zip(generators, degrees):
+        monos = list(sigma.norm_class(g).terms)
+        if len(monos) != 1 or sum(monos[0]) != 1:  # not one generator, exponent 1
+            return False
+        i = monos[0].index(1)
+        if C.generators[i].degree != gd:
+            return False
+        hit.add(i)
+    return len(hit) == len(C.generators)
+
+
+def codim_le2_generators(
+    k_fixed: int, r_pairs: int, coefficients: str, truncation: int
+) -> tuple[SwapInvolution, list[Element]]:
+    """The swap of the free ring with k fixed and r swapped variables, and t_j, a_i*b_i."""
     if k_fixed not in (0, 1):
         raise UsageError("k_fixed must be 0 or 1")
-    ring, sigma = swap_polynomial_ring(r_pairs, k_fixed, coefficients, max_degree)
+    ring, sigma = swap_polynomial_ring(r_pairs, k_fixed, coefficients, truncation)
     gens = [ring.gen(f"t{j}") for j in range(1, k_fixed + 1)]
     gens += [ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, r_pairs + 1)]
+    return sigma, gens
+
+
+def codim_le2_generation_check(
+    k_fixed: int, r_pairs: int, max_degree: int, coefficients: str
+) -> GenerationReport:
+    """Generation by the fixed degree-1 variables and the degree-2 orbit products."""
+    sigma, gens = codim_le2_generators(k_fixed, r_pairs, coefficients, max_degree)
     return quotient_generation_check(sigma, gens, max_degree)
 
 

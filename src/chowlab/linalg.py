@@ -21,7 +21,7 @@ class F2Span:
     """
 
     def __init__(self, rows=()):
-        self._rows: list[tuple[int, int, int]] = []  # (pivot bit, row, witness)
+        self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, witness)
         self._count = 0
         self.kernel: list[int] = []  # witness masks of rows that reduced to zero
         for row in rows:
@@ -32,15 +32,22 @@ class F2Span:
         self._count += 1
         vec, wit = self._reduce(vec, wit)
         if vec:
-            self._rows.append((vec & -vec, vec, wit))
+            self._rows[vec & -vec] = (vec, wit)
         else:
             self.kernel.append(wit)
 
     def _reduce(self, vec: int, wit: int = 0) -> tuple[int, int]:
-        for piv, row, rwit in self._rows:
-            if vec & piv:
-                vec ^= row
-                wit ^= rwit
+        # A row's pivot is its lowest bit, so XOR-ing it in clears that bit and
+        # changes only higher ones: one upward walk over vec's bits leaves the
+        # unique coset element with no pivot bit, and its unique witness.
+        rest = vec
+        while rest:
+            bit = rest & -rest
+            hit = self._rows.get(bit)
+            if hit is not None:
+                vec ^= hit[0]
+                wit ^= hit[1]
+            rest = vec & -(bit << 1)  # the bits of vec above bit
         return vec, wit
 
     @property

@@ -23,6 +23,7 @@ from .finitefields import orth_count_polynomial
 from .polynomials import (
     PoincarePolynomial,
     gaussian_binomial,
+    poly_add,
     poly_divexact,
     poly_mul,
     poly_mul_binomial,
@@ -102,12 +103,17 @@ class Motive(namedtuple("Motive", "summands speck_residual")):
         """Tate realization; defined only when no SpecK content is present."""
         if self.speck_residual or any(a.kind == "SpecK" for (a, _), _ in self.summands):
             raise UsageError("Poincare polynomial undefined with SpecK summands")
-        acc = PoincarePolynomial()
+        by_atom: dict[Atom, list[int]] = {}  # atom -> multiplicities by shift
         for (atom, shift), m in self.summands:
-            tate = atom.kind == "Tate"
-            unit = PoincarePolynomial.one() if tate else essential_poincare(atom.n, atom.r)
-            acc = acc + (unit * PoincarePolynomial((m,))).shift(shift)
-        return acc
+            coeffs = by_atom.setdefault(atom, [])
+            coeffs += [0] * (shift + 1 - len(coeffs))
+            coeffs[shift] = m
+        acc: list[int] = []
+        for atom, coeffs in by_atom.items():
+            if atom.kind != "Tate":
+                coeffs = poly_mul(coeffs, essential_poincare(atom.n, atom.r).to_list())
+            acc = poly_add(acc, coeffs)
+        return PoincarePolynomial(acc)
 
     def to_json(self) -> dict:
         out = {"summands": [{"atom": repr(a), "shift": s, "multiplicity": m}

@@ -132,8 +132,8 @@ def _full(report):
 
 
 def _generation(coeff: str, k: int, r: int, max_degree: int):
-    report = invariants.codim_le2_generation_check(k, r, max_degree, coefficients=coeff)
-    return report.passed, {"degrees_checked": max_degree}
+    sigma, gens = invariants.codim_le2_generators(k, r, coeff, max_degree)
+    return invariants.class_generator_certificate(sigma, gens), {"degrees_checked": max_degree}
 
 
 def _witness():

@@ -161,13 +161,13 @@ def test_codim_le2_instances():
             for r in (1, 2, 3):
                 report = codim_le2_generation_check(k, r, 6, coefficients=coeff)
                 assert report.passed, (coeff, k, r)
-    report = codim_le2_generation_check(0, 0, 4)
+    report = codim_le2_generation_check(0, 0, 4, Z)
     assert report.passed
 
 
 def test_codim_le2_k_validation():
     with pytest.raises(UsageError):
-        codim_le2_generation_check(2, 1, 4)
+        codim_le2_generation_check(2, 1, 4, Z)
 
 
 def test_involution_validation():
@@ -378,7 +378,7 @@ def test_generation_check_tests_membership_only_when_the_span_falls_short(monkey
 
 
 def test_generation_report_json_schema():
-    report = codim_le2_generation_check(1, 2, 4)
+    report = codim_le2_generation_check(1, 2, 4, Z)
     data = report_json(report)
     assert set(data) == {"degrees", "pass"}
     assert data["pass"] is True

@@ -119,3 +119,41 @@ def test_modp_kernel_over_a_prime_too_large_to_enumerate():
         for v, f in zip(basis, free):
             assert [v[g] for g in free] == [int(g == f) for g in free]
             assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in matrix)
+
+
+def _insertion_order_span(rows):
+    """Reference elimination: each stored row is tried in insertion order."""
+    stored, kernel = [], []  # (pivot bit, row, witness)
+
+    def reduce(vec, wit):
+        for piv, row, rwit in stored:
+            if vec & piv:
+                vec, wit = vec ^ row, wit ^ rwit
+        return vec, wit
+
+    for i, row in enumerate(rows):
+        vec, wit = reduce(row, 1 << i)
+        if vec:
+            stored.append((vec & -vec, vec, wit))
+        else:
+            kernel.append(wit)
+    return reduce, len(stored), kernel
+
+
+def test_f2_pivot_lookup_matches_insertion_order_reduction():
+    rng = random.Random(11)
+    for _ in range(300):
+        width = rng.randint(1, 40)
+        density = rng.random()
+        rows = [
+            sum(1 << j for j in range(width) if rng.random() < density)
+            for _ in range(rng.randint(0, 2 * width))
+        ]
+        span = F2Span(rows)
+        reduce, rank, kernel = _insertion_order_span(rows)
+        assert (span.rank, span.kernel) == (rank, kernel)
+        for _ in range(10):
+            vec = rng.getrandbits(width)
+            reduced, wit = reduce(vec, 0)
+            assert span._reduce(vec) == (reduced, wit)
+            assert span.witness(vec) == (wit if reduced == 0 else None)

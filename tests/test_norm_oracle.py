@@ -10,17 +10,21 @@ degree, witnesses included.
 
 import pytest
 
+from chowlab import linalg
 from chowlab.algebra import F2, AlgebraPresentation, GeneratorSpec, Z
+from chowlab.errors import UsageError
 from chowlab.invariants import (
     SwapInvolution,
+    class_generator_certificate,
     codim_le2_generation_check,
+    codim_le2_generators,
     generator_products,
     invariant_basis,
     norm_image_basis,
     quotient_generation_check,
     swap_polynomial_ring,
 )
-from chowlab.suites import report_json
+from chowlab.suites import SUITES, SuiteOptions, report_json
 from chowlab.weil import (
     _base,
     _mutated,
@@ -109,12 +113,110 @@ SUITE_CASES = [
 
 @pytest.mark.parametrize("coeff,k,r,max_degree", SUITE_CASES)
 def test_suite_generation_matches_lattice(coeff, k, r, max_degree):
-    report = codim_le2_generation_check(k, r, max_degree, coefficients=coeff)
-    ring, sigma = swap_polynomial_ring(r, k, coeff, max_degree)
-    gens = [ring.gen(f"t{j}") for j in range(1, k + 1)]
-    gens += [ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, r + 1)]
+    report = codim_le2_generation_check(k, r, max_degree, coeff)
+    sigma, gens = codim_le2_generators(k, r, coeff, max_degree)
     assert report.passed
     assert_matches_lattice(report, sigma, gens, max_degree)
+
+
+@pytest.mark.parametrize("coeff", [Z, F2])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("r", range(5))
+def test_class_generator_certificate_agrees_with_both_oracles(coeff, k, r):
+    # The lattice of a degree is the same in every ring truncated at or past
+    # it, so one lattice read to the top serves every D.  The Z lattice at
+    # r = 4 takes 5 s (k = 0) and 28 s (k = 1) to degree 8, so there it is read
+    # to degree 6; the degreewise check reads every D <= 8.
+    top = 6 if (coeff, r) == (Z, 4) else 8
+    sigma, gens = codim_le2_generators(k, r, coeff, top)
+    lattice = [entry["pass"] for entry in lattice_generation(sigma, gens, top)]
+    for D in range(9):
+        sigma, gens = codim_le2_generators(k, r, coeff, D)
+        if D < (2 if r else k):  # a generator is zero past the truncation; both refuse it
+            with pytest.raises(UsageError):
+                class_generator_certificate(sigma, gens)
+            with pytest.raises(UsageError):
+                codim_le2_generation_check(k, r, D, coeff)
+            continue
+        assert class_generator_certificate(sigma, gens), D
+        assert codim_le2_generation_check(k, r, D, coeff).passed, D
+        assert all(lattice[: D + 1]), D
+
+
+def _t1(ring):
+    return [ring.gen("t1")] if any(g.name == "t1" for g in ring.generators) else []
+
+
+REFUSED_SETS = {
+    "t1_missing": lambda ring, r: [_pair(ring, i) for i in range(1, r + 1)],
+    "pair_missing": lambda ring, r: _t1(ring) + [_pair(ring, i) for i in range(2, r + 1)],
+    "sum_for_pair": lambda ring, r: (
+        _t1(ring) + [_sum(ring, 1)] + [_pair(ring, i) for i in range(2, r + 1)]
+    ),
+    "t1_squared": lambda ring, r: (
+        [ring.gen("t1") ** 2] + [_pair(ring, i) for i in range(1, r + 1)]
+    ),
+    "doubled_pair": lambda ring, r: (
+        _t1(ring) + [2 * _pair(ring, 1)] + [_pair(ring, i) for i in range(2, r + 1)]
+    ),
+}
+
+REFUSED_CASES = [
+    (name, coeff, k, r)
+    for name in REFUSED_SETS
+    for coeff in (Z, F2)
+    if name != "doubled_pair" or coeff == Z  # 2 a_1 b_1 vanishes mod 2
+    for k in ((1,) if name.startswith("t1") else (0, 1))
+    for r in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("name,coeff,k,r", REFUSED_CASES)
+def test_class_generator_certificate_refuses_where_generation_fails(name, coeff, k, r):
+    sigma, _ = codim_le2_generators(k, r, coeff, 6)
+    gens = REFUSED_SETS[name](sigma.algebra, r)
+    assert not class_generator_certificate(sigma, gens)
+    report = quotient_generation_check(sigma, gens, 6)
+    assert not report.passed
+    assert_matches_lattice(report, sigma, gens, 6)
+
+
+def test_class_generator_certificate_is_sufficient_not_necessary():
+    # t1 and t1^2 generate, but t1^2's class is no generator of the classes
+    sigma, gens = codim_le2_generators(1, 2, F2, 6)
+    gens = gens + [sigma.algebra.gen("t1") ** 2]
+    assert quotient_generation_check(sigma, gens, 6).passed
+    assert not class_generator_certificate(sigma, gens)
+    # a ring with rewrite rules is refused, even where every class generator is hit
+    ring = AlgebraPresentation(
+        [
+            GeneratorSpec("t", degree=2),
+            GeneratorSpec("a", degree=1, power_bound=2, replacement=((1, {"t": 1}),)),
+            GeneratorSpec("b", degree=1, power_bound=2, replacement=((1, {"t": 1}),)),
+        ],
+        Z,
+        6,
+    )
+    sigma = SwapInvolution(ring, [("a", "b")], ["t"])
+    gens = [ring.gen("t"), ring.gen("a") * ring.gen("b")]
+    assert [sigma.norm_class(g).terms for g in gens] == [{(1, 0): 1}, {(0, 1): 1}]
+    assert quotient_generation_check(sigma, gens, 6).passed
+    assert not class_generator_certificate(sigma, gens)
+
+
+def test_generation_rows_add_no_span_row(monkeypatch):
+    added = []
+    for cls in (linalg.F2Span, linalg.ZSpan):
+        add = cls.add
+        monkeypatch.setattr(cls, "add", lambda self, vec, add=add: added.append(vec) or add(self, vec))
+    options = SuiteOptions(max_r=4, max_degree=8)
+    rows = SUITES["codim2"](options) + SUITES["lemmaS"](options)
+    for case_id, _, check, _ in rows:
+        if case_id != "lemmaS/witness":
+            assert check()[0], case_id
+    assert added == []
+    codim_le2_generation_check(1, 1, 2, F2)  # the oracle does add rows
+    assert added
 
 
 def _pair(ring, i):

@@ -635,9 +635,10 @@ def test_primerchik_computes_each_quotient_once(monkeypatch):
     assert sorted(calls) == [1, 2, 3]
 
 
-# Basis monomials indexed by codim2 at max_r=6, max_degree=8: 3144 today, all of
-# them in the class presentations.  The ring's own degree-8 basis alone has 125970.
-CODIM2_R6_D8_MONOMIALS = 3500
+# Basis monomials indexed by codim2 at max_r=6, max_degree=8: none, since the
+# class-generator certificate reads only the generators' norm classes.  Ranking
+# every degree's classes indexed 3144; the ring's own degree-8 basis alone has 125970.
+CODIM2_R6_D8_MONOMIALS = 0
 
 
 def test_codim2_reaches_r6_d8_within_a_work_bound(indexed_bases):
@@ -648,11 +649,27 @@ def test_codim2_reaches_r6_d8_within_a_work_bound(indexed_bases):
     assert indexed_bases.monomials <= CODIM2_R6_D8_MONOMIALS
 
 
-# Ring products made by lemmaS, codim2 and weil at max_degree=8: 929 today, when
-# each check builds every degree's products in one walk, each Weil degree's
-# images once and each power of c once.  Rebuilding all lower degrees for each
-# degree made 2345; building every c^k by c ** k made 1029.
-RINGS_D8_PRODUCTS = 1010
+# Ring products made by codim2 at max_r=10, max_degree=12: 220 today, one a_i*b_i
+# per pair of each row.  Ranking every degree's classes made 127444 and indexed
+# 127264 basis monomials, in 18-23 s.
+CODIM2_R10_D12_PRODUCTS = 240
+
+
+def test_codim2_reaches_r10_d12_within_a_work_bound(indexed_bases, ring_products):
+    result = run_suite("codim2", SuiteOptions(max_r=10, max_degree=12))
+    assert len(result.cases) == 40 and result.passed
+    assert all(c.details == {"degrees_checked": 12} for c in result.cases)
+    assert indexed_bases.monomials == 0
+    assert ring_products[0] <= CODIM2_R10_D12_PRODUCTS, ring_products[0]
+
+
+# Ring products made by lemmaS, codim2 and weil at max_degree=8: 357 today, when
+# the generation rows read only their generators' norm classes, each weil check
+# builds every degree's products in one walk, each Weil degree's images once
+# and each power of c once.  Ranking the generation rows' products in every
+# degree made 929; rebuilding all lower degrees for each degree made 2345;
+# building every c^k by c ** k made 1029.
+RINGS_D8_PRODUCTS = 390
 
 
 def test_invariant_suites_multiply_within_a_work_bound(ring_products):
