@@ -274,13 +274,13 @@ def class_generator_certificate(sigma: SwapInvolution, generators) -> bool:
 
     Each generator must be invariant (else ConfigurationError, as the
     degreewise check raises) and its class a single ``classes`` generator,
-    exponent 1, of the generator's own degree; every ``classes`` generator
-    must be hit; and the ring must have no rewrite rule.  Then, since
-    ``norm_class`` is a ring map onto the truncated polynomial ring
-    ``classes``, the products of the generators reach every fixed-monomial
-    class up to the truncation: the certificate implies
-    ``quotient_generation_check(sigma, generators, truncation).passed``.  It
-    is sufficient, not necessary (t1 together with t1^2 is refused).  A row
+    exponent 1, of the generator's own degree; every ``classes`` generator up
+    to the truncation (past it, one is zero) must be hit; and the ring must
+    have no rewrite rule.  Then, since ``norm_class`` is a ring map onto the
+    truncated polynomial ring ``classes``, the products of the generators
+    reach every fixed-monomial class up to the truncation: the certificate
+    implies ``quotient_generation_check(sigma, generators, truncation).passed``.
+    It is sufficient, not necessary (t1 together with t1^2 is refused).  A row
     decided by it still reports the degrees its ring is truncated at, since
     that is the claim the row makes.
     """
@@ -297,19 +297,19 @@ def class_generator_certificate(sigma: SwapInvolution, generators) -> bool:
         if C.generators[i].degree != gd:
             return False
         hit.add(i)
-    return len(hit) == len(C.generators)
+    return len(hit) == sum(c.degree <= C.max_degree for c in C.generators)
 
 
 def codim_le2_generators(
     k_fixed: int, r_pairs: int, coefficients: str, truncation: int
 ) -> tuple[SwapInvolution, list[Element]]:
-    """The swap of the free ring with k fixed and r swapped variables, and t_j, a_i*b_i."""
+    """The free swap ring of k fixed and r swapped variables, and its nonzero t_j, a_i*b_i."""
     if k_fixed not in (0, 1):
         raise UsageError("k_fixed must be 0 or 1")
     ring, sigma = swap_polynomial_ring(r_pairs, k_fixed, coefficients, truncation)
     gens = [ring.gen(f"t{j}") for j in range(1, k_fixed + 1)]
     gens += [ring.gen(f"a{i}") * ring.gen(f"b{i}") for i in range(1, r_pairs + 1)]
-    return sigma, gens
+    return sigma, [g for g in gens if not g.is_zero]
 
 
 def codim_le2_generation_check(

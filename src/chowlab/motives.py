@@ -8,17 +8,19 @@ shifts of Essential(b, s) (Tate for s = 0) have the generating polynomial
 
     P_s(t) = t^(2se) [h; k]_{t^2} prod_{i<k} (1 + t^(2(b-s+e)+2i+1)),
 
-from the sigma-fixed Schubert words and the q-binomial theorem.
-``witt_decompose_whole`` names the atoms of every P_s, ``essential_poincare`` is
-P_0 at h = n // 2, and ``decompose_step`` splits one plane (h = 1).  The products
-are refused, before their first pass, past one budget of coefficient updates.
+from the sigma-fixed Schubert words and the q-binomial theorem.  A ``Motive`` keeps
+each P_s whole: ``witt_decompose_whole`` is every P_s, ``essential_poincare`` P_0 at
+h = n // 2 and ``decompose_step`` the h = 1 case.  The products are refused, before
+their first pass, past one budget of coefficient updates.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from heapq import merge
+from itertools import count, repeat
 
-from .errors import BudgetError, ChowlabError, UsageError
+from .errors import BudgetError, UsageError
 from .finitefields import orth_count_polynomial
 from .polynomials import (
     PoincarePolynomial,
@@ -78,79 +80,70 @@ def essential(n: int, r: int) -> Atom:
     return Atom("Essential", n, r)
 
 
-class Motive(namedtuple("Motive", "summands speck_residual")):
+class Motive(namedtuple("Motive", "atoms speck_residual")):
     """Shifted atoms with multiplicities, plus an optional unspecified SpecK remainder.
 
-    Built from a dict (atom, shift) -> multiplicity; ``summands`` holds its
-    ((atom, shift), multiplicity) items in (shift, atom) order.
+    Built from (atom, lowest shift, multiplicities) triples, one per atom: the atom
+    occurs at shift + d with multiplicity multiplicities[d], the first and last positive.
+    ``atoms`` holds them, multiplicities as tuples, in (lowest shift, atom) order.
     """
 
     __slots__ = ()
 
-    def __new__(cls, summands: dict, speck_residual: bool = False):
-        if not isinstance(summands, dict) or not all(
-            type(k) is tuple and len(k) == 2 and isinstance(k[0], Atom) and type(k[1]) is int
-            and type(m) is int and m > 0 for k, m in summands.items()
+    def __new__(cls, atoms, speck_residual: bool = False):
+        atoms = tuple(atoms)
+        if len({a for a, _, _ in atoms}) < len(atoms) or not all(
+            isinstance(a, Atom) and type(s) is int and isinstance(ms, (list, tuple)) and ms
+            and ms[0] and ms[-1] and {type(m) for m in ms} == {int} and min(ms) >= 0
+            for a, s, ms in atoms
         ):
-            raise TypeError("a Motive takes a dict (atom, shift) -> positive multiplicity")
-        ordered = tuple(sorted(summands.items(), key=lambda e: (e[0][1], e[0][0])))
-        return super().__new__(cls, ordered, speck_residual)
+            raise TypeError("a Motive takes (atom, shift, multiplicities) triples, one per atom")
+        ordered = sorted(((a, s, tuple(ms)) for a, s, ms in atoms), key=lambda e: (e[1], e[0]))
+        return super().__new__(cls, tuple(ordered), speck_residual)
 
     def __add__(self, other):
         raise TypeError("motives are not concatenated; add their summands' multiplicities")
 
     def poincare(self) -> PoincarePolynomial:
         """Tate realization; defined only when no SpecK content is present."""
-        if self.speck_residual or any(a.kind == "SpecK" for (a, _), _ in self.summands):
+        if self.speck_residual or any(a.kind == "SpecK" for a, _, _ in self.atoms):
             raise UsageError("Poincare polynomial undefined with SpecK summands")
-        by_atom: dict[Atom, list[int]] = {}  # atom -> multiplicities by shift
-        for (atom, shift), m in self.summands:
-            coeffs = by_atom.setdefault(atom, [])
-            coeffs += [0] * (shift + 1 - len(coeffs))
-            coeffs[shift] = m
         acc: list[int] = []
-        for atom, coeffs in by_atom.items():
+        for atom, shift, coeffs in self.atoms:
             if atom.kind != "Tate":
                 coeffs = poly_mul(coeffs, essential_poincare(atom.n, atom.r).to_list())
-            acc = poly_add(acc, coeffs)
+            acc = poly_add(acc, [0] * shift + list(coeffs))
         return PoincarePolynomial(acc)
 
     def to_json(self) -> dict:
-        out = {"summands": [{"atom": repr(a), "shift": s, "multiplicity": m}
-                            for (a, s), m in self.summands]}
+        out = {"atoms": [{"atom": repr(a), "shift": s, "multiplicities": list(ms)}
+                         for a, s, ms in self.atoms]}
         if self.speck_residual:
             out["speck_residual"] = True
         return out
 
     def __repr__(self) -> str:
-        parts = [
-            ("" if m == 1 else f"{m}*") + (repr(a) if s == 0 else f"{a!r}({s})")
-            for (a, s), m in self.summands
-        ]
+        summands = merge(*(zip(count(s), repeat(a), ms) for a, s, ms in self.atoms))
+        parts = [("" if m == 1 else f"{m}*") + (repr(a) if s == 0 else f"{a!r}({s})")
+                 for s, a, m in summands if m]
         if self.speck_residual:
             parts.append("SpecK-residual")
         return " + ".join(parts) if parts else "0"
 
 
-def _step_shifts(n: int, r: int) -> tuple[int, int]:
-    # closed forms of (dim X_r - dim X'_r)/2 and dim X_r - dim X'_{r-1}
-    i, j = 2 * r, 2 * n - 2 * r - 1
-    if r <= (n - 2) // 2 and i != (dim_unitary(n, r) - dim_unitary(n - 2, r)) // 2:
-        raise ChowlabError(f"shift {i} disagrees with the dimensions at n={n}, r={r}")
-    if 0 <= r - 1 <= (n - 2) // 2 and j != dim_unitary(n, r) - dim_unitary(n - 2, r - 1):
-        raise ChowlabError(f"shift {j} disagrees with the dimensions at n={n}, r={r}")
-    return i, j
-
-
 def decompose_step(n: int, r: int) -> Motive:
-    """One isotropic splitting step of the essential motive."""
+    """One isotropic splitting step of Essential(n, r): the whole motive at h = 1,
+    with no SpecK residual and its bottom rank s = 0 named Essential(n - 2, 0).
+    """
     if r == 0:
-        return Motive({(essential(n, 0), 0): 1})
+        return Motive([(essential(n, 0), 0, [1])])
     if n < 2 or not 1 <= r <= n // 2:
         raise UsageError(f"decompose_step needs n >= 2 and 1 <= r <= n/2; got n={n}, r={r}")
-    i, j = _step_shifts(n, r)
-    steps = ((r - 1, 0), (r, i), (r - 1, j))
-    return Motive({(essential(n - 2, rr), s): 1 for rr, s in steps if 0 <= rr <= (n - 2) // 2})
+    label = f"decompose_step budget exceeded: n={n}, r={r}"
+    return Motive(
+        (essential(n - 2, 0) if atom == TATE else atom, shift, coeffs)
+        for atom, shift, coeffs in _shift_polynomials(n, r, 1, label)
+    )
 
 
 _MOTIVE_BUDGET = 1 << 24  # coefficient updates one call's motive products may make
@@ -213,7 +206,8 @@ def kvadrika_check(n: int) -> KvadrikaReport:
     if n < 2:
         raise UsageError("n must be >= 2")
     lhs = split_quadric_poincare(n).to_list()
-    rhs = poly_mul([1, 1], essential_poincare(n, 1).to_list())
+    rhs = essential_poincare(n, 1).to_list()
+    poly_mul_binomial(rhs, 1)
     delta = poly_sub(lhs, rhs)
     while delta and delta[-1] == 0:
         delta.pop()
@@ -290,8 +284,4 @@ def witt_decompose_whole(n: int, r: int, witt_h: int) -> Motive:
     if witt_h < 0 or witt_h > n // 2:
         raise UsageError(f"witt_h={witt_h} out of range for n={n}")
     label = f"witt_decompose_whole budget exceeded: n={n}, r={r}, witt_h={witt_h}"
-    polys = _shift_polynomials(n, r, witt_h, label)
-    summands = {
-        (atom, shift + d): m for atom, shift, coeffs in polys for d, m in enumerate(coeffs) if m
-    }
-    return Motive(summands, speck_residual=1 <= r <= n // 2)
+    return Motive(_shift_polynomials(n, r, witt_h, label), speck_residual=1 <= r <= n // 2)

@@ -32,11 +32,13 @@ class PoincarePolynomial:
 
     @classmethod
     def exterior(cls, degrees) -> "PoincarePolynomial":
-        """Product of (1 + q^d) over the given degrees."""
-        out = cls.one()
+        """Product of (1 + q^d) over the given degrees d >= 0: one pass a factor."""
+        coeffs = [1]
         for d in degrees:
-            out = out * cls([1] + [0] * (d - 1) + [1])
-        return out
+            if d < 0:
+                raise UsageError(f"exterior degree {d} is negative")
+            poly_mul_binomial(coeffs, d)
+        return cls(coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PoincarePolynomial):

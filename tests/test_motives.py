@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from chowlab import motives, polynomials
-from chowlab.errors import BudgetError, ChowlabError, ExactDivisionError, UsageError
+from chowlab.errors import BudgetError, ExactDivisionError, UsageError
 from chowlab.motives import (
     Motive,
     TATE,
@@ -55,8 +55,51 @@ def test_dim_orthogonal_values():
             assert dim_orthogonal(n, 2 * r) == r * (4 * n - 6 * r - 1)
 
 
+def _motive(summands, speck_residual=False):
+    # a Motive from a map (atom, shift) -> multiplicity, one triple per atom
+    by_atom = {}
+    for (atom, shift), m in summands.items():
+        by_atom.setdefault(atom, {})[shift] = m
+    return Motive(
+        [(a, min(s), [s.get(d, 0) for d in range(min(s), max(s) + 1)])
+         for a, s in by_atom.items()],
+        speck_residual,
+    )
+
+
 def _once(*summands, speck_residual=False):
-    return Motive(dict.fromkeys(summands, 1), speck_residual)
+    return _motive(dict.fromkeys(summands, 1), speck_residual)
+
+
+def _summands(motive) -> dict:
+    # the motive expanded shift by shift: (atom, shift) -> multiplicity, in (shift, atom) order
+    out = {(a, s + d): m for a, s, ms in motive.atoms for d, m in enumerate(ms) if m}
+    return dict(sorted(out.items(), key=lambda e: (e[0][1], e[0][0])))
+
+
+def _step_shifts(n, r):
+    # the shifts of one splitting step, (dim X_r - dim X'_r) / 2 and dim X_r - dim X'_{r-1}
+    i, j = 2 * r, 2 * n - 2 * r - 1
+    if r <= (n - 2) // 2:
+        assert i == (dim_unitary(n, r) - dim_unitary(n - 2, r)) // 2, (n, r)
+    if 0 <= r - 1 <= (n - 2) // 2:
+        assert j == dim_unitary(n, r) - dim_unitary(n - 2, r - 1), (n, r)
+    return i, j
+
+
+def test_decompose_step_is_the_three_summand_formula():
+    # Essential(n, r) = E(n-2, r-1) + E(n-2, r)(i) + E(n-2, r-1)(j), each term kept
+    # when its rank fits n - 2: the step as first written, before it became h = 1
+    for n in range(2, 41):
+        for r in range(n // 2 + 1):
+            step = decompose_step(n, r)
+            if r == 0:
+                assert step == _once((essential(n, 0), 0)), n
+                continue
+            i, j = _step_shifts(n, r)
+            terms = [(rr, s) for rr, s in ((r - 1, 0), (r, i), (r - 1, j)) if rr <= (n - 2) // 2]
+            assert step == _once(*((essential(n - 2, rr), s) for rr, s in terms)), (n, r)
+            assert not step.speck_residual
 
 
 def test_decompose_step_examples():
@@ -65,13 +108,6 @@ def test_decompose_step_examples():
     assert decompose_step(4, 1) == _once(
         (essential(2, 0), 0), (essential(2, 1), 2), (essential(2, 0), 5)
     )
-
-
-def test_step_shifts_raise_on_inconsistent_dimensions(monkeypatch):
-    real = motives.dim_unitary
-    monkeypatch.setattr(motives, "dim_unitary", lambda n, r: real(n, r) + n)
-    with pytest.raises(ChowlabError):
-        decompose_step(4, 1)
 
 
 def test_decompose_step_matches_poincare():
@@ -199,7 +235,7 @@ def test_witt_decompose_whole_examples():
     assert m == _once((TATE, 0), (essential(2, 1), 2), (TATE, 5), speck_residual=True)
     # the first repeated summands: Tate(9) and Tate(11), each reached twice
     m = witt_decompose_whole(8, 2, 3)
-    assert [mult for _, mult in m.summands] == [1] * 7 + [2, 1, 2] + [1] * 6
+    assert list(_summands(m).values()) == [1] * 7 + [2, 1, 2] + [1] * 6
     assert repr(m).startswith("Tate + Tate(2) + Essential(2,1)(4) + Tate(4) + ")
     assert " + 2*Tate(9) + Essential(2,1)(11) + 2*Tate(11) + " in repr(m)
 
@@ -213,7 +249,7 @@ def _three_call_decompose(n, r, h):
         return [(TATE, 0)]
     if h == 0:
         return [(essential(n, r), 0)]
-    i, j = motives._step_shifts(n, r)
+    i, j = _step_shifts(n, r)
     return (
         _three_call_decompose(n - 2, r - 1, h - 1)
         + [(a, s + i) for a, s in _three_call_decompose(n - 2, r, h - 1)]
@@ -231,7 +267,7 @@ def _recursion(n, r, h):
         return Counter({(TATE, 0): 1})
     if h == 0:
         return Counter({(essential(n, r), 0): 1})
-    i, j = motives._step_shifts(n, r)
+    i, j = _step_shifts(n, r)
     out = Counter(_recursion(n - 2, r - 1, h - 1))
     for shift, part in ((i, _recursion(n - 2, r, h - 1)), (j, _recursion(n - 2, r - 1, h - 1))):
         for (atom, s), m in part.items():
@@ -246,7 +282,7 @@ def test_witt_decompose_whole_matches_three_call_recursion():
         for r in range(-1, n // 2 + 2):
             for h in range(n // 2 + 1):
                 m = witt_decompose_whole(n, r, h)
-                assert dict(m.summands) == _recursion(n, r, h), (n, r, h)
+                assert _summands(m) == _recursion(n, r, h), (n, r, h)
                 assert m.speck_residual == (1 <= r <= n // 2), (n, r, h)
                 if n <= 12:
                     assert _recursion(n, r, h) == Counter(_three_call_decompose(n, r, h))
@@ -266,19 +302,16 @@ def test_witt_decompose_whole_matches_three_call_recursion():
 )
 def test_witt_decompose_whole_lists_each_distinct_summand_once(n, r, h, distinct, summands):
     m = witt_decompose_whole(n, r, h)
-    assert len(m.summands) == distinct
-    assert sum(mult for _, mult in m.summands) == summands
+    assert len(_summands(m)) == distinct
+    assert sum(_summands(m).values()) == summands
 
 
 def _expanded(motive) -> list[int]:
     # the motive's Tate realization, each Essential(b, s) expanded through the
     # unitary count prod (1 - (-t)^i) / prod (1 - t^(2i)), one kernel pass a factor
-    by_atom = {}
-    for (atom, shift), m in motive.summands:
-        by_atom.setdefault(atom, {})[shift] = m
     total = []
-    for atom, shifts in by_atom.items():
-        coeffs = [shifts.get(d, 0) for d in range(max(shifts) + 1)]
+    for atom, shift, ms in motive.atoms:
+        coeffs = [0] * shift + list(ms)
         if atom.kind == "Essential":
             for i in range(atom.n - 2 * atom.r + 1, atom.n + 1):
                 poly_mul_binomial(coeffs, i, (-1) ** (i + 1))
@@ -301,8 +334,8 @@ def test_witt_decompose_whole_answers_what_the_table_charge_refused(n, r, h, dis
     start = time.perf_counter()
     m = witt_decompose_whole(n, r, h)
     assert time.perf_counter() - start < 2
-    assert len(m.summands) == distinct
-    assert sum(mult for _, mult in m.summands) == summands
+    assert len(_summands(m)) == distinct
+    assert sum(_summands(m).values()) == summands
     assert _expanded(m) == essential_poincare(n, r).to_list()
 
 
@@ -389,7 +422,7 @@ def test_witt_decompose_whole_refuses_before_any_pass(monkeypatch):
     passes = _counted_passes(monkeypatch)
     needed = _charge(monkeypatch, 8, 2, 3)
     monkeypatch.setattr(motives, "_MOTIVE_BUDGET", needed)
-    assert sum(m for _, m in witt_decompose_whole(8, 2, 3).summands) == 18
+    assert sum(_summands(witt_decompose_whole(8, 2, 3)).values()) == 18
     assert passes
     passes.clear()
     monkeypatch.setattr(motives, "_MOTIVE_BUDGET", needed - 1)
@@ -414,38 +447,73 @@ def test_witt_decompose_full_split_matches_poincare():
     # fully split: only Tate summands remain and they realize the essential part
     for n, r in [(n, r) for n in range(2, 8) for r in range(1, n // 2 + 1)] + [(998, 1)]:
         m = witt_decompose_whole(n, r, n // 2)
-        assert all(a.kind != "Essential" for (a, _), _ in m.summands)
-        tate = Motive(dict(m.summands))
+        assert [a for a, _, _ in m.atoms] == [TATE]
+        tate = Motive(m.atoms)
         assert tate.poincare() == essential_poincare(n, r)
-    assert len(m.summands) == 998 and all(mult == 1 for _, mult in m.summands)
+    assert list(_summands(m).values()) == [1] * 998
 
 
-def test_motive_json():
-    m = witt_decompose_whole(4, 1, 1)
-    data = m.to_json()
-    assert data["speck_residual"] is True
-    assert {"atom": "Tate", "shift": 0, "multiplicity": 1} in data["summands"]
-    assert {"atom": "Essential(2,1)", "shift": 2, "multiplicity": 1} in data["summands"]
-    data = witt_decompose_whole(8, 2, 3).to_json()
-    assert {"atom": "Tate", "shift": 9, "multiplicity": 2} in data["summands"]
+def test_motive_json_has_one_entry_per_atom():
+    data = witt_decompose_whole(4, 1, 1).to_json()
+    assert data == {
+        "atoms": [
+            {"atom": "Tate", "shift": 0, "multiplicities": [1, 0, 0, 0, 0, 1]},
+            {"atom": "Essential(2,1)", "shift": 2, "multiplicities": [1]},
+        ],
+        "speck_residual": True,
+    }
+    assert decompose_step(4, 2).to_json() == {
+        "atoms": [{"atom": "Essential(2,1)", "shift": 0, "multiplicities": [1, 0, 0, 1]}]
+    }
+    # in (lowest shift, atom) order, each entry the summands of its atom
+    for n, r, h in [(8, 2, 3), (20, 6, 4), (31, 9, 12)]:
+        m = witt_decompose_whole(n, r, h)
+        entries = m.to_json()["atoms"]
+        assert [(e["shift"], e["atom"]) for e in entries] == sorted(
+            (s, repr(a)) for a, s, _ in m.atoms
+        )
+        expanded = {
+            (e["atom"], e["shift"] + d): c
+            for e in entries
+            for d, c in enumerate(e["multiplicities"])
+            if c
+        }
+        assert expanded == {(repr(a), s): c for (a, s), c in _summands(m).items()}, (n, r, h)
 
 
 def test_motive_poincare_is_one_product_per_atom():
     # the Tate realization of (100, 40, 40)'s 32092 summands over 11 atoms took
     # 13-15 s when each summand was multiplied out on its own
     whole = witt_decompose_whole(100, 40, 40)
-    motive = Motive(dict(whole.summands))
+    motive = Motive(whole.atoms)
     start = time.perf_counter()
     realized = motive.poincare()
     assert time.perf_counter() - start < 2
     assert realized == _expanded(whole)
-    # on small cases, against the sum of the summands one by one
-    for n in range(2, 11):
+    for n in range(2, 13):
         for r in range(n // 2 + 1):
             for h in range(n // 2 + 1):
-                motive = Motive(dict(witt_decompose_whole(n, r, h).summands))
-                expected = []
-                for (atom, shift), mult in motive.summands:
-                    unit = [1] if atom == TATE else essential_poincare(atom.n, atom.r).to_list()
-                    expected = poly_add(expected, [0] * shift + [mult * c for c in unit])
-                assert motive.poincare() == expected, (n, r, h)
+                motive = Motive(witt_decompose_whole(n, r, h).atoms)
+                assert motive.poincare() == _expanded(motive), (n, r, h)
+                if n <= 10:  # against the sum of the summands one by one
+                    expected = []
+                    for (atom, shift), mult in _summands(motive).items():
+                        unit = [1] if atom == TATE else essential_poincare(*atom[1:]).to_list()
+                        expected = poly_add(expected, [0] * shift + [mult * c for c in unit])
+                    assert motive.poincare() == expected, (n, r, h)
+            assert motive.poincare() == essential_poincare(n, r), (n, r)  # h = n // 2
+
+
+def test_exterior_is_one_pass_a_factor():
+    # against the dense product of the factors 1 + q^d; 1 + q^0 is 2
+    rng = random.Random(7)
+    for _ in range(200):
+        degrees = [rng.randint(0, 9) for _ in range(rng.randint(0, 6))]
+        dense = [1]
+        for d in degrees:
+            dense = poly_mul(dense, poly_add([1], [0] * d + [1]))
+        assert PoincarePolynomial.exterior(degrees) == dense, degrees
+    assert PoincarePolynomial.exterior([0]) == [2]
+    assert PoincarePolynomial.exterior([]) == [1]
+    with pytest.raises(UsageError, match="exterior degree -1 is negative"):
+        PoincarePolynomial.exterior([2, -1])

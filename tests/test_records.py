@@ -81,7 +81,7 @@ def test_validated_records_normalise_their_fields():
         (hermitian_space(3, [1, 1]), "diag"),
         (GeneratorSpec("g", 1), "degree"),
         (TATE, "kind"),
-        (Motive({(TATE, 0): 1}), "summands"),
+        (Motive([(TATE, 0, [1])]), "atoms"),
         (SuiteOptions(), "max_r"),
         (DegreeCheck(0, True, None), "passed"),
         (CaseResult("x", {}, True, {}, False), "passed"),
@@ -98,33 +98,34 @@ def test_records_take_no_new_attributes(record):
         record.extra = 1
 
 
-def test_motive_sorts_its_summands():
-    m = Motive({(essential(4, 1), 3): 1, (TATE, 2): 2, (SPEC_K, 0): 1, (TATE, 0): 3})
-    assert m.summands == (
-        ((SPEC_K, 0), 1), ((TATE, 0), 3), ((TATE, 2), 2), ((essential(4, 1), 3), 1)
-    )
-    assert m == Motive(dict(reversed(m.summands))) and hash(m) == hash(Motive(dict(m.summands)))
+def test_motive_sorts_its_atoms():
+    m = Motive([(essential(4, 1), 3, [1]), (TATE, 0, [3, 0, 2]), (SPEC_K, 0, (1,))])
+    assert m.atoms == ((SPEC_K, 0, (1,)), (TATE, 0, (3, 0, 2)), (essential(4, 1), 3, (1,)))
+    assert m == Motive(reversed(m.atoms)) and hash(m) == hash(Motive(m.atoms))
     assert repr(m) == "SpecK + 3*Tate + 2*Tate(2) + Essential(4,1)(3)"
 
 
 @pytest.mark.parametrize(
-    "summands",
+    "atoms",
     [
-        ((TATE, 0), (TATE, 3)),  # (atom, shift) pairs, not a multiplicity map
-        [((TATE, 0), 1)],  # mapping items, not the mapping
-        {TATE: 1},  # an atom without its shift
-        {(TATE, "0"): 1},
-        {(TATE, 0): 0},
-        {(TATE, 0): True},
+        [(TATE, 0, [1]), (TATE, 3, [1])],  # one atom twice
+        [("Tate", 0, [1])],  # an atom's name, not the atom
+        [(TATE, "0", [1])],
+        [(TATE, 0, [])],
+        [(TATE, 0, 1)],  # a multiplicity, not the multiplicities by shift
+        [(TATE, 0, [0, 1])],  # the lowest shift carries no summand
+        [(TATE, 0, [1, 0])],  # nor does the highest
+        [(TATE, 0, [1, -1, 1])],
+        [(TATE, 0, [True])],
     ],
 )
-def test_motive_refuses_anything_but_a_multiplicity_map(summands):
-    with pytest.raises(TypeError, match="a Motive takes a dict"):
-        Motive(summands)
+def test_motive_refuses_anything_but_one_triple_per_atom(atoms):
+    with pytest.raises(TypeError, match="a Motive takes"):
+        Motive(atoms)
 
 
 def test_motives_do_not_concatenate():
-    m = Motive({(TATE, 0): 1})
+    m = Motive([(TATE, 0, [1])])
     with pytest.raises(TypeError, match="not concatenated"):
         m + m
 

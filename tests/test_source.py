@@ -227,17 +227,31 @@ def test_whole_motive_is_one_closed_product():
         for f in functions
     }
     assert [name for name, called in calls.items() if name in called] == [], calls
-    for public in ("essential_poincare", "witt_decompose_whole"):
+    for public in ("essential_poincare", "witt_decompose_whole", "decompose_step"):
         assert "_shift_polynomials" in calls[public], calls[public]
     assert not any(f.decorator_list for f in functions)
     held = [k for k, v in vars(motives).items() if isinstance(v, (dict, list, set))]
     assert held == ["__builtins__"], held
     assert [name for name in vars(motives) if name.endswith("_BUDGET")] == ["_MOTIVE_BUDGET"]
-    for gone in ("_witt_whole", "_table", "_admit", "_filled", "lru_cache", "zip_longest", "Counter"):
-        assert not hasattr(motives, gone), gone
-    # a motive is a multiplicity map: no summand list to shift (test_records
-    # checks that + refuses)
+    gone = ("_witt_whole", "_table", "_admit", "_filled", "_step_shifts", "lru_cache", "Counter")
+    assert [name for name in gone if hasattr(motives, name)] == []
+    # a motive keeps each atom's multiplicities by shift whole: neither it nor the
+    # functions that build one explode them into a dict of (atom, shift) summands,
+    # and it has no summand list to shift (test_records checks that + refuses)
+    assert motives.Motive._fields == ("atoms", "speck_residual")
     assert "shifted" not in vars(motives.Motive), vars(motives.Motive)
+    motive = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Motive")
+    makers = [f for f in functions if f.name in ("decompose_step", "witt_decompose_whole")]
+    exploded = [
+        node.lineno
+        for maker in [motive, *makers]
+        for node in ast.walk(maker)
+        if isinstance(node, ast.DictComp)
+        or isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("dict", "enumerate", "setdefault")
+    ]
+    assert exploded == [], exploded
 
 
 def test_tracer_sites_resolve():
